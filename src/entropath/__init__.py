@@ -15,7 +15,6 @@ from .calculus import (
     entropy_curvature,
     entropy_hessian,
     entropy_second_derivative_analytic,
-    jacobi_eigenvalues,
     path_at,
     path_derivatives,
     pmf_second_time_derivative,

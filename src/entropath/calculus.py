@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoundaryError
-from .pmf import ParamVector, Pmf, leave_structures
+from .pmf import ParamVector, Pmf, pair_indices
 
 __all__ = [
     "AffinePath",
@@ -27,7 +27,6 @@ __all__ = [
     "entropy_curvature",
     "entropy_hessian",
     "entropy_second_derivative_analytic",
-    "jacobi_eigenvalues",
     "path_at",
     "path_derivatives",
     "pmf_second_time_derivative",
@@ -120,19 +119,20 @@ class PathDerivatives:
 
 
 def _fgh(params: ParamVector, slopes: np.ndarray):
-    """Full pmf plus the g and h sequences, from one leave-structures pass."""
-    ls = leave_structures(params)
-    n = params.n
-    g = np.zeros(n)
-    for i in range(n):
-        si = slopes[i]
-        if si != 0.0:
-            g += si * ls.singles[i]
-    h = np.zeros(max(n - 1, 0))
-    for (i, j), fij in ls.pairs.items():
-        c = slopes[i] * slopes[j]
-        if c != 0.0:
-            h += (2.0 * c) * fij  # ordered pairs: (i,j) and (j,i) both contribute
+    """Full pmf plus the g and h sequences, from the vector's cached leave-out structures.
+
+    Both sums reduce axis 0 of a C-ordered product, which numpy adds row by
+    row in index order, so the result does not depend on BLAS.
+    """
+    ls = params.leave
+    g = np.add.reduce(slopes[:, None] * ls.singles)
+    if params.n == 1:
+        # No pairs. Skipping the empty sum matters on one-component scans,
+        # which the critical-q estimators run by the thousand.
+        return ls.f, g, np.zeros(0)
+    i, j = pair_indices(params.n)
+    # Ordered pairs: (i, j) and (j, i) both contribute, hence the factor 2.
+    h = np.add.reduce((2.0 * (slopes[i] * slopes[j]))[:, None] * ls.pairs)
     return ls.f, g, h
 
 
@@ -154,18 +154,20 @@ def compute_h(params: ParamVector, slopes) -> np.ndarray:
 
 
 def _shift_diff1(g: np.ndarray, n: int) -> np.ndarray:
-    """Length n+1 sequence g_{k-1} - g_k with zero padding outside {0..n-1}."""
-    pad = np.zeros(n + 2)
-    pad[1 : n + 1] = g
-    return pad[0 : n + 1] - pad[1 : n + 2]
+    """Length n+1 sequences g_{k-1} - g_k along the last axis, zero-padded outside {0..n-1}."""
+    pad = np.zeros(g.shape[:-1] + (n + 2,))
+    pad[..., 1 : n + 1] = g
+    return pad[..., 0 : n + 1] - pad[..., 1 : n + 2]
 
 
 def _shift_diff2(h: np.ndarray, n: int) -> np.ndarray:
-    """Length n+1 sequence h_k - 2 h_{k-1} + h_{k-2} with zero padding outside {0..n-2}."""
-    pad = np.zeros(n + 3)
-    if n >= 1:
-        pad[2 : n + 1] = h
-    return pad[2 : n + 3] - 2.0 * pad[1 : n + 2] + pad[0 : n + 1]
+    """Length n+1 sequences h_k - 2 h_{k-1} + h_{k-2} along the last axis.
+
+    h is zero-padded outside {0..n-2}.
+    """
+    pad = np.zeros(h.shape[:-1] + (n + 3,))
+    pad[..., 2 : n + 1] = h
+    return pad[..., 2 : n + 3] - 2.0 * pad[..., 1 : n + 2] + pad[..., 0 : n + 1]
 
 
 def pmf_time_derivative(path: AffinePath, t: float) -> np.ndarray:
@@ -226,50 +228,6 @@ def entropy_second_derivative_analytic(
     return entropy_curvature(path_at(path, t), path.slopes, interior_margin)
 
 
-def _jacobi_rotate(a: np.ndarray, p: int, q: int, c: float, s: float, t: float) -> None:
-    app, aqq, apq = a[p, p], a[q, q], a[p, q]
-    new_p = c * a[:, p] - s * a[:, q]
-    new_q = s * a[:, p] + c * a[:, q]
-    a[:, p] = new_p
-    a[p, :] = new_p
-    a[:, q] = new_q
-    a[q, :] = new_q
-    a[p, p] = app - t * apq
-    a[q, q] = aqq + t * apq
-    a[p, q] = 0.0
-    a[q, p] = 0.0
-
-
-def jacobi_eigenvalues(matrix, off_tol: float = 1e-12, max_sweeps: int = 30) -> np.ndarray:
-    """Eigenvalues of a small symmetric matrix by cyclic Jacobi rotations, ascending.
-
-    Sweeps until the off-diagonal norm falls below off_tol, with a relative
-    floor because an absolute target below float64 resolution of the matrix
-    norm would never be reached.
-    """
-    a = np.array(matrix, dtype=np.float64, copy=True)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("matrix must be square")
-    n = a.shape[0]
-    if n == 1:
-        return a[0, :1].copy()
-    stop = max(off_tol, 1e-15 * float(np.sqrt((a * a).sum())))
-    for _ in range(max_sweeps):
-        off = math.sqrt(2.0 * float((np.triu(a, 1) ** 2).sum()))
-        if off <= stop:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                theta = 0.5 * (a[q, q] - a[p, p]) / apq
-                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(1.0, theta))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                _jacobi_rotate(a, p, q, c, t * c, t)
-    return np.sort(np.diagonal(a).copy())
-
-
 @dataclass(frozen=True, eq=False)
 class HessianReport:
     """Second-derivative matrix of the entropy over the parameter cube."""
@@ -294,25 +252,23 @@ def entropy_hessian(params: ParamVector) -> HessianReport:
 
     Mixed second partials come from leave-two-out pmfs; pure ones vanish
     because each mass is affine in any single parameter. The top eigenvalue
-    is found with the cyclic Jacobi sweep above.
+    comes from LAPACK's symmetric eigensolver.
     """
     p = params.p
     if np.any(p <= 0.0) or np.any(p >= 1.0):
         raise BoundaryError("Hessian requires parameters strictly inside (0, 1)")
     n = params.n
-    ls = leave_structures(params)
+    ls = params.leave
     f = ls.f
     u2 = 1.0 / f
     u1 = np.log(f) + 1.0
-    d = np.empty((n, n + 1))
-    for i in range(n):
-        d[i] = _shift_diff1(ls.singles[i], n)
+    d = _shift_diff1(ls.singles, n)
     m = -(d * u2) @ d.T
-    for (i, j), fij in ls.pairs.items():
-        cross = -float((u1 * _shift_diff2(fij, n)).sum())
-        m[i, j] += cross
-        m[j, i] += cross
+    i, j = pair_indices(n)
+    cross = -(u1 * _shift_diff2(ls.pairs, n)).sum(axis=1)
+    m[i, j] += cross
+    m[j, i] += cross
     m = 0.5 * (m + m.T)
     m.setflags(write=False)
-    top = float(jacobi_eigenvalues(m)[-1])
+    top = float(np.linalg.eigvalsh(m)[-1])
     return HessianReport(matrix=m, max_eigenvalue=top, psd_margin=-top)

@@ -13,13 +13,13 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import calculus, inequalities, qentropy
 from .errors import ConsistencyError
-from .pmf import ParamVector, compute_pmf
+from .pmf import ParamVector
 from .qentropy import CriticalQResult, EntropySpec
 
 __all__ = [
@@ -257,13 +257,13 @@ def _eval_checker(cid: str, params: ParamVector, slopes: np.ndarray, q: float | 
     """MarginReport for one checker on one instance, or None when not applicable."""
     n = params.n
     if cid == "log_concavity":
-        return inequalities.check_log_concavity(compute_pmf(params))
+        return inequalities.check_log_concavity(params.pmf)
     if cid == "two_fold_log_concavity":
-        return inequalities.check_two_fold_log_concavity(compute_pmf(params))
+        return inequalities.check_two_fold_log_concavity(params.pmf)
     if cid == "c1":
-        return inequalities.check_c1(compute_pmf(params))
+        return inequalities.check_c1(params.pmf)
     if cid == "c1bar":
-        return inequalities.check_c1bar(compute_pmf(params))
+        return inequalities.check_c1bar(params.pmf)
     if cid == "cij":
         return inequalities.check_cij_nonpositive(params) if n >= 2 else None
     if cid == "condition4":
@@ -388,7 +388,7 @@ def run_scan(config: ScanConfig, collect_margins: bool = False) -> ScanReport:
                     for k, margin in report.margins:
                         rows.append((inst.index, key, k, margin))
                 if report.margins:
-                    k_worst, _ = min(report.margins, key=lambda kv: kv[1])
+                    k_worst = report.margins[report.worst_position][0]
                     entry = worst.get(key)
                     if entry is None or report.worst < entry["margin"]:
                         worst[key] = {
@@ -398,7 +398,6 @@ def run_scan(config: ScanConfig, collect_margins: bool = False) -> ScanReport:
                         }
                 if report.worst < -10.0 * report.tolerance:
                     fresh = _eval_checker(cid, params, slopes, q)
-                    k_worst, _ = min(report.margins, key=lambda kv: kv[1])
                     certificates.append(
                         CounterexampleCertificate(
                             config_hash=cfg_hash,
@@ -427,26 +426,9 @@ def run_scan(config: ScanConfig, collect_margins: bool = False) -> ScanReport:
 
 def _violation_found(config: ScanConfig, kind: str, q: float) -> bool:
     if kind == "shannon":
-        scan = ScanConfig(
-            seed=config.seed,
-            n_range=config.n_range,
-            instance_count=config.instance_count,
-            interior_margin=config.interior_margin,
-            inequality_set=("entropy_concavity",),
-            slope_distribution=config.slope_distribution,
-            family=config.family,
-        )
+        scan = replace(config, inequality_set=("entropy_concavity",), q_grid=None)
     else:
-        scan = ScanConfig(
-            seed=config.seed,
-            n_range=config.n_range,
-            instance_count=config.instance_count,
-            interior_margin=config.interior_margin,
-            inequality_set=(f"{kind}_concavity",),
-            q_grid=(q,),
-            slope_distribution=config.slope_distribution,
-            family=config.family,
-        )
+        scan = replace(config, inequality_set=(f"{kind}_concavity",), q_grid=(q,))
     return len(run_scan(scan).certificates) > 0
 
 
@@ -468,16 +450,7 @@ def estimate_critical_q(
         raise ValueError(f"unknown entropy kind {kind!r}")
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
-    base = ScanConfig(
-        seed=config.seed,
-        n_range=config.n_range,
-        instance_count=config.instance_count,
-        interior_margin=config.interior_margin,
-        inequality_set=config.inequality_set,
-        q_grid=config.q_grid,
-        slope_distribution=config.slope_distribution,
-        family=family,
-    )
+    base = replace(config, family=family)
     lo, hi = float(bracket[0]), float(bracket[1])
     if not lo < hi:
         raise ValueError("bracket must satisfy q_lo < q_hi")

@@ -20,7 +20,7 @@ import numpy as np
 
 from .calculus import _fgh, _check_slopes
 from .errors import BoundaryError, ConsistencyError, LemmaHypothesisError
-from .pmf import ParamVector, Pmf, leave_structures, leave_two_out
+from .pmf import ParamVector, Pmf, leave_two_out, pair_indices
 
 __all__ = [
     "ABS_FLOOR",
@@ -62,7 +62,9 @@ class MarginReport:
 
     margins holds (index, LHS - RHS) pairs oriented so >= 0 means the
     inequality holds at that index; worst is their minimum (+inf when there
-    is nothing to check) and holds means worst >= -tolerance.
+    is nothing to check), worst_position is the position in margins of the
+    first entry equal to it (None when empty), and holds means worst >=
+    -tolerance.
     """
 
     name: str
@@ -70,17 +72,33 @@ class MarginReport:
     tolerance: float
     worst: float
     holds: bool
+    worst_position: int | None = None
 
     @classmethod
     def build(cls, name: str, pairs, tolerance: float) -> "MarginReport":
         frozen = tuple((int(k), float(v)) for k, v in pairs)
-        worst = min((v for _, v in frozen), default=math.inf)
+        pos = min(range(len(frozen)), key=lambda t: frozen[t][1], default=None)
+        return cls._frozen(name, frozen, pos, tolerance)
+
+    @classmethod
+    def from_array(
+        cls, name: str, values: np.ndarray, tolerance: float, ks: np.ndarray | None = None
+    ) -> "MarginReport":
+        """Report for the one-dimensional margins values[t] at index ks[t], or at t itself."""
+        indices = range(values.size) if ks is None else ks.tolist()
+        frozen = tuple(zip(indices, values.tolist()))
+        return cls._frozen(name, frozen, _first_min(values), tolerance)
+
+    @classmethod
+    def _frozen(cls, name, frozen, pos: int | None, tolerance: float) -> "MarginReport":
+        worst = math.inf if pos is None else frozen[pos][1]
         return cls(
             name=name,
             margins=frozen,
             tolerance=float(tolerance),
             worst=worst,
             holds=bool(worst >= -tolerance),
+            worst_position=pos,
         )
 
     def to_dict(self) -> dict:
@@ -94,6 +112,19 @@ class MarginReport:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict())
+
+
+def _first_min(values: np.ndarray) -> int | None:
+    """Position that Python's min() would pick: the first minimum, a NaN only when it leads.
+
+    This is the position MarginReport.build finds by min() over the pairs.
+    """
+    if values.size == 0:
+        return None
+    pos = int(np.argmin(values))
+    if math.isnan(values[pos]):
+        pos = 0 if math.isnan(values[0]) else int(np.nanargmin(values))
+    return pos
 
 
 def margin_rows(report: MarginReport, instance_id: int = 0) -> list[tuple[int, str, int, float]]:
@@ -118,36 +149,67 @@ def _at(v: np.ndarray, k: int) -> float:
     return float(v[k]) if 0 <= k < v.size else 0.0
 
 
-def _newton_gap(v: np.ndarray, k: int) -> float:
-    """D_k = f_k^2 - f_{k-1} f_{k+1}, zero outside the support."""
-    return _at(v, k) ** 2 - _at(v, k - 1) * _at(v, k + 1)
+def _scale(*terms: np.ndarray) -> float:
+    """Largest entry over all the monomial arrays, 0 when they are empty."""
+    return max((float(t.max()) for t in terms if t.size), default=0.0)
+
+
+def _window(v: np.ndarray, lo: int, hi: int) -> list[np.ndarray]:
+    """Shifted masses f_{k+j} for j = lo..hi, along the last axis of v.
+
+    Each entry covers k = 0..m+1, one step past the support {0..m}, and reads
+    zero outside the support.
+    """
+    size = v.shape[-1]
+    pad = np.zeros(v.shape[:-1] + (size + hi - lo + 1,))
+    pad[..., -lo : size - lo] = v
+    return [pad[..., j - lo : j - lo + size + 1] for j in range(lo, hi + 1)]
 
 
 def check_log_concavity(f) -> MarginReport:
     """Newton margins f_{k+1}^2 - f_k f_{k+2} over the support."""
     v = _masses(f)
-    pairs = []
-    scale = 0.0
-    for k in range(v.size - 2):
-        sq = v[k + 1] ** 2
-        pr = v[k] * v[k + 2]
-        pairs.append((k, sq - pr))
-        scale = max(scale, sq, pr)
-    return MarginReport.build("log_concavity", pairs, _tolerance(scale))
+    sq = v[1:-1] * v[1:-1]
+    pr = v[:-2] * v[2:]
+    margins = sq - pr
+    return MarginReport.from_array("log_concavity", margins, _tolerance(_scale(sq, pr)))
 
 
-def _two_fold_terms(v: np.ndarray, k: int):
-    a = _at(v, k - 2) * _at(v, k + 1) ** 2
-    b = _at(v, k) ** 3
-    c = _at(v, k - 1) ** 2 * _at(v, k + 2)
-    d = _at(v, k - 2) * _at(v, k) * _at(v, k + 2)
-    e = 2.0 * _at(v, k - 1) * _at(v, k) * _at(v, k + 1)
-    return a, b, c, d, e
+def _two_fold(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cubic two-fold margins and their monomial scale, for k = 0..m+1 along the last axis.
+
+    The margin is f_{k-2} f_{k+1}^2 + f_k^3 + f_{k-1}^2 f_{k+2}
+    - f_{k-2} f_k f_{k+2} - 2 f_{k-1} f_k f_{k+1}, summed in that order; the
+    scale at k is its largest monomial. One kernel serves single pmfs and
+    stacked rows alike. It accumulates in place, so a stack of pairs costs a
+    few arrays of its size rather than one per monomial.
+    """
+    fm2, fm1, f0, f1, f2 = _window(v, -2, 2)
+    margin = np.zeros(f0.shape)
+    scale = np.zeros(f0.shape)
+    term = np.empty(f0.shape)
+    monomials = (
+        (np.add, f1, f1, fm2),
+        (np.add, f0, f0, f0),
+        (np.add, fm1, fm1, f2),
+        (np.subtract, fm2, f0, f2),
+        (np.subtract, 2.0 * fm1, f0, f1),
+    )
+    for accumulate, x, y, z in monomials:
+        np.multiply(x, y, out=term)
+        term *= z
+        accumulate(margin, term, out=margin)
+        np.maximum(scale, term, out=scale)
+    return margin, scale
 
 
-def _two_fold_margin(v: np.ndarray, k: int) -> float:
-    a, b, c, d, e = _two_fold_terms(v, k)
-    return a + b + c - d - e
+def _gaps(v: np.ndarray):
+    """Shifted masses f_{k-2}..f_{k+2} and Newton gaps D_{k-1}, D_k, D_{k+1}, for k = 0..m+1.
+
+    D_k = f_k^2 - f_{k-1} f_{k+1} reads zero outside the support.
+    """
+    fm2, fm1, f0, f1, f2 = shifted = _window(v, -2, 2)
+    return shifted, (fm1 * fm1 - fm2 * f0, f0 * f0 - fm1 * f1, f1 * f1 - f0 * f2)
 
 
 def check_two_fold_log_concavity(f) -> MarginReport:
@@ -158,64 +220,45 @@ def check_two_fold_log_concavity(f) -> MarginReport:
     two must agree to 1e-12 relative.
     """
     v = _masses(f)
-    m = v.size - 1
-    pairs = []
-    scale = 0.0
-    for k in range(0, m + 2):
-        a, b, c, d, e = _two_fold_terms(v, k)
-        margin = a + b + c - d - e
-        scale = max(scale, a, b, c, d, e)
-        gap_form = _newton_gap(v, k) ** 2 - _newton_gap(v, k - 1) * _newton_gap(v, k + 1)
-        ref = _at(v, k) * margin
-        check_scale = max(
-            _newton_gap(v, k) ** 2,
-            abs(_newton_gap(v, k - 1) * _newton_gap(v, k + 1)),
-            abs(ref),
+    margin, scale = _two_fold(v)
+    (_, _, f0, _, _), (d_lo, d_mid, d_hi) = _gaps(v)
+    sq = d_mid * d_mid
+    prod = d_lo * d_hi
+    gap_form = sq - prod
+    ref = f0 * margin
+    check_scale = np.maximum(np.maximum(sq, np.abs(prod)), np.abs(ref))
+    bad = np.flatnonzero(np.abs(gap_form - ref) > 1e-12 * np.maximum(check_scale, 1e-300))
+    if bad.size:
+        k = int(bad[0])
+        raise ConsistencyError(
+            f"two-fold margin forms disagree at k={k}: {float(ref[k])!r} vs {float(gap_form[k])!r}"
         )
-        if abs(gap_form - ref) > 1e-12 * max(check_scale, 1e-300):
-            raise ConsistencyError(
-                f"two-fold margin forms disagree at k={k}: {ref!r} vs {gap_form!r}"
-            )
-        pairs.append((k, margin))
-    return MarginReport.build("two_fold_log_concavity", pairs, _tolerance(scale))
+    return MarginReport.from_array("two_fold_log_concavity", margin, _tolerance(_scale(scale)))
+
+
+def _c1(v: np.ndarray) -> tuple[np.ndarray, float]:
+    """Margins f_{k-1} D_k - D_{k-1} f_{k+1} for k = 0..m+1, and their monomial scale."""
+    (fm2, fm1, f0, f1, _), (d_lo, d_mid, _) = _gaps(v)
+    margin = fm1 * d_mid - d_lo * f1
+    return margin, _scale(fm1 * (f0 * f0), fm1 * fm1 * f1, fm2 * f0 * f1)
 
 
 def check_c1(f) -> MarginReport:
     """Cubic margins f_{k-1} D_k - D_{k-1} f_{k+1} (lower-neighbor form)."""
-    v = _masses(f)
-    m = v.size - 1
-    pairs = []
-    scale = 0.0
-    for k in range(0, m + 2):
-        lhs = _at(v, k - 1) * _newton_gap(v, k)
-        rhs = _newton_gap(v, k - 1) * _at(v, k + 1)
-        pairs.append((k, lhs - rhs))
-        scale = max(
-            scale,
-            _at(v, k - 1) * _at(v, k) ** 2,
-            _at(v, k - 1) ** 2 * _at(v, k + 1),
-            _at(v, k - 2) * _at(v, k) * _at(v, k + 1),
-        )
-    return MarginReport.build("c1", pairs, _tolerance(scale))
+    margin, scale = _c1(_masses(f))
+    return MarginReport.from_array("c1", margin, _tolerance(scale))
 
 
 def check_c1bar(f) -> MarginReport:
-    """Mirrored cubic margins f_{k+1} D_k - D_{k+1} f_{k-1}."""
-    v = _masses(f)
-    m = v.size - 1
-    pairs = []
-    scale = 0.0
-    for k in range(0, m + 2):
-        lhs = _at(v, k + 1) * _newton_gap(v, k)
-        rhs = _newton_gap(v, k + 1) * _at(v, k - 1)
-        pairs.append((k, lhs - rhs))
-        scale = max(
-            scale,
-            _at(v, k + 1) * _at(v, k) ** 2,
-            _at(v, k + 1) ** 2 * _at(v, k - 1),
-            _at(v, k) * _at(v, k + 2) * _at(v, k - 1),
-        )
-    return MarginReport.build("c1bar", pairs, _tolerance(scale))
+    """Mirrored cubic margins f_{k+1} D_k - D_{k+1} f_{k-1}.
+
+    Reversing the support swaps the two neighbors, so the margin at k is the
+    lower-neighbor margin of the reversed pmf at m - k, for k = 0..m. At
+    k = m + 1 both products vanish and the margin is 0.
+    """
+    reversed_margin, scale = _c1(_masses(f)[::-1])
+    margin = np.append(reversed_margin[-2::-1], 0.0)
+    return MarginReport.from_array("c1bar", margin, _tolerance(scale))
 
 
 def c1_product_identity_residual(f) -> float:
@@ -225,37 +268,28 @@ def c1_product_identity_residual(f) -> float:
     subtracting gives exactly f_{k-1} f_k f_{k+1} times the two-fold margin.
     """
     v = _masses(f)
-    m = v.size - 1
-    worst = 0.0
-    for k in range(0, m + 2):
-        rhs_prod = (_at(v, k - 1) * _newton_gap(v, k)) * (_at(v, k + 1) * _newton_gap(v, k))
-        lhs_prod = (_newton_gap(v, k - 1) * _at(v, k + 1)) * (
-            _newton_gap(v, k + 1) * _at(v, k - 1)
-        )
-        ident = _at(v, k - 1) * _at(v, k) * _at(v, k + 1) * _two_fold_margin(v, k)
-        scale = max(abs(rhs_prod), abs(lhs_prod), abs(ident))
-        if scale == 0.0:
-            continue
-        worst = max(worst, abs((rhs_prod - lhs_prod) - ident) / scale)
-    return worst
+    margin, _ = _two_fold(v)
+    (_, fm1, f0, f1, _), (d_lo, d_mid, d_hi) = _gaps(v)
+    rhs_prod = (fm1 * d_mid) * (f1 * d_mid)
+    lhs_prod = (d_lo * f1) * (d_hi * fm1)
+    ident = fm1 * f0 * f1 * margin
+    scale = np.maximum(np.maximum(np.abs(rhs_prod), np.abs(lhs_prod)), np.abs(ident))
+    live = scale != 0.0
+    gaps = np.abs((rhs_prod - lhs_prod) - ident)[live] / scale[live]
+    return float(gaps.max(initial=0.0))
 
 
 def _condition4_margins(f: np.ndarray, g: np.ndarray, h: np.ndarray):
-    pairs = []
-    scale = 0.0
-    for k in range(h.size):
-        gain = 2.0 * g[k] * g[k + 1] * f[k + 1] - g[k] ** 2 * f[k + 2] - g[k + 1] ** 2 * f[k]
-        hterm = h[k] * (f[k + 1] ** 2 - f[k] * f[k + 2])
-        pairs.append((k, gain - hterm))
-        scale = max(
-            scale,
-            abs(2.0 * g[k] * g[k + 1] * f[k + 1]),
-            g[k] ** 2 * f[k + 2],
-            g[k + 1] ** 2 * f[k],
-            abs(h[k]) * f[k + 1] ** 2,
-            abs(h[k]) * f[k] * f[k + 2],
-        )
-    return pairs, scale
+    """Margins for k = 0..n-2 and their monomial scale."""
+    f0, f1, f2 = f[:-2], f[1:-1], f[2:]
+    g0, g1 = g[:-1], g[1:]
+    cross = 2.0 * g0 * g1 * f1
+    lower = g0 * g0 * f2
+    upper = g1 * g1 * f0
+    sq = f1 * f1
+    margins = cross - lower - upper - h * (sq - f0 * f2)
+    abs_h = np.abs(h)
+    return margins, _scale(np.abs(cross), lower, upper, abs_h * sq, abs_h * f0 * f2)
 
 
 def check_condition4(params: ParamVector, slopes) -> MarginReport:
@@ -263,9 +297,8 @@ def check_condition4(params: ParamVector, slopes) -> MarginReport:
     slopes = _check_slopes(params, slopes)
     if params.n < 2:
         raise ValueError("condition4 needs at least two components")
-    f, g, h = _fgh(params, slopes)
-    pairs, scale = _condition4_margins(f, g, h)
-    return MarginReport.build("condition4", pairs, _tolerance(scale))
+    margins, scale = _condition4_margins(*_fgh(params, slopes))
+    return MarginReport.from_array("condition4", margins, _tolerance(scale))
 
 
 def check_corollary_fgh(params: ParamVector, slopes) -> MarginReport:
@@ -274,15 +307,13 @@ def check_corollary_fgh(params: ParamVector, slopes) -> MarginReport:
     if params.n < 2:
         raise ValueError("corollary margins need at least two components")
     f, g, h = _fgh(params, slopes)
-    pairs = []
-    scale = 0.0
-    for k in range(h.size):
-        pairs.append((k, g[k] ** 2 - h[k] * f[k]))
-        pairs.append((k, g[k + 1] ** 2 - h[k] * f[k + 2]))
-        scale = max(
-            scale, g[k] ** 2, g[k + 1] ** 2, abs(h[k]) * f[k], abs(h[k]) * f[k + 2]
-        )
-    return MarginReport.build("corollary_fgh", pairs, _tolerance(scale))
+    lo_sq, hi_sq = g[:-1] * g[:-1], g[1:] * g[1:]
+    abs_h = np.abs(h)
+    # Interleaved per k: the lower margin, then the upper one.
+    margins = np.stack([lo_sq - h * f[:-2], hi_sq - h * f[2:]], axis=1).ravel()
+    scale = _scale(lo_sq, hi_sq, abs_h * f[:-2], abs_h * f[2:])
+    ks = np.repeat(np.arange(h.size), 2)
+    return MarginReport.from_array("corollary_fgh", margins, _tolerance(scale), ks)
 
 
 class UkBranch(str, enum.Enum):
@@ -503,14 +534,14 @@ def compute_cij(params: ParamVector, i: int, j: int, k: int) -> float:
     Equals the negated two-fold margin of the leave-two-out pmf, hence never
     positive; the sign is re-checked on every call.
     """
-    v = leave_two_out(params, i, j).values
-    a, b, c, d, e = _two_fold_terms(v, k)
-    # Same operation order as the two-fold margin, so the negation is bit-exact.
-    value = -_two_fold_margin(v, k)
-    scale = max(a, b, c, d, e)
-    if value > 1e-15 * scale:
+    margin, scale = _two_fold(leave_two_out(params, i, j).values)
+    if not 0 <= k < margin.size:
+        return -0.0  # every monomial vanishes this far outside the support
+    # The same kernel as the two-fold margin, so the negation is bit-exact.
+    value = -float(margin[k])
+    if value > 1e-15 * scale[k]:
         raise ConsistencyError(f"c coefficient came out positive at k={k}: {value!r}")
-    return float(value)
+    return value
 
 
 def check_cij_nonpositive(params: ParamVector) -> MarginReport:
@@ -521,18 +552,10 @@ def check_cij_nonpositive(params: ParamVector) -> MarginReport:
     """
     if params.n < 2:
         raise ValueError("pair coefficients need at least two components")
-    ls = leave_structures(params)
-    pairs_out = []
-    idx = 0
-    scale = 0.0
-    for key in sorted(ls.pairs):
-        v = ls.pairs[key]
-        for k in range(v.size + 1):
-            a, b, c, d, e = _two_fold_terms(v, k)
-            pairs_out.append((idx, _two_fold_margin(v, k)))
-            idx += 1
-            scale = max(scale, a, b, c, d, e)
-    return MarginReport.build("cij_nonpositive", pairs_out, _tolerance(scale))
+    margin, scale = _two_fold(params.leave.pairs)
+    tolerance = _tolerance(_scale(scale))
+    del scale  # free the stacked temporary before the margin tuples are built
+    return MarginReport.from_array("cij_nonpositive", margin.ravel(), tolerance)
 
 
 def _condition4_margin_at(params: ParamVector, slopes: np.ndarray, k: int) -> float:
@@ -596,16 +619,15 @@ def check_monotone_worst_case(params: ParamVector, abs_slopes) -> MarginReport:
     abs_slopes = _check_slopes(params, abs_slopes)
     if np.any(abs_slopes < 0.0):
         raise ValueError("absolute slopes must be nonnegative")
-    ls = leave_structures(params)
+    ls = params.leave
     f = ls.f
     npat = 1 << n
     codes = np.arange(npat)
     signs = np.where((codes[:, None] >> np.arange(n)) & 1, -1.0, 1.0)  # row 0 = all +1
     s = signs * abs_slopes
-    singles = np.stack(ls.singles)
-    g = s @ singles
+    g = s @ ls.singles
     h = np.zeros((npat, n - 1))
-    for (i, j), fij in ls.pairs.items():
+    for i, j, fij in zip(*pair_indices(n), ls.pairs):
         h += np.outer(2.0 * s[:, i] * s[:, j], fij)
     pairs = []
     for k in range(n - 1):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -22,6 +23,7 @@ __all__ = [
     "leave_one_out",
     "leave_structures",
     "leave_two_out",
+    "pair_indices",
 ]
 
 # Enumerating 2^n outcomes is the test oracle; past this it stops being cheap.
@@ -45,7 +47,11 @@ def _as_prob_array(p) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ParamVector:
-    """Success probabilities of independent Bernoulli components."""
+    """Success probabilities of independent Bernoulli components.
+
+    The mass function and the leave-out structures are built on first use
+    and cached, so every checker evaluated on one vector shares them.
+    """
 
     p: np.ndarray
 
@@ -57,6 +63,16 @@ class ParamVector:
     @property
     def n(self) -> int:
         return int(self.p.size)
+
+    @cached_property
+    def pmf(self) -> "Pmf":
+        """Mass function of the sum, built on first use."""
+        return compute_pmf(self)
+
+    @cached_property
+    def leave(self) -> "LeaveStructures":
+        """Leave-one-out and leave-two-out structures, built on first use."""
+        return leave_structures(self)
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,19 +196,38 @@ def brute_force_pmf(params: ParamVector) -> Pmf:
     return Pmf(out)
 
 
+@lru_cache(maxsize=16)
+def pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column of every pair i < j, in lexicographic order (read-only, cached)."""
+    rows, cols = np.triu_indices(n, 1)
+    rows.setflags(write=False)
+    cols.setflags(write=False)
+    return rows, cols
+
+
 @dataclass(frozen=True, eq=False)
 class LeaveStructures:
-    """Full pmf plus every leave-one-out and leave-two-out pmf of one parameter vector."""
+    """Full pmf plus every leave-one-out and leave-two-out pmf of one parameter vector.
+
+    singles has shape (n, n), row i being the pmf without component i; pairs
+    has shape (n(n-1)/2, n-1), one row per pair i < j in lexicographic order.
+    All three arrays are read-only.
+    """
 
     f: np.ndarray
-    singles: tuple[np.ndarray, ...]
-    pairs: dict[tuple[int, int], np.ndarray]
+    singles: np.ndarray
+    pairs: np.ndarray
 
     def single(self, i: int) -> np.ndarray:
         return self.singles[i]
 
     def pair(self, i: int, j: int) -> np.ndarray:
-        return self.pairs[(i, j) if i < j else (j, i)]
+        if i > j:
+            i, j = j, i
+        n = self.singles.shape[0]
+        if not 0 <= i < j < n:
+            raise KeyError((i, j))
+        return self.pairs[i * (2 * n - i - 1) // 2 + (j - i - 1)]
 
 
 def leave_structures(params: ParamVector) -> LeaveStructures:
@@ -210,11 +245,18 @@ def leave_structures(params: ParamVector) -> LeaveStructures:
     suf = [np.array([1.0])] * (n + 1)
     for i in range(n - 1, -1, -1):
         suf[i] = np.convolve(kernels[i], suf[i + 1])
-    singles = tuple(np.convolve(pre[i], suf[i + 1]) for i in range(n))
-    pairs: dict[tuple[int, int], np.ndarray] = {}
+    singles = np.empty((n, n))
+    for i in range(n):
+        singles[i] = np.convolve(pre[i], suf[i + 1])
+    pairs = np.empty((n * (n - 1) // 2, max(n - 1, 0)))
+    row = 0
     for i in range(n):
         left = pre[i]  # components 0..i-1, extended below with i+1..j-1
         for j in range(i + 1, n):
-            pairs[(i, j)] = np.convolve(left, suf[j + 1])
+            pairs[row] = np.convolve(left, suf[j + 1])
+            row += 1
             left = np.convolve(left, kernels[j])
-    return LeaveStructures(f=pre[n], singles=singles, pairs=pairs)
+    f = pre[n]
+    for arr in (f, singles, pairs):
+        arr.setflags(write=False)
+    return LeaveStructures(f=f, singles=singles, pairs=pairs)

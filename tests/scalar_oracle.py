@@ -1,0 +1,192 @@
+"""Scalar reference implementations that pin the array-native library code.
+
+These are the index-by-index formulas the checkers were first written as:
+every mass is read through a zero-padded accessor, one k at a time. Powers
+are written as products, so the arithmetic is plain IEEE multiplication and
+the same on every machine. Each function returns the margins as (k, value)
+pairs plus the monomial scale the checker's tolerance is built from.
+
+The cyclic Jacobi eigensolver is here too; it pins the LAPACK eigenvalue of
+the entropy Hessian.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+
+def at(v: np.ndarray, k: int) -> float:
+    return float(v[k]) if 0 <= k < v.size else 0.0
+
+
+def newton_gap(v: np.ndarray, k: int) -> float:
+    """D_k = f_k^2 - f_{k-1} f_{k+1}, zero outside the support."""
+    return at(v, k) * at(v, k) - at(v, k - 1) * at(v, k + 1)
+
+
+def log_concavity(v: np.ndarray):
+    pairs = []
+    scale = 0.0
+    for k in range(v.size - 2):
+        sq = float(v[k + 1]) * float(v[k + 1])
+        pr = float(v[k]) * float(v[k + 2])
+        pairs.append((k, sq - pr))
+        scale = max(scale, sq, pr)
+    return pairs, scale
+
+
+def two_fold_terms(v: np.ndarray, k: int):
+    a = at(v, k - 2) * (at(v, k + 1) * at(v, k + 1))
+    b = at(v, k) * at(v, k) * at(v, k)
+    c = at(v, k - 1) * at(v, k - 1) * at(v, k + 2)
+    d = at(v, k - 2) * at(v, k) * at(v, k + 2)
+    e = 2.0 * at(v, k - 1) * at(v, k) * at(v, k + 1)
+    return a, b, c, d, e
+
+
+def two_fold(v: np.ndarray):
+    """Cubic margins for k = 0..m+1; the D-gap identity is the caller's to check."""
+    pairs = []
+    scale = 0.0
+    for k in range(v.size + 1):
+        a, b, c, d, e = two_fold_terms(v, k)
+        pairs.append((k, a + b + c - d - e))
+        scale = max(scale, a, b, c, d, e)
+    return pairs, scale
+
+
+def c1(v: np.ndarray):
+    pairs = []
+    scale = 0.0
+    for k in range(v.size + 1):
+        lhs = at(v, k - 1) * newton_gap(v, k)
+        rhs = newton_gap(v, k - 1) * at(v, k + 1)
+        pairs.append((k, lhs - rhs))
+        scale = max(
+            scale,
+            at(v, k - 1) * (at(v, k) * at(v, k)),
+            at(v, k - 1) * at(v, k - 1) * at(v, k + 1),
+            at(v, k - 2) * at(v, k) * at(v, k + 1),
+        )
+    return pairs, scale
+
+
+def c1bar(v: np.ndarray):
+    """The mirrored form f_{k+1} D_k - D_{k+1} f_{k-1}, written out directly."""
+    pairs = []
+    scale = 0.0
+    for k in range(v.size + 1):
+        lhs = at(v, k + 1) * newton_gap(v, k)
+        rhs = newton_gap(v, k + 1) * at(v, k - 1)
+        pairs.append((k, lhs - rhs))
+        scale = max(
+            scale,
+            at(v, k + 1) * (at(v, k) * at(v, k)),
+            at(v, k + 1) * at(v, k + 1) * at(v, k - 1),
+            at(v, k) * at(v, k + 2) * at(v, k - 1),
+        )
+    return pairs, scale
+
+
+def cij(pair_pmfs):
+    """Two-fold margins of every leave-two-out pmf, numbered (pair, k) row-major."""
+    pairs = []
+    scale = 0.0
+    for v in pair_pmfs:
+        rows, s = two_fold(np.asarray(v))
+        pairs.extend(rows)
+        scale = max(scale, s)
+    return [(idx, value) for idx, (_, value) in enumerate(pairs)], scale
+
+
+def condition4(f: np.ndarray, g: np.ndarray, h: np.ndarray):
+    pairs = []
+    scale = 0.0
+    for k in range(h.size):
+        fk, f1, f2 = float(f[k]), float(f[k + 1]), float(f[k + 2])
+        gk, g1, hk = float(g[k]), float(g[k + 1]), float(h[k])
+        gain = 2.0 * gk * g1 * f1 - gk * gk * f2 - g1 * g1 * fk
+        hterm = hk * (f1 * f1 - fk * f2)
+        pairs.append((k, gain - hterm))
+        scale = max(
+            scale,
+            abs(2.0 * gk * g1 * f1),
+            gk * gk * f2,
+            g1 * g1 * fk,
+            abs(hk) * (f1 * f1),
+            abs(hk) * fk * f2,
+        )
+    return pairs, scale
+
+
+def corollary_fgh(f: np.ndarray, g: np.ndarray, h: np.ndarray):
+    pairs = []
+    scale = 0.0
+    for k in range(h.size):
+        fk, f2 = float(f[k]), float(f[k + 2])
+        gk, g1, hk = float(g[k]), float(g[k + 1]), float(h[k])
+        pairs.append((k, gk * gk - hk * fk))
+        pairs.append((k, g1 * g1 - hk * f2))
+        scale = max(scale, gk * gk, g1 * g1, abs(hk) * fk, abs(hk) * f2)
+    return pairs, scale
+
+
+def mixture_sequences(singles, pair_pmfs, slopes: np.ndarray):
+    """g = sum_i s_i f^(i) and h = sum_{i<j} 2 s_i s_j f^(i,j), accumulated term by term."""
+    n = slopes.size
+    g = np.zeros(n)
+    for i in range(n):
+        g += slopes[i] * np.asarray(singles[i])
+    h = np.zeros(max(n - 1, 0))
+    row = 0
+    for i in range(n):
+        for j in range(i + 1, n):
+            h += (2.0 * (slopes[i] * slopes[j])) * np.asarray(pair_pmfs[row])
+            row += 1
+    return g, h
+
+
+def _jacobi_rotate(a: np.ndarray, p: int, q: int, c: float, s: float, t: float) -> None:
+    app, aqq, apq = a[p, p], a[q, q], a[p, q]
+    new_p = c * a[:, p] - s * a[:, q]
+    new_q = s * a[:, p] + c * a[:, q]
+    a[:, p] = new_p
+    a[p, :] = new_p
+    a[:, q] = new_q
+    a[q, :] = new_q
+    a[p, p] = app - t * apq
+    a[q, q] = aqq + t * apq
+    a[p, q] = 0.0
+    a[q, p] = 0.0
+
+
+def jacobi_eigenvalues(matrix, off_tol: float = 1e-12, max_sweeps: int = 30) -> np.ndarray:
+    """Eigenvalues of a small symmetric matrix by cyclic Jacobi rotations, ascending.
+
+    Sweeps until the off-diagonal norm falls below off_tol, with a relative
+    floor because an absolute target below float64 resolution of the matrix
+    norm would never be reached.
+    """
+    a = np.array(matrix, dtype=np.float64, copy=True)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError("matrix must be square")
+    n = a.shape[0]
+    if n == 1:
+        return a[0, :1].copy()
+    stop = max(off_tol, 1e-15 * float(np.sqrt((a * a).sum())))
+    for _ in range(max_sweeps):
+        off = math.sqrt(2.0 * float((np.triu(a, 1) ** 2).sum()))
+        if off <= stop:
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = a[p, q]
+                if apq == 0.0:
+                    continue
+                theta = 0.5 * (a[q, q] - a[p, p]) / apq
+                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(1.0, theta))
+                c = 1.0 / math.sqrt(1.0 + t * t)
+                _jacobi_rotate(a, p, q, c, t * c, t)
+    return np.sort(np.diagonal(a).copy())

@@ -13,7 +13,6 @@ from entropath.calculus import (
     entropy_curvature,
     entropy_hessian,
     entropy_second_derivative_analytic,
-    jacobi_eigenvalues,
     path_at,
     path_derivatives,
     pmf_second_time_derivative,
@@ -23,6 +22,7 @@ from entropath.calculus import (
 from entropath.errors import BoundaryError
 from entropath.numdiff import central_first, central_second
 from entropath.pmf import ParamVector, compute_pmf
+from scalar_oracle import jacobi_eigenvalues
 
 
 class TestPaths:
@@ -268,6 +268,8 @@ class TestHessian:
 
 
 class TestJacobi:
+    """The test oracle that pins the Hessian's LAPACK eigenvalue."""
+
     def test_against_numpy_eigvalsh(self, rng):
         for _ in range(50):
             n = int(rng.integers(1, 13))

@@ -54,6 +54,26 @@ class TestMarginReport:
         assert math.isinf(rep.worst)
         assert rep.to_dict()["worst"] is None
 
+    def test_worst_position_is_first_minimum(self):
+        pairs = [(0, 0.5), (3, -0.2), (4, 0.1), (7, -0.2)]
+        rep = MarginReport.build("x", pairs, 1e-10)
+        assert rep.worst_position == 1
+        assert rep.margins[rep.worst_position] == (3, -0.2)
+        assert MarginReport.build("x", [], 1e-10).worst_position is None
+        values = np.array([v for _, v in pairs])
+        ks = np.array([k for k, _ in pairs])
+        assert MarginReport.from_array("x", values, 1e-10, ks) == rep
+
+    def test_worst_position_follows_min_with_nan(self):
+        # Python's min() keeps a leading NaN and skips later ones.
+        for values in ([1.0, float("nan"), -1.0, -1.0], [float("nan"), -1.0], [0.0, -0.0]):
+            pairs = list(enumerate(values))
+            rep = MarginReport.from_array("x", np.array(values), 1e-10)
+            expected = min(range(len(values)), key=lambda t: values[t])
+            assert rep.worst_position == MarginReport.build("x", pairs, 1e-10).worst_position
+            assert rep.worst_position == expected
+            assert math.copysign(1.0, rep.worst) == math.copysign(1.0, values[expected])
+
     def test_csv_rows(self):
         rep = MarginReport.build("ineq", [(0, 0.5), (2, 0.25)], 1e-10)
         text = rows_to_csv(margin_rows(rep, instance_id=7))

@@ -1,0 +1,139 @@
+"""Array-native checkers, mixture sequences and the Hessian pinned against scalar oracles."""
+
+import numpy as np
+import pytest
+
+import scalar_oracle as oracle
+from conftest import random_instance
+from entropath.calculus import entropy_hessian, path_derivatives
+from entropath.errors import ConsistencyError
+from entropath.inequalities import (
+    ABS_FLOOR,
+    REL_TOL,
+    MarginReport,
+    check_c1,
+    check_c1bar,
+    check_cij_nonpositive,
+    check_condition4,
+    check_corollary_fgh,
+    check_log_concavity,
+    check_two_fold_log_concavity,
+)
+from entropath.pmf import ParamVector, compute_pmf
+
+EPS = np.finfo(np.float64).eps
+# Allowed gap between a vectorized margin and its oracle, in units of the
+# checker's largest monomial: a few roundings of the cubic terms.
+ULPS = 8
+
+
+def _instances():
+    """Seeded parameter vectors: n = 1..60, zero masses (p with 0 or 1), and n = 1, 2 edge cases."""
+    rng = np.random.default_rng(20260808)
+    out = [rng.random(n) for n in range(1, 61)]
+    for n in (1, 2, 3, 7, 12):
+        p = rng.random(n)
+        p[rng.integers(n)] = 0.0
+        out.append(p.copy())
+        p[rng.integers(n)] = 1.0
+        out.append(p)
+    out += [np.array([0.0]), np.array([1.0]), np.array([0.5]), np.array([0.0, 1.0]),
+            np.array([1.0, 1.0]), np.array([0.5, 0.5]), np.array([1e-3, 1.0 - 1e-3])]
+    return out
+
+
+INSTANCES = _instances()
+
+
+def _assert_matches(report: MarginReport, expected):
+    pairs, scale = expected
+    assert [k for k, _ in report.margins] == [k for k, _ in pairs]
+    got = np.array([v for _, v in report.margins])
+    want = np.array([v for _, v in pairs])
+    assert np.all(np.abs(got - want) <= ULPS * EPS * scale), report.name
+    assert report.tolerance == pytest.approx(max(ABS_FLOOR, REL_TOL * scale), rel=ULPS * EPS)
+
+
+@pytest.mark.parametrize("p", INSTANCES, ids=lambda p: f"n{p.size}")
+def test_pmf_checkers_match_scalar_oracle(p):
+    v = compute_pmf(ParamVector(p)).values
+    _assert_matches(check_log_concavity(v), oracle.log_concavity(v))
+    _assert_matches(check_two_fold_log_concavity(v), oracle.two_fold(v))
+    _assert_matches(check_c1(v), oracle.c1(v))
+    _assert_matches(check_c1bar(v), oracle.c1bar(v))
+
+
+@pytest.mark.parametrize("p", [p for p in INSTANCES if p.size >= 2], ids=lambda p: f"n{p.size}")
+def test_slope_checkers_match_scalar_oracle(p):
+    rng = np.random.default_rng(p.size)
+    params = ParamVector(p)
+    slopes = rng.uniform(-1.0, 1.0, p.size)
+    d = path_derivatives(params, slopes)
+    f = params.leave.f
+    _assert_matches(check_condition4(params, slopes), oracle.condition4(f, d.g, d.h))
+    _assert_matches(check_corollary_fgh(params, slopes), oracle.corollary_fgh(f, d.g, d.h))
+    if p.size <= 24 or p.size == 60:  # the scalar sweep is O(n^3) Python calls
+        _assert_matches(check_cij_nonpositive(params), oracle.cij(params.leave.pairs))
+
+
+@pytest.mark.parametrize("p", [p for p in INSTANCES if p.size <= 30], ids=lambda p: f"n{p.size}")
+def test_mixture_sequences_match_term_by_term_sums(p):
+    rng = np.random.default_rng(p.size)
+    params = ParamVector(p)
+    slopes = rng.uniform(-1.0, 1.0, p.size)
+    slopes[rng.integers(p.size)] = 0.0
+    d = path_derivatives(params, slopes)
+    g, h = oracle.mixture_sequences(params.leave.singles, params.leave.pairs, slopes)
+    scale_g = float(np.abs(params.leave.singles).sum(axis=0).max())
+    scale_h = 2.0 * float(np.abs(params.leave.pairs).sum(axis=0).max(initial=0.0))
+    assert np.all(np.abs(d.g - g) <= ULPS * EPS * scale_g)
+    assert np.all(np.abs(d.h - h) <= ULPS * EPS * scale_h)
+
+
+def test_c1bar_is_bit_equal_to_mirrored_formula():
+    rng = np.random.default_rng(7)
+    for n in list(range(1, 40)) + [80, 150]:
+        v = compute_pmf(ParamVector(rng.random(n))).values
+        pairs, scale = oracle.c1bar(v)
+        report = check_c1bar(v)
+        assert report.margins == tuple(pairs)
+        assert report.tolerance == max(ABS_FLOOR, REL_TOL * scale)
+
+
+def test_binomial_200_two_fold_identity_fault_persists():
+    # D_k^2 - D_{k-1} D_{k+1} cancels at n = 200, and the 1e-12 relative
+    # identity check still trips on it; its bound is an open item.
+    v = compute_pmf(ParamVector(np.full(200, 0.02))).values
+    with pytest.raises(ConsistencyError, match=r"at k=50:"):
+        check_two_fold_log_concavity(v)
+
+
+def _hessian_instances():
+    rng = np.random.default_rng(11)
+    out = []
+    for _ in range(60):
+        p, _ = random_instance(rng, n_min=1, n_max=12)
+        out.append(p)
+    out.append(rng.uniform(1e-3, 1.0 - 1e-3, 50))
+    return out
+
+
+@pytest.mark.parametrize("p", _hessian_instances(), ids=lambda p: f"n{p.size}")
+def test_hessian_top_eigenvalue_matches_jacobi(p):
+    report = entropy_hessian(ParamVector(p))
+    top = float(oracle.jacobi_eigenvalues(report.matrix)[-1])
+    norm = float(np.linalg.norm(report.matrix))
+    assert abs(report.max_eigenvalue - top) <= 1e-12 * norm
+
+
+def test_cached_leave_structures_are_read_only():
+    params = ParamVector(np.array([0.2, 0.5, 0.7, 0.9]))
+    ls = params.leave
+    assert params.leave is ls
+    assert params.pmf is params.pmf
+    assert ls.singles.shape == (4, 4)
+    assert ls.pairs.shape == (6, 3)
+    for arr in (params.pmf.values, ls.f, ls.singles, ls.pairs):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
