@@ -243,7 +243,7 @@ def leave_structures(params: ParamVector) -> LeaveStructures:
     for i in range(n):
         pre.append(np.convolve(pre[i], kernels[i]))
     suf = [np.array([1.0])] * (n + 1)
-    for i in range(n - 1, -1, -1):
+    for i in range(n - 1, 0, -1):  # suf[0] would be the full pmf, pre[n]
         suf[i] = np.convolve(kernels[i], suf[i + 1])
     singles = np.empty((n, n))
     for i in range(n):
@@ -255,7 +255,8 @@ def leave_structures(params: ParamVector) -> LeaveStructures:
         for j in range(i + 1, n):
             pairs[row] = np.convolve(left, suf[j + 1])
             row += 1
-            left = np.convolve(left, kernels[j])
+            if j < n - 1:
+                left = np.convolve(left, kernels[j])
     f = pre[n]
     for arr in (f, singles, pairs):
         arr.setflags(write=False)
