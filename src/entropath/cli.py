@@ -18,7 +18,7 @@ import numpy as np
 from . import explorer, inequalities, qentropy
 from .calculus import entropy_hessian
 from .errors import BoundaryError, LemmaHypothesisError
-from .inequalities import MarginReport, X_LOG_X, margin_rows, rows_to_csv
+from .inequalities import X_LOG_X, margin_rows, rows_to_csv
 from .pmf import ParamVector
 
 SCHEMA_VERSION = 1
@@ -82,23 +82,8 @@ def cmd_verify(args) -> int:
         raise ValueError(f"expected {n} slopes, got {slopes.size}")
     point = params.p + args.t * slopes
     params = ParamVector(point)
-    reports: list[MarginReport] = []
-    uk_payload = None
-    curvature = None
-    for cid in explorer.SHANNON_SUITE:
-        if cid == "uk_nonneg" and n >= 2:
-            dec = inequalities.compute_uk(params, slopes)
-            uk_payload = dec.to_dict()
-            reports.append(
-                MarginReport.build("uk_nonneg", [(t.k, t.u) for t in dec.terms], 1e-9)
-            )
-            continue
-        report = explorer._eval_checker(cid, params, slopes, None)
-        if report is None:
-            continue
-        if cid == "entropy_concavity":
-            curvature = -report.margins[0][1]
-        reports.append(report)
+    by_id = {cid: explorer.evaluate_checker(cid, params, slopes) for cid in explorer.SHANNON_SUITE}
+    reports = [r for r in by_id.values() if r is not None]
     holds = all(r.holds for r in reports)
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -108,8 +93,8 @@ def cmd_verify(args) -> int:
         "t": args.t,
         "suite": args.suite,
         "checks": [r.to_dict() for r in reports],
-        "uk": uk_payload,
-        "entropy_second_derivative": curvature,
+        "uk": inequalities.compute_uk(params, slopes).to_dict() if n >= 2 else None,
+        "entropy_second_derivative": -by_id["entropy_concavity"].worst,
         "holds": holds,
     }
     rows = [row for r in reports for row in margin_rows(r)]
@@ -148,8 +133,6 @@ def _load_config(args) -> explorer.ScanConfig:
             data = json.loads(path.read_text())
         merged = dict(inline)
         merged.update(data)  # config file wins over inline flags
-        if "n_range" in merged:
-            merged["n_range"] = tuple(merged["n_range"])
         return explorer.ScanConfig.from_dict(merged)
     if "seed" not in inline:
         raise ValueError("scan needs --seed or --config")

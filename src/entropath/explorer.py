@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -23,6 +23,7 @@ from .pmf import ParamVector
 from .qentropy import CriticalQResult, EntropySpec
 
 __all__ = [
+    "CHECKERS",
     "CHECKER_IDS",
     "CounterexampleCertificate",
     "FAMILIES",
@@ -33,6 +34,7 @@ __all__ = [
     "ScanReport",
     "SplitMix64",
     "estimate_critical_q",
+    "evaluate_checker",
     "run_scan",
 ]
 
@@ -89,22 +91,59 @@ def instance_rng(seed: int, index: int) -> SplitMix64:
 
 _SLOPE_DISTRIBUTIONS = ("unit_sphere", "signed_unit", "monotone_unit")
 
-SHANNON_SUITE = (
-    "log_concavity",
-    "two_fold_log_concavity",
-    "c1",
-    "c1bar",
-    "cij",
-    "condition4",
-    "corollary_fgh",
-    "uk_nonneg",
-    "entropy_concavity",
-    "hessian_psd",
-)
+
+def _single(name: str, margin: float) -> inequalities.MarginReport:
+    return inequalities.MarginReport.build(name, [(0, margin)], 1e-9)
+
+
+def _uk_report(pv: ParamVector, s: np.ndarray, q) -> inequalities.MarginReport:
+    pairs = [(term.k, term.u) for term in inequalities.compute_uk(pv, s).terms]
+    return inequalities.MarginReport.build("uk_nonneg", pairs, 1e-9)
+
+
+def _q_report(kind: str):
+    name = f"{kind}_concavity"
+    return lambda pv, s, q: _single(name, -qentropy.q_curvature(pv, s, EntropySpec(kind, q)))
+
+
+# Checker id -> (smallest n it applies to, report function of (params, slopes, q)).
+# Every entry looks its function up on the module at call time, so a rebound
+# module attribute (a tracer's wrapper, a test's monkeypatch) is the one called.
+CHECKERS = {
+    "log_concavity": (1, lambda pv, s, q: inequalities.check_log_concavity(pv.pmf)),
+    "two_fold_log_concavity": (
+        1, lambda pv, s, q: inequalities.check_two_fold_log_concavity(pv.pmf)
+    ),
+    "c1": (1, lambda pv, s, q: inequalities.check_c1(pv.pmf)),
+    "c1bar": (1, lambda pv, s, q: inequalities.check_c1bar(pv.pmf)),
+    "cij": (2, lambda pv, s, q: inequalities.check_cij_nonpositive(pv)),
+    "condition4": (2, lambda pv, s, q: inequalities.check_condition4(pv, s)),
+    "corollary_fgh": (2, lambda pv, s, q: inequalities.check_corollary_fgh(pv, s)),
+    "uk_nonneg": (2, _uk_report),
+    "entropy_concavity": (
+        1, lambda pv, s, q: _single("entropy_concavity", -calculus.entropy_curvature(pv, s))
+    ),
+    "hessian_psd": (
+        1, lambda pv, s, q: _single("hessian_psd", calculus.entropy_hessian(pv).psd_margin)
+    ),
+    "renyi_concavity": (1, _q_report("renyi")),
+    "tsallis_concavity": (1, _q_report("tsallis")),
+}
+
+CHECKER_IDS = tuple(CHECKERS)
 
 _Q_CHECKERS = ("renyi_concavity", "tsallis_concavity")
 
-CHECKER_IDS = SHANNON_SUITE + _Q_CHECKERS
+SHANNON_SUITE = tuple(cid for cid in CHECKER_IDS if cid not in _Q_CHECKERS)
+
+
+def evaluate_checker(cid: str, params: ParamVector, slopes: np.ndarray, q: float | None = None):
+    """MarginReport for one checker on one instance, or None when n is below its minimum."""
+    if cid not in CHECKERS:
+        raise ValueError(f"unknown checker id {cid!r}")
+    min_n, report = CHECKERS[cid]
+    return report(params, slopes, q) if params.n >= min_n else None
+
 
 # Families and the t grids they are evaluated on:
 #   random_affine - sampled (p, slopes), evaluated at t = 0
@@ -169,16 +208,7 @@ class ScanConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScanConfig":
-        known = {
-            "seed",
-            "n_range",
-            "instance_count",
-            "interior_margin",
-            "inequality_set",
-            "q_grid",
-            "slope_distribution",
-            "family",
-        }
+        known = {field.name for field in fields(cls)}
         extra = set(data) - known
         if extra:
             raise ValueError(f"unknown config fields: {sorted(extra)}")
@@ -253,44 +283,6 @@ def _family_instances(config: ScanConfig) -> list[ScanInstance]:
     ]
 
 
-def _eval_checker(cid: str, params: ParamVector, slopes: np.ndarray, q: float | None):
-    """MarginReport for one checker on one instance, or None when not applicable."""
-    n = params.n
-    if cid == "log_concavity":
-        return inequalities.check_log_concavity(params.pmf)
-    if cid == "two_fold_log_concavity":
-        return inequalities.check_two_fold_log_concavity(params.pmf)
-    if cid == "c1":
-        return inequalities.check_c1(params.pmf)
-    if cid == "c1bar":
-        return inequalities.check_c1bar(params.pmf)
-    if cid == "cij":
-        return inequalities.check_cij_nonpositive(params) if n >= 2 else None
-    if cid == "condition4":
-        return inequalities.check_condition4(params, slopes) if n >= 2 else None
-    if cid == "corollary_fgh":
-        return inequalities.check_corollary_fgh(params, slopes) if n >= 2 else None
-    if cid == "uk_nonneg":
-        if n < 2:
-            return None
-        dec = inequalities.compute_uk(params, slopes)
-        pairs = [(term.k, term.u) for term in dec.terms]
-        return inequalities.MarginReport.build("uk_nonneg", pairs, 1e-9)
-    if cid == "entropy_concavity":
-        value = calculus.entropy_curvature(params, slopes)
-        return inequalities.MarginReport.build("entropy_concavity", [(0, -value)], 1e-9)
-    if cid == "hessian_psd":
-        report = calculus.entropy_hessian(params)
-        return inequalities.MarginReport.build("hessian_psd", [(0, report.psd_margin)], 1e-9)
-    if cid == "renyi_concavity":
-        value = qentropy.q_curvature(params, slopes, EntropySpec.renyi(q))
-        return inequalities.MarginReport.build("renyi_concavity", [(0, -value)], 1e-9)
-    if cid == "tsallis_concavity":
-        value = qentropy.q_curvature(params, slopes, EntropySpec.tsallis(q))
-        return inequalities.MarginReport.build("tsallis_concavity", [(0, -value)], 1e-9)
-    raise ValueError(f"unknown checker id {cid!r}")
-
-
 @dataclass(frozen=True)
 class CounterexampleCertificate:
     """A reproducible violation: the full tuple plus its re-evaluated margin."""
@@ -331,7 +323,7 @@ def reevaluate_certificate(cert: CounterexampleCertificate) -> float:
     """Worst margin recomputed from the stored tuple alone."""
     cid = cert.inequality
     params = ParamVector(np.array(cert.p))
-    report = _eval_checker(cid, params, np.array(cert.slopes), cert.q)
+    report = evaluate_checker(cid, params, np.array(cert.slopes), cert.q)
     return report.worst
 
 
@@ -380,7 +372,7 @@ def run_scan(config: ScanConfig, collect_margins: bool = False) -> ScanReport:
         for cid in config.inequality_set:
             q_values = config.q_grid if cid in _Q_CHECKERS else (None,)
             for q in q_values:
-                report = _eval_checker(cid, params, slopes, q)
+                report = evaluate_checker(cid, params, slopes, q)
                 if report is None:
                     continue
                 key = cid if q is None else f"{cid}[q={q!r}]"
@@ -397,7 +389,7 @@ def run_scan(config: ScanConfig, collect_margins: bool = False) -> ScanReport:
                             "k": k_worst,
                         }
                 if report.worst < -10.0 * report.tolerance:
-                    fresh = _eval_checker(cid, params, slopes, q)
+                    fresh = evaluate_checker(cid, params, slopes, q)
                     certificates.append(
                         CounterexampleCertificate(
                             config_hash=cfg_hash,

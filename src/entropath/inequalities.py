@@ -145,10 +145,6 @@ def _masses(f) -> np.ndarray:
     return np.asarray(f, dtype=np.float64)
 
 
-def _at(v: np.ndarray, k: int) -> float:
-    return float(v[k]) if 0 <= k < v.size else 0.0
-
-
 def _scale(*terms: np.ndarray) -> float:
     """Largest entry over all the monomial arrays, 0 when they are empty."""
     return max((float(t.max()) for t in terms if t.size), default=0.0)
@@ -559,12 +555,9 @@ def check_cij_nonpositive(params: ParamVector) -> MarginReport:
 
 
 def _condition4_margin_at(params: ParamVector, slopes: np.ndarray, k: int) -> float:
-    f, g, h = _fgh(params, slopes)
-    fk, f1, f2 = _at(f, k), _at(f, k + 1), _at(f, k + 2)
-    gk, g1 = _at(g, k), _at(g, k + 1)
-    hk = _at(h, k)
-    gain = 2.0 * gk * g1 * f1 - gk**2 * f2 - g1**2 * fk
-    return float(gain - hk * (f1**2 - fk * f2))
+    """Condition4 margin at one k; 0 outside k = 0..n-2, where every term vanishes."""
+    margins, _ = _condition4_margins(*_fgh(params, slopes))
+    return float(margins[k]) if 0 <= k < margins.size else 0.0
 
 
 def check_quadratic_decomposition_n2(params: ParamVector, k: int) -> MarginReport:

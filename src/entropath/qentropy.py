@@ -43,7 +43,6 @@ __all__ = [
     "q_curvature",
     "q_entropy",
     "q_entropy_second_derivative",
-    "tsallis_curvature_parts",
     "tsallis_uk",
     "tsallis_uk_tilde",
 ]
@@ -186,26 +185,6 @@ def q_entropy_second_derivative(
         if abs(value - fd) > 1e-4 * max(abs(value), abs(fd), 1.0):
             raise ConsistencyError(f"analytic curvature {value!r} vs finite difference {fd!r}")
     return value
-
-
-def tsallis_curvature_parts(params: ParamVector, slopes, q: float):
-    """Exact Tsallis curvature, the bare decomposition sum, and their gap.
-
-    Returns (second_derivative, minus_q_uk_sum, boundary_residual) where the
-    residual is exactly -q times the two relabeling boundary terms; whether
-    those vanish is an empirical question answered per instance, so the gap
-    is reported instead of being assumed away.
-    """
-    slopes = _check_slopes(params, slopes)
-    f, g, h = _fgh(params, slopes)
-    if np.any(f <= 0.0):
-        raise BoundaryError("curvature needs strictly positive masses")
-    u = _tsallis_uk_from(f, g, h, q)
-    n = params.n
-    boundary = g[n - 1] ** 2 * f[n - 1] ** (q - 2.0) + g[0] ** 2 * f[1] ** (q - 2.0)
-    exact = float(-q * (u.sum() + boundary))
-    bare = float(-q * u.sum())
-    return exact, bare, exact - bare
 
 
 def chain_rule_check(path: AffinePath, t: float, q: float) -> MarginReport:

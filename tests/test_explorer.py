@@ -1,18 +1,23 @@
 """Scan determinism, certificate soundness, and empirical critical q."""
 
+import numpy as np
 import pytest
 
+from entropath import inequalities, qentropy
 from entropath.explorer import (
     CHECKER_IDS,
+    CHECKERS,
     SHANNON_SUITE,
     ScanConfig,
     SplitMix64,
     estimate_critical_q,
+    evaluate_checker,
     instance_rng,
     reevaluate_certificate,
     run_scan,
     sample_instance,
 )
+from entropath.pmf import ParamVector
 
 
 class TestSplitMix64:
@@ -76,6 +81,41 @@ class TestScanConfig:
         )
         report = run_scan(cfg)
         assert len(report.worst_margins) == len(CHECKER_IDS)
+
+
+class TestCheckerTable:
+    def test_ids_follow_the_table(self):
+        assert tuple(CHECKERS) == CHECKER_IDS
+        assert SHANNON_SUITE == (
+            "log_concavity",
+            "two_fold_log_concavity",
+            "c1",
+            "c1bar",
+            "cij",
+            "condition4",
+            "corollary_fgh",
+            "uk_nonneg",
+            "entropy_concavity",
+            "hessian_psd",
+        )
+
+    def test_pair_checkers_skip_n_one(self):
+        params, slopes = ParamVector(np.array([0.3])), np.array([0.7])
+        skipped = {cid for cid in CHECKER_IDS if evaluate_checker(cid, params, slopes, 2.5) is None}
+        assert skipped == {"cij", "condition4", "corollary_fgh", "uk_nonneg"}
+
+    def test_unknown_id_rejected(self):
+        with pytest.raises(ValueError):
+            evaluate_checker("not_a_checker", ParamVector(np.array([0.3])), np.zeros(1))
+
+    def test_functions_looked_up_at_call_time(self, monkeypatch):
+        # A tracer rebinds module attributes; the table must call the rebound ones.
+        marker = inequalities.MarginReport.build("marker", [(0, 1.0)], 1e-9)
+        monkeypatch.setattr(inequalities, "check_c1", lambda f: marker)
+        monkeypatch.setattr(qentropy, "q_curvature", lambda params, slopes, spec: 42.0)
+        params, slopes = ParamVector(np.array([0.3, 0.6])), np.array([1.0, -0.5])
+        assert evaluate_checker("c1", params, slopes) is marker
+        assert evaluate_checker("tsallis_concavity", params, slopes, 3.0).worst == -42.0
 
 
 class TestSampling:

@@ -19,7 +19,6 @@ from entropath.qentropy import (
     q_curvature,
     q_entropy,
     q_entropy_second_derivative,
-    tsallis_curvature_parts,
     tsallis_uk,
     tsallis_uk_tilde,
 )
@@ -188,11 +187,15 @@ class TestChainRule:
 
 class TestTsallisUk:
     def test_exact_parts_worked_example(self):
+        # The exact curvature is the bare decomposition sum plus -q times the
+        # two relabeling boundary terms, which do not vanish here.
         pv = ParamVector(np.array([0.5, 0.5]))
-        exact, bare, residual = tsallis_curvature_parts(pv, np.array([1.0, 1.0]), 3.0)
+        slopes = np.array([1.0, 1.0])
+        exact = q_curvature(pv, slopes, EntropySpec.tsallis(3.0))
+        bare = float(-3.0 * tsallis_uk(pv, slopes, 3.0).sum())
         assert exact == pytest.approx(-0.375, rel=1e-12)
         assert bare == pytest.approx(2.625, rel=1e-12)
-        assert residual == pytest.approx(-3.0, rel=1e-12)
+        assert exact - bare == pytest.approx(-3.0, rel=1e-12)
 
     def test_uk_supported_on_n_minus_one(self, rng):
         p, s = random_instance(rng, n_min=3, n_max=8, eps=0.02)
