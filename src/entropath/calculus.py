@@ -32,6 +32,7 @@ __all__ = [
     "pmf_second_time_derivative",
     "pmf_time_derivative",
     "shannon_entropy",
+    "stacked_entropy_curvature",
 ]
 
 
@@ -39,7 +40,7 @@ def _check_slopes(params: ParamVector, slopes) -> np.ndarray:
     arr = np.asarray(slopes, dtype=np.float64)
     if arr.shape != (params.n,):
         raise ValueError(f"expected {params.n} slopes, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("slopes must be finite")
     return arr
 
@@ -136,6 +137,11 @@ def _fgh(params: ParamVector, slopes: np.ndarray):
     return ls.f, g, h
 
 
+def _fgh_rows(params: ParamVector, slopes: np.ndarray):
+    """_fgh as one-row stacks, the shape the stacked curvature kernels take."""
+    return tuple(a[None, :] for a in _fgh(params, slopes))
+
+
 def path_derivatives(params: ParamVector, slopes) -> PathDerivatives:
     """g_k = sum_i p_i' f^(i)_k and h_k = sum_{i != j} p_i' p_j' f^(i,j)_k."""
     slopes = _check_slopes(params, slopes)
@@ -198,16 +204,15 @@ def _require_interior(params: ParamVector, margin: float) -> None:
         raise BoundaryError(f"parameters must lie in [{margin}, {1.0 - margin}]")
 
 
-def entropy_curvature(params: ParamVector, slopes, interior_margin: float = 0.0) -> float:
-    """Second t-derivative of the entropy at the point (p, p').
+def stacked_entropy_curvature(f: np.ndarray, g: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Entropy curvature H'' of every row of the stacks f (m, n+1), g (m, n), h (m, n-1).
 
-    Where a mass is exactly zero its terms must vanish too; otherwise the
-    curvature is not defined there and a BoundaryError is raised.
+    entropy_curvature is a one-row call of this kernel, so a row gives the
+    same bits in any stack. Where a mass is exactly zero its terms must
+    vanish too; otherwise the curvature is not defined there and a
+    BoundaryError is raised.
     """
-    slopes = _check_slopes(params, slopes)
-    _require_interior(params, interior_margin)
-    f, g, h = _fgh(params, slopes)
-    n = params.n
+    n = g.shape[-1]
     df = _shift_diff1(g, n)
     d2f = _shift_diff2(h, n)
     pos = f > 0.0
@@ -217,8 +222,20 @@ def entropy_curvature(params: ParamVector, slopes, interior_margin: float = 0.0)
             raise BoundaryError(
                 "zero mass with active derivative terms; evaluate at an interior point"
             )
-    fk = f[pos]
-    return float(-(df[pos] ** 2 / fk).sum() - ((np.log(fk) + 1.0) * d2f[pos]).sum())
+        # Both terms are zero at a dead mass; a unit there keeps them finite.
+        f = np.where(pos, f, 1.0)
+    return -(df**2 / f).sum(axis=-1) - ((np.log(f) + 1.0) * d2f).sum(axis=-1)
+
+
+def entropy_curvature(params: ParamVector, slopes, interior_margin: float = 0.0) -> float:
+    """Second t-derivative of the entropy at the point (p, p').
+
+    Where a mass is exactly zero its terms must vanish too; otherwise the
+    curvature is not defined there and a BoundaryError is raised.
+    """
+    slopes = _check_slopes(params, slopes)
+    _require_interior(params, interior_margin)
+    return float(stacked_entropy_curvature(*_fgh_rows(params, slopes))[0])
 
 
 def entropy_second_derivative_analytic(

@@ -92,13 +92,22 @@ def instance_rng(seed: int, index: int) -> SplitMix64:
 _SLOPE_DISTRIBUTIONS = ("unit_sphere", "signed_unit", "monotone_unit")
 
 
+# Fixed tolerance of the theorem-level checkers: u_k, H'', the Hessian, q-entropy concavity.
+_THEOREM_TOLERANCE = 1e-9
+
+
+def _cuts_certificate(margin, tolerance: float):
+    """The certificate rule: a margin below ten times its checker's tolerance (arrays too)."""
+    return margin < -10.0 * tolerance
+
+
 def _single(name: str, margin: float) -> inequalities.MarginReport:
-    return inequalities.MarginReport.build(name, [(0, margin)], 1e-9)
+    return inequalities.MarginReport.build(name, [(0, margin)], _THEOREM_TOLERANCE)
 
 
 def _uk_report(pv: ParamVector, s: np.ndarray, q) -> inequalities.MarginReport:
     pairs = [(term.k, term.u) for term in inequalities.compute_uk(pv, s).terms]
-    return inequalities.MarginReport.build("uk_nonneg", pairs, 1e-9)
+    return inequalities.MarginReport.build("uk_nonneg", pairs, _THEOREM_TOLERANCE)
 
 
 def _q_report(kind: str):
@@ -319,6 +328,24 @@ class CounterexampleCertificate:
         }
 
 
+def _certificate(
+    cfg_hash: str, inst: ScanInstance, cid: str, q, k: int, margin: float, params, slopes
+) -> CounterexampleCertificate:
+    """Certificate for one cut margin, with the margin evaluated again through the table."""
+    return CounterexampleCertificate(
+        config_hash=cfg_hash,
+        instance_index=inst.index,
+        inequality=cid,
+        p=inst.p,
+        slopes=inst.slopes,
+        t=inst.t,
+        q=q,
+        k=k,
+        margin=margin,
+        reeval_margin=evaluate_checker(cid, params, slopes, q).worst,
+    )
+
+
 def reevaluate_certificate(cert: CounterexampleCertificate) -> float:
     """Worst margin recomputed from the stored tuple alone."""
     cid = cert.inequality
@@ -388,21 +415,9 @@ def run_scan(config: ScanConfig, collect_margins: bool = False) -> ScanReport:
                             "instance_index": inst.index,
                             "k": k_worst,
                         }
-                if report.worst < -10.0 * report.tolerance:
-                    fresh = evaluate_checker(cid, params, slopes, q)
+                if _cuts_certificate(report.worst, report.tolerance):
                     certificates.append(
-                        CounterexampleCertificate(
-                            config_hash=cfg_hash,
-                            instance_index=inst.index,
-                            inequality=cid,
-                            p=inst.p,
-                            slopes=inst.slopes,
-                            t=inst.t,
-                            q=q,
-                            k=k_worst,
-                            margin=report.worst,
-                            reeval_margin=fresh.worst,
-                        )
+                        _certificate(cfg_hash, inst, cid, q, k_worst, report.worst, params, slopes)
                     )
     certificates.sort(key=lambda c: (c.instance_index, c.inequality, c.q or 0.0))
     caveat = OVERESTIMATE_CAVEAT if any(c in _Q_CHECKERS for c in config.inequality_set) else None
@@ -416,12 +431,62 @@ def run_scan(config: ScanConfig, collect_margins: bool = False) -> ScanReport:
     )
 
 
-def _violation_found(config: ScanConfig, kind: str, q: float) -> bool:
+@dataclass(frozen=True, eq=False)
+class _CurvatureStack:
+    """The family's instances of one n with their f, g and h rows stacked."""
+
+    instances: tuple[ScanInstance, ...]
+    f: np.ndarray
+    g: np.ndarray
+    h: np.ndarray
+
+
+def _curvature_stacks(config: ScanConfig) -> list[_CurvatureStack]:
+    """The configured family's instances grouped by n, ascending.
+
+    Only f, g and h are kept: each ParamVector, with its leave-out
+    structures, lives for one row, so a root at large n holds one at a time.
+    """
+    by_n: dict[int, list[ScanInstance]] = {}
+    for inst in _family_instances(config):
+        by_n.setdefault(len(inst.p), []).append(inst)
+    stacks = []
+    for n, insts in sorted(by_n.items()):
+        f, g, h = (np.empty((len(insts), width)) for width in (n + 1, n, n - 1))
+        for row, inst in enumerate(insts):
+            params = ParamVector(np.array(inst.p))
+            f[row], g[row], h[row] = calculus._fgh(params, np.array(inst.slopes))
+        stacks.append(_CurvatureStack(tuple(insts), f, g, h))
+    return stacks
+
+
+def _step_certificates(
+    stacks: list[_CurvatureStack], config: ScanConfig, kind: str, q: float
+) -> list[CounterexampleCertificate]:
+    """The certificates run_scan cuts at q on the single curvature checker of the kind.
+
+    One stacked kernel call per n gives every margin; each margin that cuts
+    a certificate is evaluated again from its stored tuple alone.
+    """
     if kind == "shannon":
         scan = replace(config, inequality_set=("entropy_concavity",), q_grid=None)
+        spec, q = EntropySpec.shannon(), None
     else:
         scan = replace(config, inequality_set=(f"{kind}_concavity",), q_grid=(q,))
-    return len(run_scan(scan).certificates) > 0
+        spec = EntropySpec(kind, q)
+    cid = scan.inequality_set[0]
+    cfg_hash = scan.config_hash()
+    certificates = []
+    for stack in stacks:
+        margins = -qentropy.stacked_q_curvature(stack.f, stack.g, stack.h, spec)
+        for row in np.flatnonzero(_cuts_certificate(margins, _THEOREM_TOLERANCE)):
+            inst = stack.instances[row]
+            params, slopes = ParamVector(np.array(inst.p)), np.array(inst.slopes)
+            certificates.append(
+                _certificate(cfg_hash, inst, cid, q, 0, float(margins[row]), params, slopes)
+            )
+    certificates.sort(key=lambda c: c.instance_index)
+    return certificates
 
 
 def estimate_critical_q(
@@ -433,10 +498,13 @@ def estimate_critical_q(
 ) -> CriticalQResult:
     """Bisect the q where the scan first finds a violation for the family.
 
-    The violation predicate is assumed monotone in q, per the shape of the
-    conjecture; that assumption is recorded in the caveat, not enforced. The
-    Shannon kind never produces violations, so it surfaces the constant
-    predicate error.
+    A q counts as violating when a scan of the family on the kind's
+    curvature checker would cut a certificate there. The family's f, g and h
+    are built once per root and every step evaluates them by one stacked
+    kernel call per n. The violation predicate is assumed monotone in q, per
+    the shape of the conjecture; that assumption is recorded in the caveat,
+    not enforced. The Shannon kind never produces violations, so it surfaces
+    the constant predicate error.
     """
     if kind not in ("shannon", "renyi", "tsallis"):
         raise ValueError(f"unknown entropy kind {kind!r}")
@@ -446,14 +514,19 @@ def estimate_critical_q(
     lo, hi = float(bracket[0]), float(bracket[1])
     if not lo < hi:
         raise ValueError("bracket must satisfy q_lo < q_hi")
-    v_lo = _violation_found(base, kind, lo)
-    v_hi = _violation_found(base, kind, hi)
+    stacks = _curvature_stacks(base)
+
+    def violated(q: float) -> bool:
+        return bool(_step_certificates(stacks, base, kind, q))
+
+    v_lo = violated(lo)
+    v_hi = violated(hi)
     trace = [(lo, 1 if v_lo else -1), (hi, 1 if v_hi else -1)]
     if v_lo == v_hi:
         raise ValueError("violation predicate is constant over the bracket")
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        v_mid = _violation_found(base, kind, mid)
+        v_mid = violated(mid)
         trace.append((mid, 1 if v_mid else -1))
         if v_mid == v_lo:
             lo = mid

@@ -38,9 +38,9 @@ def _as_prob_array(p) -> np.ndarray:
         raise ValueError("parameters must form a one-dimensional sequence")
     if arr.size == 0:
         raise ValueError("empty model: at least one Bernoulli parameter is required")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("parameters must be finite")
-    if np.any(arr < 0.0) or np.any(arr > 1.0):
+    if (arr < 0.0).any() or (arr > 1.0).any():
         raise ValueError("invalid parameter: every entry must lie in [0, 1]")
     return arr
 

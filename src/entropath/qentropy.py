@@ -20,11 +20,12 @@ from .calculus import (
     AffinePath,
     _check_slopes,
     _fgh,
+    _fgh_rows,
     _shift_diff1,
     _shift_diff2,
     path_at,
     shannon_entropy,
-    entropy_curvature,
+    stacked_entropy_curvature,
 )
 from .errors import BoundaryError, ConsistencyError
 from .inequalities import MarginReport
@@ -43,6 +44,9 @@ __all__ = [
     "q_curvature",
     "q_entropy",
     "q_entropy_second_derivative",
+    "stacked_power_sums",
+    "stacked_q_curvature",
+    "stacked_tsallis_uk",
     "tsallis_uk",
     "tsallis_uk_tilde",
 ]
@@ -104,66 +108,86 @@ def q_entropy(f, spec: EntropySpec) -> float:
     return (1.0 - power_sum) / (q - 1.0)
 
 
+def stacked_power_sums(f: np.ndarray, g: np.ndarray, h: np.ndarray, q: float):
+    """T = sum_k f_k^q and its first two t-derivatives, one value per row.
+
+    f, g and h are stacks of shape (m, n+1), (m, n) and (m, n-1); the three
+    results have shape (m,). A row gives the same bits in any stack.
+    """
+    if (f <= 0.0).any():
+        raise BoundaryError("power sums need strictly positive masses")
+    n = g.shape[-1]
+    df = _shift_diff1(g, n)
+    d2f = _shift_diff2(h, n)
+    fq1 = f ** (q - 1.0)
+    t0 = (f**q).sum(axis=-1)
+    t1 = q * (fq1 * df).sum(axis=-1)
+    t2 = q * (q - 1.0) * ((f ** (q - 2.0)) * df**2).sum(axis=-1) + q * (fq1 * d2f).sum(axis=-1)
+    return t0, t1, t2
+
+
 def power_sum_derivatives(params: ParamVector, slopes, q: float) -> tuple[float, float, float]:
     """T = sum_k f_k^q with its first two t-derivatives along the affine direction."""
     slopes = _check_slopes(params, slopes)
-    f, g, h = _fgh(params, slopes)
-    if np.any(f <= 0.0):
-        raise BoundaryError("power sums need strictly positive masses")
-    n = params.n
-    df = _shift_diff1(g, n)
-    d2f = _shift_diff2(h, n)
-    t0 = float((f**q).sum())
-    t1 = float(q * ((f ** (q - 1.0)) * df).sum())
-    t2 = float(
-        q * (q - 1.0) * ((f ** (q - 2.0)) * df**2).sum() + q * ((f ** (q - 1.0)) * d2f).sum()
+    t0, t1, t2 = stacked_power_sums(*_fgh_rows(params, slopes), q)
+    return float(t0[0]), float(t1[0]), float(t2[0])
+
+
+def _tsallis_terms(f: np.ndarray, g: np.ndarray, h: np.ndarray, q: float):
+    """Rows of u_k for k = 0..n-2, and the powers f^(q-2) they were built from."""
+    fq1 = f ** (q - 1.0)
+    fq2 = f ** (q - 2.0)
+    fa, fb, fc = fq1[:, :-2], fq1[:, 1:-1], fq1[:, 2:]
+    wa, wb, wc = fq2[:, :-2], fq2[:, 1:-1], fq2[:, 2:]
+    ga, gb = g[:, :-1], g[:, 1:]
+    u = -(1.0 / (1.0 - q)) * h * (fa - 2.0 * fb + fc) + (
+        ga**2 * wa - 2.0 * ga * gb * wb + gb**2 * wc
     )
-    return t0, t1, t2
+    return u, fq2
+
+
+def stacked_tsallis_uk(f: np.ndarray, g: np.ndarray, h: np.ndarray, q: float) -> np.ndarray:
+    """Per-index Tsallis decomposition u_k, k = 0..n-2, for every row of the stacks."""
+    if (f <= 0.0).any():
+        raise BoundaryError("the decomposition needs strictly positive masses")
+    return _tsallis_terms(f, g, h, q)[0]
 
 
 def tsallis_uk(params: ParamVector, slopes, q: float) -> np.ndarray:
     """Per-index Tsallis analogue of the Shannon curvature decomposition, k = 0..n-2."""
     slopes = _check_slopes(params, slopes)
-    f, g, h = _fgh(params, slopes)
-    if np.any(f <= 0.0):
-        raise BoundaryError("the decomposition needs strictly positive masses")
-    return _tsallis_uk_from(f, g, h, q)
+    return stacked_tsallis_uk(*_fgh_rows(params, slopes), q)[0]
 
 
-def _tsallis_uk_from(f: np.ndarray, g: np.ndarray, h: np.ndarray, q: float) -> np.ndarray:
-    if h.size == 0:
-        return np.zeros(0)
-    fq1 = f ** (q - 1.0)
-    fq2 = f ** (q - 2.0)
-    fa, fb, fc = fq1[:-2], fq1[1:-1], fq1[2:]
-    wa, wb, wc = fq2[:-2], fq2[1:-1], fq2[2:]
-    ga, gb = g[:-1], g[1:]
-    return -(1.0 / (1.0 - q)) * h * (fa - 2.0 * fb + fc) + (
-        ga**2 * wa - 2.0 * ga * gb * wb + gb**2 * wc
-    )
-
-
-def q_curvature(params: ParamVector, slopes, spec: EntropySpec) -> float:
-    """Second t-derivative of the chosen entropy at the point (p, p').
+def stacked_q_curvature(
+    f: np.ndarray, g: np.ndarray, h: np.ndarray, spec: EntropySpec
+) -> np.ndarray:
+    """Second t-derivative of the chosen entropy for every row of the stacks f, g, h.
 
     Tsallis uses the per-index decomposition plus the two boundary terms the
     relabeling produces, which makes it exact; Renyi goes through the power
-    sum and its derivatives.
+    sum and its derivatives; Shannon is calculus.stacked_entropy_curvature.
+    A row gives the same bits in any stack, one row being what q_curvature
+    evaluates.
     """
-    slopes = _check_slopes(params, slopes)
     if spec.kind == "shannon":
-        return entropy_curvature(params, slopes)
+        return stacked_entropy_curvature(f, g, h)
     q = spec.q
     if spec.kind == "tsallis":
-        f, g, h = _fgh(params, slopes)
-        if np.any(f <= 0.0):
+        if (f <= 0.0).any():
             raise BoundaryError("curvature needs strictly positive masses")
-        u = _tsallis_uk_from(f, g, h, q)
-        n = params.n
-        boundary = g[n - 1] ** 2 * f[n - 1] ** (q - 2.0) + g[0] ** 2 * f[1] ** (q - 2.0)
-        return float(-q * (u.sum() + boundary))
-    t0, t1, t2 = power_sum_derivatives(params, slopes, q)
+        u, fq2 = _tsallis_terms(f, g, h, q)
+        n = g.shape[-1]
+        boundary = g[:, n - 1] ** 2 * fq2[:, n - 1] + g[:, 0] ** 2 * fq2[:, 1]
+        return -q * (u.sum(axis=-1) + boundary)
+    t0, t1, t2 = stacked_power_sums(f, g, h, q)
     return t2 / ((1.0 - q) * t0) - (t1 / t0) ** 2 / (1.0 - q)
+
+
+def q_curvature(params: ParamVector, slopes, spec: EntropySpec) -> float:
+    """Second t-derivative of the chosen entropy at the point (p, p'): a one-row stack."""
+    slopes = _check_slopes(params, slopes)
+    return float(stacked_q_curvature(*_fgh_rows(params, slopes), spec)[0])
 
 
 def q_entropy_second_derivative(

@@ -190,3 +190,137 @@ def jacobi_eigenvalues(matrix, off_tol: float = 1e-12, max_sweeps: int = 30) -> 
                 c = 1.0 / math.sqrt(1.0 + t * t)
                 _jacobi_rotate(a, p, q, c, t * c, t)
     return np.sort(np.diagonal(a).copy())
+
+
+# Curvature formulas along an affine path, one instance at a time, as the
+# library computed them before its curvature kernels took stacks: f, g and h
+# are the 1-D pmf and mixture sequences. Each returns the value and the
+# monomial scale, the largest absolute term its rounding can move.
+
+
+def _shift_diffs(g: np.ndarray, h: np.ndarray):
+    """d f/dt = g_{k-1} - g_k and d^2 f/dt^2 = h_k - 2 h_{k-1} + h_{k-2}, k = 0..n."""
+    gp = np.concatenate(([0.0], g, [0.0]))
+    hp = np.concatenate(([0.0, 0.0], h, [0.0, 0.0]))
+    return gp[:-1] - gp[1:], hp[2:] - 2.0 * hp[1:-1] + hp[:-2]
+
+
+def entropy_curvature(f: np.ndarray, g: np.ndarray, h: np.ndarray):
+    """H'' over the nonzero masses (a zero mass must carry no derivative terms)."""
+    df, d2f = _shift_diffs(g, h)
+    pos = f > 0.0
+    fk = f[pos]
+    a = df[pos] ** 2 / fk
+    b = (np.log(fk) + 1.0) * d2f[pos]
+    value = float(-a.sum() - b.sum())
+    return value, float(max(np.abs(a).max(), np.abs(b).max()))
+
+
+def power_sums(f: np.ndarray, g: np.ndarray, h: np.ndarray, q: float):
+    """T = sum f^q with T' and T''; the scale is that of T''."""
+    df, d2f = _shift_diffs(g, h)
+    t0 = float((f**q).sum())
+    t1 = float(q * ((f ** (q - 1.0)) * df).sum())
+    t2 = float(
+        q * (q - 1.0) * ((f ** (q - 2.0)) * df**2).sum() + q * ((f ** (q - 1.0)) * d2f).sum()
+    )
+    a = q * (q - 1.0) * ((f ** (q - 2.0)) * df**2)
+    b = q * ((f ** (q - 1.0)) * d2f)
+    return (t0, t1, t2), float(max(np.abs(a).max(), np.abs(b).max()))
+
+
+def renyi_curvature(f: np.ndarray, g: np.ndarray, h: np.ndarray, q: float):
+    """T''/((1-q) T) - (T'/T)^2/(1-q); every rounding of T, T' and T'' carried to the result."""
+    (t0, t1, t2), scale2 = power_sums(f, g, h, q)
+    df, _ = _shift_diffs(g, h)
+    scale1 = float(np.abs(q * (f ** (q - 1.0)) * df).max())
+    first = t2 / ((1.0 - q) * t0)
+    second = (t1 / t0) ** 2 / (1.0 - q)
+    scale = max(
+        scale2 / abs((1.0 - q) * t0),
+        abs(second),
+        2.0 * abs(t1) * scale1 / (t0 * t0 * abs(1.0 - q)),
+        (abs(first) + 2.0 * abs(second)) * float((f**q).max()) / t0,
+    )
+    return first - second, scale
+
+
+def tsallis_uk(f: np.ndarray, g: np.ndarray, h: np.ndarray, q: float) -> np.ndarray:
+    if h.size == 0:
+        return np.zeros(0)
+    fq1 = f ** (q - 1.0)
+    fq2 = f ** (q - 2.0)
+    fa, fb, fc = fq1[:-2], fq1[1:-1], fq1[2:]
+    wa, wb, wc = fq2[:-2], fq2[1:-1], fq2[2:]
+    ga, gb = g[:-1], g[1:]
+    return -(1.0 / (1.0 - q)) * h * (fa - 2.0 * fb + fc) + (
+        ga**2 * wa - 2.0 * ga * gb * wb + gb**2 * wc
+    )
+
+
+def tsallis_curvature(f: np.ndarray, g: np.ndarray, h: np.ndarray, q: float):
+    """-q (sum u_k + boundary terms), the boundary terms in numpy scalar powers."""
+    n = g.size
+    u = tsallis_uk(f, g, h, q)
+    boundary = g[n - 1] ** 2 * f[n - 1] ** (q - 2.0) + g[0] ** 2 * f[1] ** (q - 2.0)
+    fq1 = f ** (q - 1.0)
+    fq2 = f ** (q - 2.0)
+    terms = [0.0, g[n - 1] ** 2 * fq2[n - 1], g[0] ** 2 * fq2[1]]
+    for k in range(h.size):
+        hk = abs(h[k] / (1.0 - q))
+        terms += [hk * fq1[k], 2.0 * hk * fq1[k + 1], hk * fq1[k + 2]]
+        terms += [g[k] ** 2 * fq2[k], 2.0 * abs(g[k] * g[k + 1]) * fq2[k + 1],
+                  g[k + 1] ** 2 * fq2[k + 2]]
+    return float(-q * (u.sum() + boundary)), abs(q) * float(max(terms))
+
+
+# The scan estimator of a critical q, as it was first written: one run_scan of
+# the kind's curvature checker per bisection step. The library's estimator
+# must cut the same certificates at every step and so bisect identically.
+
+
+def scan_step_certificates(config, kind: str, q: float):
+    """The certificates run_scan cuts at q on the single curvature checker of the kind."""
+    from dataclasses import replace
+
+    from entropath.explorer import run_scan
+
+    if kind == "shannon":
+        scan = replace(config, inequality_set=("entropy_concavity",), q_grid=None)
+    else:
+        scan = replace(config, inequality_set=(f"{kind}_concavity",), q_grid=(q,))
+    return run_scan(scan).certificates
+
+
+def bisect_by_scans(config, family: str, kind: str, bracket, tol: float = 1e-7, steps=None):
+    """(root, sign trace) of the bisection driven by scan_step_certificates.
+
+    When steps is a list, every step appends its (q, certificates) to it.
+    """
+    from dataclasses import replace
+
+    base = replace(config, family=family)
+    lo, hi = float(bracket[0]), float(bracket[1])
+    if not lo < hi:
+        raise ValueError("bracket must satisfy q_lo < q_hi")
+
+    def violated(q: float) -> bool:
+        certificates = scan_step_certificates(base, kind, q)
+        if steps is not None:
+            steps.append((q, certificates))
+        return len(certificates) > 0
+
+    v_lo = violated(lo)
+    v_hi = violated(hi)
+    trace = [(lo, 1 if v_lo else -1), (hi, 1 if v_hi else -1)]
+    if v_lo == v_hi:
+        raise ValueError("violation predicate is constant over the bracket")
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        v_mid = violated(mid)
+        trace.append((mid, 1 if v_mid else -1))
+        if v_mid == v_lo:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi), tuple(trace)

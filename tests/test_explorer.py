@@ -1,9 +1,13 @@
 """Scan determinism, certificate soundness, and empirical critical q."""
 
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from entropath import inequalities, qentropy
+import scalar_oracle as oracle
+from entropath import explorer, inequalities, qentropy
 from entropath.explorer import (
     CHECKER_IDS,
     CHECKERS,
@@ -231,3 +235,95 @@ class TestEstimateCriticalQ:
         assert res.sign_trace[0][1] == -1
         assert res.sign_trace[1][1] == 1
         assert res.bracket[0] <= res.root <= res.bracket[1]
+
+
+def _outcome(fn, *args):
+    """(root, sign trace) of a bisection, or the type and message of what it raised."""
+    try:
+        result = fn(*args)
+    except ValueError as exc:  # BoundaryError included
+        return type(exc), str(exc)
+    if isinstance(result, tuple):
+        return result
+    return result.root, result.sign_trace
+
+
+# (family, n_range): binomial_n takes n = max(n_range), up to 8.
+ORACLE_FAMILIES = [
+    ("bernoulli", (1, 1)),
+    ("binomial2", (1, 2)),
+    ("random_affine", (1, 4)),
+    ("binomial_n", (1, 3)),
+    ("binomial_n", (1, 5)),
+    ("binomial_n", (1, 8)),
+]
+ORACLE_BRACKETS = {"renyi": (1.5, 3.5), "tsallis": (3.0, 5.0)}
+
+
+class TestEstimatorMatchesScanBisection:
+    """The stacked estimator against the bisection driven by one run_scan per step."""
+
+    @pytest.mark.parametrize("seed", (0, 3, 7))
+    @pytest.mark.parametrize("kind", ("renyi", "tsallis"))
+    @pytest.mark.parametrize("family,n_range", ORACLE_FAMILIES)
+    def test_same_root_trace_and_certificates(self, family, n_range, kind, seed):
+        cfg = ScanConfig(seed=seed, n_range=n_range, instance_count=17)
+        bracket = ORACLE_BRACKETS[kind]
+        steps = []
+        want = _outcome(oracle.bisect_by_scans, cfg, family, kind, bracket, 1e-7, steps)
+        assert _outcome(estimate_critical_q, cfg, family, kind, bracket) == want
+        base = replace(cfg, family=family)
+        stacks = explorer._curvature_stacks(base)
+        for q, certificates in steps:
+            got = explorer._step_certificates(stacks, base, kind, q)
+            assert [c.to_dict() for c in got] == [c.to_dict() for c in certificates], q
+
+    @pytest.mark.parametrize(
+        "family,kind,bracket,n_range,count",
+        [
+            ("binomial2", "shannon", (0.5, 2.0), (1, 2), 17),
+            ("bernoulli", "shannon", (0.5, 2.0), (1, 1), 17),
+            ("bernoulli", "tsallis", (3.0, 4.5), (1, 1), 17),  # constant predicate
+            ("binomial2", "tsallis", (0.2, 0.4), (1, 2), 17),  # constant predicate
+            ("bernoulli", "renyi", (-1.0, 2.5), (1, 1), 17),  # EntropySpec rejects q
+            ("bernoulli", "renyi", (2.5, 1.5), (1, 1), 17),  # empty bracket
+            # t = 0.02 and n = 200: the top mass underflows to zero.
+            ("binomial_n", "renyi", (1.5, 3.5), (1, 200), 2),
+            ("binomial_n", "tsallis", (3.0, 5.0), (1, 200), 2),
+            ("binomial_n", "shannon", (0.5, 2.0), (1, 200), 2),
+        ],
+    )
+    def test_same_exception(self, family, kind, bracket, n_range, count):
+        cfg = ScanConfig(seed=3, n_range=n_range, instance_count=count)
+        want = _outcome(oracle.bisect_by_scans, cfg, family, kind, bracket)
+        assert isinstance(want[0], type)
+        assert _outcome(estimate_critical_q, cfg, family, kind, bracket) == want
+
+    def test_per_root_state_holds_no_leave_structures(self):
+        # At n = 60 one instance's leave-out structures take ~0.9 MB, its f, g
+        # and h rows 1.4 kB: keeping every instance's would grow the peak ~5x.
+        def peak(count: int) -> int:
+            cfg = ScanConfig(seed=0, n_range=(1, 60), instance_count=count)
+            tracemalloc.start()
+            try:
+                with pytest.raises(ValueError, match="constant"):
+                    estimate_critical_q(cfg, "binomial_n", "tsallis", (3.0, 5.0))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(49) <= 1.5 * peak(9)
+
+    def test_kernel_looked_up_at_call_time(self, monkeypatch):
+        # A tracer rebinds module attributes; the estimator must call the rebound kernel.
+        calls = []
+
+        def kernel(f, g, h, spec):
+            calls.append(f.shape)
+            return -np.ones(f.shape[0])
+
+        monkeypatch.setattr(qentropy, "stacked_q_curvature", kernel)
+        cfg = ScanConfig(seed=0, n_range=(1, 2), instance_count=5)
+        with pytest.raises(ValueError, match="constant"):
+            estimate_critical_q(cfg, "binomial2", "tsallis", (3.5, 3.8))
+        assert calls == [(5, 3), (5, 3)]

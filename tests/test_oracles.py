@@ -1,12 +1,20 @@
 """Array-native checkers, mixture sequences and the Hessian pinned against scalar oracles."""
 
+import re
+
 import numpy as np
 import pytest
 
 import scalar_oracle as oracle
 from conftest import random_instance
-from entropath.calculus import entropy_hessian, path_derivatives
-from entropath.errors import ConsistencyError
+from entropath.calculus import (
+    _fgh,
+    entropy_curvature,
+    entropy_hessian,
+    path_derivatives,
+    stacked_entropy_curvature,
+)
+from entropath.errors import BoundaryError, ConsistencyError
 from entropath.inequalities import (
     ABS_FLOOR,
     REL_TOL,
@@ -20,6 +28,15 @@ from entropath.inequalities import (
     check_two_fold_log_concavity,
 )
 from entropath.pmf import ParamVector, compute_pmf
+from entropath.qentropy import (
+    EntropySpec,
+    power_sum_derivatives,
+    q_curvature,
+    stacked_power_sums,
+    stacked_q_curvature,
+    stacked_tsallis_uk,
+    tsallis_uk,
+)
 
 EPS = np.finfo(np.float64).eps
 # Allowed gap between a vectorized margin and its oracle, in units of the
@@ -137,3 +154,97 @@ def test_cached_leave_structures_are_read_only():
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = 0.0
+
+
+# The stacked curvature kernels: one call per stack of f (m, n+1), g (m, n)
+# and h (m, n-1) rows, of which the one-instance functions are one-row calls.
+KERNEL_QS = (0.5, 2.0, 3.65986, 4.0)
+SPECS = [EntropySpec.shannon()] + [EntropySpec(kind, q) for kind in ("renyi", "tsallis")
+                                   for q in KERNEL_QS]
+
+
+def _kernel_stacks():
+    """Per n = 1..12: seeded (params, slopes) with some zero slopes, and their stacked f, g, h."""
+    rng = np.random.default_rng(20261018)
+    out = []
+    for n in range(1, 13):
+        cases = []
+        for i in range(24):
+            p, s = random_instance(rng, n_min=n, n_max=n)
+            if i % 4 == 1:
+                s[rng.integers(n)] = 0.0
+            elif i % 4 == 2:
+                s[:] = 0.0
+            cases.append((ParamVector(p), s))
+        rows = [_fgh(params, s) for params, s in cases]
+        out.append((cases, *(np.stack([r[a] for r in rows]) for a in range(3))))
+    return out
+
+
+KERNEL_STACKS = _kernel_stacks()
+
+
+def _bits(x) -> list[int]:
+    return np.asarray(x, dtype=np.float64).view(np.int64).ravel().tolist()
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"{s.kind}-{s.q}")
+def test_stack_rows_equal_one_instance_calls_bit_for_bit(spec):
+    for cases, f, g, h in KERNEL_STACKS:
+        stacked = stacked_q_curvature(f, g, h, spec)
+        assert _bits(stacked) == _bits([q_curvature(pv, s, spec) for pv, s in cases])
+        if spec.kind == "shannon":
+            assert _bits(stacked_entropy_curvature(f, g, h)) == _bits(stacked)
+            assert _bits(stacked) == _bits([entropy_curvature(pv, s) for pv, s in cases])
+            continue
+        sums = np.stack(stacked_power_sums(f, g, h, spec.q), axis=1)
+        assert _bits(sums) == _bits([power_sum_derivatives(pv, s, spec.q) for pv, s in cases])
+        uk = stacked_tsallis_uk(f, g, h, spec.q)
+        assert _bits(uk) == _bits([tsallis_uk(pv, s, spec.q) for pv, s in cases])
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"{s.kind}-{s.q}")
+def test_stacked_curvature_matches_scalar_formulas(spec):
+    for _, f, g, h in KERNEL_STACKS:
+        stacked = stacked_q_curvature(f, g, h, spec)
+        for row, got in enumerate(stacked.tolist()):
+            if spec.kind == "shannon":
+                want, scale = oracle.entropy_curvature(f[row], g[row], h[row])
+            elif spec.kind == "renyi":
+                want, scale = oracle.renyi_curvature(f[row], g[row], h[row], spec.q)
+            else:
+                want, scale = oracle.tsallis_curvature(f[row], g[row], h[row], spec.q)
+            assert abs(got - want) <= ULPS * EPS * scale, (spec, f.shape, row)
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"{s.kind}-{s.q}")
+def test_stacked_kernels_raise_boundary_error_as_one_row_calls_do(spec):
+    # p with a 0 or a 1 has a zero mass. The q kernels reject every such row;
+    # the Shannon kernel only a row whose zero mass has derivative terms.
+    boundary = [
+        (np.array([0.0, 0.5]), np.array([1.0, 0.0])),
+        (np.array([0.0, 0.5]), np.array([0.0, 1.0])),
+        (np.array([1.0, 0.3]), np.array([0.0, 1.0])),
+        (np.array([1.0, 0.3]), np.array([1.0, -1.0])),
+        (np.array([0.2, 1.0, 0.0]), np.array([1.0, 0.0, 0.0])),
+        (np.array([0.2, 1.0, 0.0]), np.array([0.5, 0.0, 1.0])),
+    ]
+    interior = (np.array([0.3, 0.6]), np.array([0.4, -1.0]))
+    for p, s in boundary:
+        n = p.size
+        mates = [(np.full(n, 0.4), np.ones(n)), (p, s), (np.full(n, 0.7), -np.ones(n))]
+        if n == 2:
+            mates.append(interior)
+        rows = [_fgh(ParamVector(pp), ss) for pp, ss in mates]
+        f, g, h = (np.stack([r[a] for r in rows]) for a in range(3))
+        try:
+            one = q_curvature(ParamVector(p), s, spec)
+        except BoundaryError as exc:
+            with pytest.raises(BoundaryError, match=re.escape(str(exc))):
+                stacked_q_curvature(f, g, h, spec)
+            continue
+        assert spec.kind == "shannon"
+        stacked = stacked_q_curvature(f, g, h, spec)
+        assert _bits(stacked[1]) == _bits(one)
+        assert _bits(stacked) == _bits([q_curvature(ParamVector(pp), ss, spec)
+                                        for pp, ss in mates])
