@@ -122,18 +122,23 @@ class PathDerivatives:
 def _fgh(params: ParamVector, slopes: np.ndarray):
     """Full pmf plus the g and h sequences, from the vector's cached leave-out structures.
 
-    Both sums reduce axis 0 of a C-ordered product, which numpy adds row by
-    row in index order, so the result does not depend on BLAS.
+    slopes may stack slope vectors along its last axis; g and h then gain
+    the same leading axes. Both sums reduce the component axis of a
+    C-ordered product, which numpy adds row by row in index order, so the
+    result does not depend on BLAS, and a slope vector gives the same bits
+    alone or stacked.
     """
     ls = params.leave
-    g = np.add.reduce(slopes[:, None] * ls.singles)
+    g = np.add.reduce(slopes[..., None] * ls.singles, axis=-2)
     if params.n == 1:
         # No pairs. Skipping the empty sum matters on one-component scans,
         # which the critical-q estimators run by the thousand.
-        return ls.f, g, np.zeros(0)
+        return ls.f, g, np.zeros(slopes.shape[:-1] + (0,))
     i, j = pair_indices(params.n)
+    s = slopes.T  # components first: indexing them is cheaper there than behind an ellipsis
     # Ordered pairs: (i, j) and (j, i) both contribute, hence the factor 2.
-    h = np.add.reduce((2.0 * (slopes[i] * slopes[j]))[:, None] * ls.pairs)
+    weights = (2.0 * (s[i] * s[j])).T
+    h = np.add.reduce(weights[..., None] * ls.pairs, axis=-2)
     return ls.f, g, h
 
 

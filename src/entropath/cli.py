@@ -204,8 +204,8 @@ def cmd_lemma_check(args) -> int:
             "gamma": args.gamma,
         },
         "report": report.to_dict(),
-        "margin": report.margins[0][1],
-        "xi_second_derivative_min": report.margins[1][1],
+        "margin": float(report.values[0]),
+        "xi_second_derivative_min": float(report.values[1]),
         "holds": report.holds,
     }
     _emit(args, payload, margin_rows(report))

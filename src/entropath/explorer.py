@@ -102,12 +102,12 @@ def _cuts_certificate(margin, tolerance: float):
 
 
 def _single(name: str, margin: float) -> inequalities.MarginReport:
-    return inequalities.MarginReport.build(name, [(0, margin)], _THEOREM_TOLERANCE)
+    return inequalities.MarginReport.from_array(name, np.array((margin,)), _THEOREM_TOLERANCE)
 
 
 def _uk_report(pv: ParamVector, s: np.ndarray, q) -> inequalities.MarginReport:
-    pairs = [(term.k, term.u) for term in inequalities.compute_uk(pv, s).terms]
-    return inequalities.MarginReport.build("uk_nonneg", pairs, _THEOREM_TOLERANCE)
+    u = inequalities.compute_uk(pv, s).u
+    return inequalities.MarginReport.from_array("uk_nonneg", u, _THEOREM_TOLERANCE)
 
 
 def _q_report(kind: str):
@@ -404,10 +404,10 @@ def run_scan(config: ScanConfig, collect_margins: bool = False) -> ScanReport:
                     continue
                 key = cid if q is None else f"{cid}[q={q!r}]"
                 if collect_margins:
-                    for k, margin in report.margins:
-                        rows.append((inst.index, key, k, margin))
-                if report.margins:
-                    k_worst = report.margins[report.worst_position][0]
+                    ks, values = report.ks.tolist(), report.values.tolist()
+                    rows.extend((inst.index, key, k, v) for k, v in zip(ks, values))
+                if report.values.size:
+                    k_worst = int(report.ks[report.worst_position])
                     entry = worst.get(key)
                     if entry is None or report.worst < entry["margin"]:
                         worst[key] = {

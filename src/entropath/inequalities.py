@@ -20,7 +20,7 @@ import numpy as np
 
 from .calculus import _fgh, _check_slopes
 from .errors import BoundaryError, ConsistencyError, LemmaHypothesisError
-from .pmf import ParamVector, Pmf, leave_two_out, pair_indices
+from .pmf import ParamVector, Pmf, _check_pair
 
 __all__ = [
     "ABS_FLOOR",
@@ -56,55 +56,56 @@ def _tolerance(scale: float) -> float:
     return max(ABS_FLOOR, REL_TOL * scale)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MarginReport:
     """Signed slacks of one inequality family.
 
-    margins holds (index, LHS - RHS) pairs oriented so >= 0 means the
-    inequality holds at that index; worst is their minimum (+inf when there
-    is nothing to check), worst_position is the position in margins of the
-    first entry equal to it (None when empty), and holds means worst >=
-    -tolerance.
+    values[t] is the margin LHS - RHS at index ks[t], oriented so >= 0 means
+    the inequality holds there; both are read-only one-dimensional arrays.
+    worst is their minimum (+inf when there is nothing to check),
+    worst_position is the position of the first entry equal to it (None when
+    empty), and holds means worst >= -tolerance.
     """
 
     name: str
-    margins: tuple[tuple[int, float], ...]
+    ks: np.ndarray
+    values: np.ndarray
     tolerance: float
     worst: float
     holds: bool
     worst_position: int | None = None
 
     @classmethod
-    def build(cls, name: str, pairs, tolerance: float) -> "MarginReport":
-        frozen = tuple((int(k), float(v)) for k, v in pairs)
-        pos = min(range(len(frozen)), key=lambda t: frozen[t][1], default=None)
-        return cls._frozen(name, frozen, pos, tolerance)
-
-    @classmethod
     def from_array(
         cls, name: str, values: np.ndarray, tolerance: float, ks: np.ndarray | None = None
     ) -> "MarginReport":
-        """Report for the one-dimensional margins values[t] at index ks[t], or at t itself."""
-        indices = range(values.size) if ks is None else ks.tolist()
-        frozen = tuple(zip(indices, values.tolist()))
-        return cls._frozen(name, frozen, _first_min(values), tolerance)
+        """Report for the one-dimensional margins values[t] at index ks[t], or at t itself.
 
-    @classmethod
-    def _frozen(cls, name, frozen, pos: int | None, tolerance: float) -> "MarginReport":
-        worst = math.inf if pos is None else frozen[pos][1]
-        return cls(
-            name=name,
-            margins=frozen,
-            tolerance=float(tolerance),
-            worst=worst,
-            holds=bool(worst >= -tolerance),
-            worst_position=pos,
-        )
+        Both are kept as read-only views, so the caller's arrays stay writable.
+        """
+        values = _read_only(values, np.float64)
+        if ks is not None:
+            ks = _read_only(ks, np.int64)
+        elif values.size <= _INDICES.size:
+            ks = _INDICES[: values.size]
+        else:
+            ks = _read_only(np.arange(values.size), np.int64)
+        if values.ndim != 1 or ks.shape != values.shape:
+            raise ValueError("margins and their indices must be one-dimensional and of one size")
+        pos = _first_min(values)
+        worst = math.inf if pos is None else values.item(pos)
+        tolerance = float(tolerance)
+        return cls(name, ks, values, tolerance, worst, worst >= -tolerance, pos)
+
+    @property
+    def margins(self) -> tuple[tuple[int, float], ...]:
+        """The (index, margin) pairs, built on demand."""
+        return tuple(zip(self.ks.tolist(), self.values.tolist()))
 
     def to_dict(self) -> dict:
         return {
             "name": self.name,
-            "margins": [[k, v] for k, v in self.margins],
+            "margins": [[k, v] for k, v in zip(self.ks.tolist(), self.values.tolist())],
             "tolerance": self.tolerance,
             "worst": None if math.isinf(self.worst) else self.worst,
             "holds": self.holds,
@@ -114,14 +115,25 @@ class MarginReport:
         return json.dumps(self.to_dict())
 
 
-def _first_min(values: np.ndarray) -> int | None:
-    """Position that Python's min() would pick: the first minimum, a NaN only when it leads.
+# Default margin indices. A report of up to this many margins slices them
+# instead of allocating its own, which keeps a one-margin report as cheap to
+# build as the tuple it replaced.
+_INDICES = np.arange(4096, dtype=np.int64)
+_INDICES.setflags(write=False)
 
-    This is the position MarginReport.build finds by min() over the pairs.
-    """
-    if values.size == 0:
-        return None
-    pos = int(np.argmin(values))
+
+def _read_only(a, dtype) -> np.ndarray:
+    """A read-only view of a as an array of dtype."""
+    view = np.asarray(a, dtype=dtype).view()
+    view.setflags(write=False)
+    return view
+
+
+def _first_min(values: np.ndarray) -> int | None:
+    """Position that Python's min() would pick: the first minimum, a NaN only when it leads."""
+    if values.size < 2:  # one margin is its own minimum, even a NaN
+        return 0 if values.size else None
+    pos = int(values.argmin())
     if math.isnan(values[pos]):
         pos = 0 if math.isnan(values[0]) else int(np.nanargmin(values))
     return pos
@@ -276,9 +288,9 @@ def c1_product_identity_residual(f) -> float:
 
 
 def _condition4_margins(f: np.ndarray, g: np.ndarray, h: np.ndarray):
-    """Margins for k = 0..n-2 and their monomial scale."""
-    f0, f1, f2 = f[:-2], f[1:-1], f[2:]
-    g0, g1 = g[:-1], g[1:]
+    """Margins for k = 0..n-2 along the last axis, and their monomial scale."""
+    f0, f1, f2 = f[..., :-2], f[..., 1:-1], f[..., 2:]
+    g0, g1 = g[..., :-1], g[..., 1:]
     cross = 2.0 * g0 * g1 * f1
     lower = g0 * g0 * f2
     upper = g1 * g1 * f0
@@ -521,7 +533,7 @@ def check_functional_lemma(
         + gamma * C * C * np.asarray(U.d2(1.0 - grid * C), dtype=np.float64)
     )
     xi_min = float(xi2.min())
-    return MarginReport.build("functional_lemma", [(0, margin), (1, xi_min)], 1e-12)
+    return MarginReport.from_array("functional_lemma", np.array((margin, xi_min)), 1e-12)
 
 
 def compute_cij(params: ParamVector, i: int, j: int, k: int) -> float:
@@ -530,7 +542,8 @@ def compute_cij(params: ParamVector, i: int, j: int, k: int) -> float:
     Equals the negated two-fold margin of the leave-two-out pmf, hence never
     positive; the sign is re-checked on every call.
     """
-    margin, scale = _two_fold(leave_two_out(params, i, j).values)
+    _check_pair(params.n, i, j)
+    margin, scale = _two_fold(params.leave.pair(i, j))
     if not 0 <= k < margin.size:
         return -0.0  # every monomial vanishes this far outside the support
     # The same kernel as the two-fold margin, so the negation is bit-exact.
@@ -592,8 +605,10 @@ def check_quadratic_decomposition_n2(params: ParamVector, k: int) -> MarginRepor
     disc = b01 * b10 - w0 * w1 * c * c
     sharper = disc - 0.25 * c * c * (p0 - p1) ** 2
     scale = max(abs(b01), abs(b10), abs(bound), w0 * w1 * c * c, 1.0e-30)
-    pairs = [(0, b01 - bound), (1, b10 - bound), (2, disc), (3, sharper)]
-    return MarginReport.build("quadratic_decomposition_n2", pairs, max(1e-12, REL_TOL * scale))
+    margins = np.array((b01 - bound, b10 - bound, disc, sharper))
+    return MarginReport.from_array(
+        "quadratic_decomposition_n2", margins, max(1e-12, REL_TOL * scale)
+    )
 
 
 def check_monotone_worst_case(params: ParamVector, abs_slopes) -> MarginReport:
@@ -612,23 +627,10 @@ def check_monotone_worst_case(params: ParamVector, abs_slopes) -> MarginReport:
     abs_slopes = _check_slopes(params, abs_slopes)
     if np.any(abs_slopes < 0.0):
         raise ValueError("absolute slopes must be nonnegative")
-    ls = params.leave
-    f = ls.f
-    npat = 1 << n
-    codes = np.arange(npat)
+    codes = np.arange(1 << n)
     signs = np.where((codes[:, None] >> np.arange(n)) & 1, -1.0, 1.0)  # row 0 = all +1
-    s = signs * abs_slopes
-    g = s @ ls.singles
-    h = np.zeros((npat, n - 1))
-    for i, j, fij in zip(*pair_indices(n), ls.pairs):
-        h += np.outer(2.0 * s[:, i] * s[:, j], fij)
-    pairs = []
-    for k in range(n - 1):
-        q = (
-            2.0 * g[:, k] * g[:, k + 1] * f[k + 1]
-            - g[:, k] ** 2 * f[k + 2]
-            - g[:, k + 1] ** 2 * f[k]
-            - h[:, k] * (f[k + 1] ** 2 - f[k] * f[k + 2])
-        )
-        pairs.append((k, float(q.min() - q[0])))
-    return MarginReport.build("monotone_worst_case", pairs, 1e-12)
+    # One row per pattern, in blocks of 256 patterns so that the (patterns, pairs, n-1)
+    # product behind h stays small; rows do not depend on their block.
+    blocks = np.split(signs * abs_slopes, max(1, (1 << n) // 256))
+    q = np.concatenate([_condition4_margins(*_fgh(params, s))[0] for s in blocks])
+    return MarginReport.from_array("monotone_worst_case", q.min(axis=0) - q[0], 1e-12)

@@ -154,19 +154,21 @@ def leave_one_out(params: ParamVector, i: int) -> Pmf:
     return Pmf(_convolve_bernoullis(rest))
 
 
-def leave_two_out(params: ParamVector, i: int, j: int) -> Pmf:
-    """Mass function with components i and j removed (support {0, ..., n-2}).
-
-    Symmetric in (i, j).
-    """
-    n = params.n
+def _check_pair(n: int, i: int, j: int) -> None:
+    """Raise unless i and j are two distinct component indices of an n-component model."""
     if i == j:
         raise ValueError("invalid pair: the two indices must be distinct")
     for idx in (i, j):
         if not 0 <= idx < n:
             raise IndexError(f"component index {idx} out of range for n={n}")
-    if n < 2:
-        raise ValueError("leave_two_out needs at least two components")
+
+
+def leave_two_out(params: ParamVector, i: int, j: int) -> Pmf:
+    """Mass function with components i and j removed (support {0, ..., n-2}).
+
+    Symmetric in (i, j).
+    """
+    _check_pair(params.n, i, j)
     rest = np.delete(params.p, [i, j])
     if rest.size == 0:
         return Pmf(np.array([1.0]))

@@ -19,7 +19,6 @@ import numpy as np
 from .calculus import (
     AffinePath,
     _check_slopes,
-    _fgh,
     _fgh_rows,
     _shift_diff1,
     _shift_diff2,
@@ -134,23 +133,23 @@ def power_sum_derivatives(params: ParamVector, slopes, q: float) -> tuple[float,
 
 
 def _tsallis_terms(f: np.ndarray, g: np.ndarray, h: np.ndarray, q: float):
-    """Rows of u_k for k = 0..n-2, and the powers f^(q-2) they were built from."""
+    """Rows of the h part and the g part of u_k (their sum), k = 0..n-2, and the powers f^(q-2)."""
     fq1 = f ** (q - 1.0)
     fq2 = f ** (q - 2.0)
     fa, fb, fc = fq1[:, :-2], fq1[:, 1:-1], fq1[:, 2:]
     wa, wb, wc = fq2[:, :-2], fq2[:, 1:-1], fq2[:, 2:]
     ga, gb = g[:, :-1], g[:, 1:]
-    u = -(1.0 / (1.0 - q)) * h * (fa - 2.0 * fb + fc) + (
-        ga**2 * wa - 2.0 * ga * gb * wb + gb**2 * wc
-    )
-    return u, fq2
+    h_part = -(1.0 / (1.0 - q)) * h * (fa - 2.0 * fb + fc)
+    g_part = ga**2 * wa - 2.0 * ga * gb * wb + gb**2 * wc
+    return h_part, g_part, fq2
 
 
 def stacked_tsallis_uk(f: np.ndarray, g: np.ndarray, h: np.ndarray, q: float) -> np.ndarray:
     """Per-index Tsallis decomposition u_k, k = 0..n-2, for every row of the stacks."""
     if (f <= 0.0).any():
         raise BoundaryError("the decomposition needs strictly positive masses")
-    return _tsallis_terms(f, g, h, q)[0]
+    h_part, g_part, _ = _tsallis_terms(f, g, h, q)
+    return h_part + g_part
 
 
 def tsallis_uk(params: ParamVector, slopes, q: float) -> np.ndarray:
@@ -176,10 +175,10 @@ def stacked_q_curvature(
     if spec.kind == "tsallis":
         if (f <= 0.0).any():
             raise BoundaryError("curvature needs strictly positive masses")
-        u, fq2 = _tsallis_terms(f, g, h, q)
+        h_part, g_part, fq2 = _tsallis_terms(f, g, h, q)
         n = g.shape[-1]
         boundary = g[:, n - 1] ** 2 * fq2[:, n - 1] + g[:, 0] ** 2 * fq2[:, 1]
-        return -q * (u.sum(axis=-1) + boundary)
+        return -q * ((h_part + g_part).sum(axis=-1) + boundary)
     t0, t1, t2 = stacked_power_sums(f, g, h, q)
     return t2 / ((1.0 - q) * t0) - (t1 / t0) ** 2 / (1.0 - q)
 
@@ -229,7 +228,7 @@ def chain_rule_check(path: AffinePath, t: float, q: float) -> MarginReport:
     rhs = q_curvature(params, slopes, EntropySpec.tsallis(q)) / t0 + correction
     residual = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-12)
     direction = -correction if q < 1.0 else correction
-    return MarginReport.build("chain_rule", [(0, -residual), (1, direction)], 1e-8)
+    return MarginReport.from_array("chain_rule", np.array((-residual, direction)), 1e-8)
 
 
 @dataclass(frozen=True, eq=False)
@@ -237,11 +236,10 @@ class TsallisUkReport:
     """Both Tsallis decomposition sequences and their telescope bookkeeping.
 
     Sequences run over k = 0..n-1: one index past the h support, so the
-    left-derivative terms close their telescopes at the top (padded g and h
-    read zero there, and a padded power slot only ever multiplies a zero
-    coefficient). telescope_residual = sum(u_tilde) - sum(u) and boundary_term
-    is its closed form; they must agree, and when the boundary term vanishes
-    the two sums coincide.
+    left-derivative terms close their telescopes at the top (g and h read
+    zero past their supports). telescope_residual = sum(u_tilde) - sum(u)
+    and boundary_term is its closed form; they must agree, and when the
+    boundary term vanishes the two sums coincide.
     """
 
     u: np.ndarray
@@ -267,32 +265,17 @@ def tsallis_uk_tilde(path: AffinePath, t: float, q: float) -> TsallisUkReport:
     if q in (1.0, 2.0):
         raise ValueError("the rewriting is undefined at q = 1 and q = 2")
     params = path_at(path, t)
-    f, g, h = _fgh(params, path.slopes)
-    if np.any(f <= 0.0):
+    f, g, h = _fgh_rows(params, path.slopes)
+    if (f <= 0.0).any():
         raise BoundaryError("the decomposition needs strictly positive masses")
-    n = params.n
-    gp = np.append(g, 0.0)
-    hp = np.append(h, 0.0)
-    # Padded power slots stay zero: they only ever meet zero coefficients.
-    fq1 = np.zeros(n + 2)
-    fq1[: n + 1] = f ** (q - 1.0)
-    fq2 = np.zeros(n + 2)
-    fq2[: n + 1] = f ** (q - 2.0)
-    ks = np.arange(n)
-    hterm = -(1.0 / (1.0 - q)) * hp * (fq1[ks] - 2.0 * fq1[ks + 1] + fq1[ks + 2])
-    u = hterm + (
-        gp[ks] ** 2 * fq2[ks]
-        - 2.0 * gp[ks] * gp[ks + 1] * fq2[ks + 1]
-        + gp[ks + 1] ** 2 * fq2[ks + 2]
-    )
-    w = np.empty(n + 1)  # w[m] holds the telescand at k = m - 1
-    w[0] = g[0] ** 2 * (fq2[1] - fq2[0])
-    w[1:] = gp[1:] ** 2 * (fq2[2 : n + 2] - fq2[1 : n + 1])
-    u_tilde = (
-        hterm
-        + (gp[ks + 1] - gp[ks]) ** 2 * fq2[ks + 1]
-        + (1.0 / (2.0 - q)) * (w[1:] - w[:-1])
-    )
+    h_part, g_part, fq2 = (row[0] for row in _tsallis_terms(f, g, h, q))
+    g = g[0]
+    # k = n-1 lies past the h support, where u_k keeps only g_{n-1}^2 f_{n-1}^{q-2}.
+    hterm = np.append(h_part, 0.0)
+    u = np.append(h_part + g_part, g[-1] * g[-1] * fq2[-2])
+    # w[m] = g_m^2 (f_{m+1}^{q-2} - f_m^{q-2}), the telescand at k = m - 1; g_n reads zero.
+    w = np.append(g**2 * (fq2[1:] - fq2[:-1]), 0.0)
+    u_tilde = hterm + np.diff(g, append=0.0) ** 2 * fq2[1:] + (1.0 / (2.0 - q)) * np.diff(w)
     sum_u = float(u.sum())
     sum_u_tilde = float(u_tilde.sum())
     residual = sum_u_tilde - sum_u

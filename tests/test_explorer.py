@@ -114,7 +114,7 @@ class TestCheckerTable:
 
     def test_functions_looked_up_at_call_time(self, monkeypatch):
         # A tracer rebinds module attributes; the table must call the rebound ones.
-        marker = inequalities.MarginReport.build("marker", [(0, 1.0)], 1e-9)
+        marker = inequalities.MarginReport.from_array("marker", np.array([1.0]), 1e-9)
         monkeypatch.setattr(inequalities, "check_c1", lambda f: marker)
         monkeypatch.setattr(qentropy, "q_curvature", lambda params, slopes, spec: 42.0)
         params, slopes = ParamVector(np.array([0.3, 0.6])), np.array([1.0, -0.5])

@@ -1,6 +1,7 @@
 """The inequality ladder: hand-checked margins, algebraic identities, property sweeps."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from entropath.inequalities import (
     margin_rows,
     rows_to_csv,
 )
-from entropath.pmf import ParamVector, Pmf, compute_pmf
+from entropath.pmf import ParamVector, Pmf, compute_pmf, pair_indices
 
 BINOMIAL2 = Pmf(np.array([0.25, 0.5, 0.25]))
 BINOMIAL4 = Pmf(np.array([1, 4, 6, 4, 1]) / 16.0)
@@ -42,45 +43,110 @@ def random_pmf(rng, n_max=12):
 
 class TestMarginReport:
     def test_invariants(self):
-        rep = MarginReport.build("x", [(0, 0.5), (1, -0.2)], 1e-10)
+        rep = MarginReport.from_array("x", np.array([0.5, -0.2]), 1e-10)
         assert rep.worst == -0.2
         assert not rep.holds
-        rep2 = MarginReport.build("x", [(0, 0.5), (1, -1e-12)], 1e-10)
+        rep2 = MarginReport.from_array("x", np.array([0.5, -1e-12]), 1e-10)
         assert rep2.holds
 
     def test_empty_margins_hold(self):
-        rep = MarginReport.build("x", [], 1e-10)
+        rep = MarginReport.from_array("x", np.zeros(0), 1e-10)
         assert rep.holds
         assert math.isinf(rep.worst)
         assert rep.to_dict()["worst"] is None
+        assert rep.margins == ()
 
     def test_worst_position_is_first_minimum(self):
-        pairs = [(0, 0.5), (3, -0.2), (4, 0.1), (7, -0.2)]
-        rep = MarginReport.build("x", pairs, 1e-10)
+        values, ks = np.array([0.5, -0.2, 0.1, -0.2]), np.array([0, 3, 4, 7])
+        rep = MarginReport.from_array("x", values, 1e-10, ks)
         assert rep.worst_position == 1
         assert rep.margins[rep.worst_position] == (3, -0.2)
-        assert MarginReport.build("x", [], 1e-10).worst_position is None
-        values = np.array([v for _, v in pairs])
-        ks = np.array([k for k, _ in pairs])
-        assert MarginReport.from_array("x", values, 1e-10, ks) == rep
+        assert MarginReport.from_array("x", np.zeros(0), 1e-10).worst_position is None
 
     def test_worst_position_follows_min_with_nan(self):
         # Python's min() keeps a leading NaN and skips later ones.
-        for values in ([1.0, float("nan"), -1.0, -1.0], [float("nan"), -1.0], [0.0, -0.0]):
-            pairs = list(enumerate(values))
+        for values in (
+            [1.0, float("nan"), -1.0, -1.0],
+            [float("nan"), -1.0],
+            [0.0, -0.0],
+            [float("nan")],
+        ):
             rep = MarginReport.from_array("x", np.array(values), 1e-10)
             expected = min(range(len(values)), key=lambda t: values[t])
-            assert rep.worst_position == MarginReport.build("x", pairs, 1e-10).worst_position
             assert rep.worst_position == expected
             assert math.copysign(1.0, rep.worst) == math.copysign(1.0, values[expected])
 
+    def test_arrays_are_read_only(self):
+        values, ks = np.array([0.5, -0.2]), np.array([4, 9])
+        for rep in (
+            MarginReport.from_array("x", values, 1e-10, ks),
+            MarginReport.from_array("x", values, 1e-10),
+            MarginReport.from_array("x", np.arange(5000.0), 1e-10),
+        ):
+            assert isinstance(rep.ks, np.ndarray) and isinstance(rep.values, np.ndarray)
+            assert rep.ks.dtype == np.int64 and rep.values.dtype == np.float64
+            assert rep.ks.ndim == 1 and rep.ks.shape == rep.values.shape
+            with pytest.raises(ValueError):
+                rep.values[0] = 1.0
+            with pytest.raises(ValueError):
+                rep.ks[0] = 1
+            assert isinstance(rep.margins, tuple)
+        values[0] = 2.0  # the caller's arrays stay writable
+        ks[0] = 3
+        assert MarginReport.from_array("x", np.arange(5000.0), 1e-10).ks.tolist() == list(
+            range(5000)
+        )
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError):
+            MarginReport.from_array("x", np.zeros(3), 1e-10, np.arange(2))
+        with pytest.raises(ValueError):
+            MarginReport.from_array("x", np.zeros((2, 2)), 1e-10)
+
+    def test_rows_equal_the_pairs(self):
+        # The (k, margin) pairs of the hand cases, as plain ints and floats.
+        pv = ParamVector(np.array([0.5, 0.5]))
+        cases = [
+            (check_log_concavity(BINOMIAL2), [(0, 0.25 - 0.0625)]),
+            (check_log_concavity(POINT), []),
+            (check_two_fold_log_concavity(POINT), [(0, 1.0), (1, 0.0)]),
+            (check_condition4(pv, [1.0, -1.0]), [(0, 0.375)]),
+            (check_corollary_fgh(pv, [1.0, 1.0]), [(0, 0.5), (0, 0.5)]),
+            (check_monotone_worst_case(pv, [1.0, 1.0]), [(0, 0.0)]),
+            (MarginReport.from_array("ineq", np.array([0.5, 0.25]), 1e-10, [0, 2]),
+             [(0, 0.5), (2, 0.25)]),
+        ]
+        for rep, pairs in cases:
+            assert rep.margins == tuple(pairs)
+            margins = rep.to_dict()["margins"]
+            assert margins == [[k, v] for k, v in pairs]
+            assert [(type(k), type(v)) for k, v in margins] == [(int, float)] * len(pairs)
+            rows = margin_rows(rep, instance_id=3)
+            assert rows == [(3, rep.name, k, v) for k, v in pairs]
+            assert rows_to_csv(rows).splitlines()[1:] == [
+                f"3,{rep.name},{k},{v!r}" for k, v in pairs
+            ]
+
     def test_csv_rows(self):
-        rep = MarginReport.build("ineq", [(0, 0.5), (2, 0.25)], 1e-10)
+        rep = MarginReport.from_array("ineq", np.array([0.5, 0.25]), 1e-10, np.array([0, 2]))
         text = rows_to_csv(margin_rows(rep, instance_id=7))
         lines = text.strip().split("\n")
         assert lines[0] == "instance_id,inequality,k,margin"
         assert lines[1] == "7,ineq,0,0.5"
         assert lines[2] == "7,ineq,2,0.25"
+
+    def test_cij_report_retains_only_its_arrays(self):
+        pv = ParamVector(np.random.default_rng(60).uniform(0.05, 0.95, 60))
+        pv.leave  # the vector's cached leave-out structures are not the report's
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            rep = check_cij_nonpositive(pv)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert rep.values.size == 1770 * 60
+        assert retained < 2 * (rep.values.nbytes + rep.ks.nbytes)
 
 
 class TestLogConcavity:
@@ -340,16 +406,24 @@ class TestCij:
         assert value == pytest.approx(-0.216, rel=1e-12)
 
     def test_equals_negated_two_fold_margin(self, rng):
-        from entropath.pmf import leave_two_out
-
         for _ in range(50):
             p, _ = random_instance(rng, n_min=2, n_max=8)
             pv = ParamVector(p)
             i, j = sorted(rng.choice(p.size, size=2, replace=False))
-            f = leave_two_out(pv, int(i), int(j))
-            rep = check_two_fold_log_concavity(f)
+            rep = check_two_fold_log_concavity(pv.leave.pair(int(i), int(j)))
             for k, margin in rep.margins:
                 assert compute_cij(pv, int(i), int(j), k) == -margin
+
+    def test_equals_negated_sweep_margin(self, rng):
+        # compute_cij and the sweep run one kernel on one pmf, so the negation is exact.
+        for _ in range(60):
+            p, _ = random_instance(rng, n_min=2, n_max=11)
+            pv = ParamVector(p)
+            rows, cols = pair_indices(pv.n)
+            values = check_cij_nonpositive(pv).values.reshape(rows.size, -1)
+            for row, (i, j) in enumerate(zip(rows.tolist(), cols.tolist())):
+                for k in range(values.shape[1]):
+                    assert compute_cij(pv, i, j, k) == -values[row, k]
 
     def test_sweep_nonpositive(self, rng):
         for _ in range(150):
@@ -359,6 +433,8 @@ class TestCij:
     def test_invalid_pair(self):
         with pytest.raises(ValueError):
             compute_cij(ParamVector(np.array([0.5, 0.5])), 1, 1, 0)
+        with pytest.raises(IndexError):
+            compute_cij(ParamVector(np.array([0.5, 0.5])), 0, 2, 0)
 
 
 class TestQuadraticDecomposition:

@@ -8,6 +8,7 @@ import pytest
 import scalar_oracle as oracle
 from conftest import random_instance
 from entropath.calculus import (
+    AffinePath,
     _fgh,
     entropy_curvature,
     entropy_hessian,
@@ -36,6 +37,7 @@ from entropath.qentropy import (
     stacked_q_curvature,
     stacked_tsallis_uk,
     tsallis_uk,
+    tsallis_uk_tilde,
 )
 
 EPS = np.finfo(np.float64).eps
@@ -201,6 +203,32 @@ def test_stack_rows_equal_one_instance_calls_bit_for_bit(spec):
         assert _bits(sums) == _bits([power_sum_derivatives(pv, s, spec.q) for pv, s in cases])
         uk = stacked_tsallis_uk(f, g, h, spec.q)
         assert _bits(uk) == _bits([tsallis_uk(pv, s, spec.q) for pv, s in cases])
+
+
+def test_fgh_of_a_slope_stack_equals_one_vector_calls_bit_for_bit():
+    # The sign sweep of the monotone check stacks slope vectors; a vector alone keeps its bits.
+    for cases, *_ in KERNEL_STACKS:
+        for params, s in cases[:4]:
+            signs = np.where((np.arange(8)[:, None] >> np.arange(params.n)) & 1, -1.0, 1.0)
+            stack = signs * s
+            f, g, h = _fgh(params, stack)
+            assert g.shape == (8, params.n) and h.shape == (8, params.n - 1)
+            for row, slopes in enumerate(stack):
+                one = _fgh(params, slopes)
+                assert _bits(f) == _bits(one[0])
+                assert _bits(g[row]) == _bits(one[1]) and _bits(h[row]) == _bits(one[2])
+
+
+@pytest.mark.parametrize("q", [q for q in KERNEL_QS if q != 2.0])
+def test_tsallis_uk_tilde_extends_tsallis_uk(q):
+    # u_k for k = 0..n-2 is tsallis_uk; the extra k = n-1 entry is g_{n-1}^2 f_{n-1}^(q-2).
+    for cases, f, g, _ in KERNEL_STACKS:
+        for row, (params, s) in enumerate(cases):
+            rep = tsallis_uk_tilde(AffinePath(params, s), 0.0, q)
+            assert _bits(rep.u[:-1]) == _bits(tsallis_uk(params, s, q))
+            n = params.n
+            last = g[row, n - 1] * g[row, n - 1] * f[row, n - 1 : n] ** (q - 2.0)
+            assert _bits(rep.u[-1]) == _bits(last)
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"{s.kind}-{s.q}")
