@@ -51,14 +51,7 @@ from .inequalities import (
     compute_cij,
     compute_uk,
 )
-from .pmf import (
-    ParamVector,
-    Pmf,
-    brute_force_pmf,
-    compute_pmf,
-    leave_one_out,
-    leave_two_out,
-)
+from .pmf import ParamVector, Pmf, compute_pmf
 from .qentropy import (
     CriticalQResult,
     EntropySpec,

@@ -33,6 +33,8 @@ __all__ = [
     "pmf_time_derivative",
     "shannon_entropy",
     "stacked_entropy_curvature",
+    "stacked_entropy_hessian",
+    "stacked_mixtures",
 ]
 
 
@@ -119,27 +121,38 @@ class PathDerivatives:
     h: np.ndarray
 
 
+def stacked_mixtures(singles: np.ndarray, pairs: np.ndarray, slopes: np.ndarray):
+    """g (..., n) and h (..., n-1) of slope rows (..., n) against leave-out stacks.
+
+    singles (..., n, n) and pairs (..., n(n-1)/2, n-1) broadcast against the
+    slopes' leading axes: a stack of instances, or one instance's structures
+    under a stack of slope vectors. Both sums reduce the component axis of a
+    C-ordered product, which numpy adds row by row in index order, so the
+    result does not depend on BLAS, and a row gives the same bits in any
+    stack.
+    """
+    n = slopes.shape[-1]
+    g = np.add.reduce(slopes[..., None] * singles, axis=-2)
+    if n == 1:
+        # No pairs. Skipping the empty sum matters on one-component scans,
+        # which the critical-q estimators run by the thousand.
+        return g, np.zeros(slopes.shape[:-1] + (0,))
+    i, j = pair_indices(n)
+    s = slopes.T  # components first: indexing them is cheaper there than behind an ellipsis
+    # Ordered pairs: (i, j) and (j, i) both contribute, hence the factor 2.
+    weights = (2.0 * (s[i] * s[j])).T
+    h = np.add.reduce(weights[..., None] * pairs, axis=-2)
+    return g, h
+
+
 def _fgh(params: ParamVector, slopes: np.ndarray):
     """Full pmf plus the g and h sequences, from the vector's cached leave-out structures.
 
     slopes may stack slope vectors along its last axis; g and h then gain
-    the same leading axes. Both sums reduce the component axis of a
-    C-ordered product, which numpy adds row by row in index order, so the
-    result does not depend on BLAS, and a slope vector gives the same bits
-    alone or stacked.
+    the same leading axes.
     """
     ls = params.leave
-    g = np.add.reduce(slopes[..., None] * ls.singles, axis=-2)
-    if params.n == 1:
-        # No pairs. Skipping the empty sum matters on one-component scans,
-        # which the critical-q estimators run by the thousand.
-        return ls.f, g, np.zeros(slopes.shape[:-1] + (0,))
-    i, j = pair_indices(params.n)
-    s = slopes.T  # components first: indexing them is cheaper there than behind an ellipsis
-    # Ordered pairs: (i, j) and (j, i) both contribute, hence the factor 2.
-    weights = (2.0 * (s[i] * s[j])).T
-    h = np.add.reduce(weights[..., None] * ls.pairs, axis=-2)
-    return ls.f, g, h
+    return (ls.f, *stacked_mixtures(ls.singles, ls.pairs, slopes))
 
 
 def _fgh_rows(params: ParamVector, slopes: np.ndarray):
@@ -269,28 +282,37 @@ class HessianReport:
         return json.dumps(self.to_dict())
 
 
-def entropy_hessian(params: ParamVector) -> HessianReport:
-    """Full Hessian of the entropy in the parameters, at a strictly interior point.
+def stacked_entropy_hessian(
+    p: np.ndarray, f: np.ndarray, singles: np.ndarray, pairs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Entropy Hessians (m, n, n) of the rows of p (m, n) and their top eigenvalues (m,).
 
-    Mixed second partials come from leave-two-out pmfs; pure ones vanish
-    because each mass is affine in any single parameter. The top eigenvalue
-    comes from LAPACK's symmetric eigensolver.
+    f, singles and pairs are the rows' leave-out stacks. Mixed second
+    partials come from leave-two-out pmfs; pure ones vanish because each
+    mass is affine in any single parameter. The top eigenvalues come from
+    LAPACK's symmetric eigensolver over the whole stack. entropy_hessian is
+    a one-row call, so a row has the same bits in any stack.
     """
-    p = params.p
     if np.any(p <= 0.0) or np.any(p >= 1.0):
         raise BoundaryError("Hessian requires parameters strictly inside (0, 1)")
-    n = params.n
-    ls = params.leave
-    f = ls.f
+    n = p.shape[-1]
     u2 = 1.0 / f
     u1 = np.log(f) + 1.0
-    d = _shift_diff1(ls.singles, n)
-    m = -(d * u2) @ d.T
+    d = _shift_diff1(singles, n)
+    m = -np.matmul(d * u2[:, None, :], d.transpose(0, 2, 1))
     i, j = pair_indices(n)
-    cross = -(u1 * _shift_diff2(ls.pairs, n)).sum(axis=1)
-    m[i, j] += cross
-    m[j, i] += cross
-    m = 0.5 * (m + m.T)
-    m.setflags(write=False)
-    top = float(np.linalg.eigvalsh(m)[-1])
-    return HessianReport(matrix=m, max_eigenvalue=top, psd_margin=-top)
+    cross = -(u1[:, None, :] * _shift_diff2(pairs, n)).sum(axis=-1)
+    m[:, i, j] += cross
+    m[:, j, i] += cross
+    m = 0.5 * (m + m.transpose(0, 2, 1))
+    return m, np.linalg.eigvalsh(m)[:, -1]
+
+
+def entropy_hessian(params: ParamVector) -> HessianReport:
+    """Full Hessian of the entropy in the parameters, at a strictly interior point."""
+    ls = params.leave
+    m, top = stacked_entropy_hessian(params.p[None], ls.f[None], ls.singles[None], ls.pairs[None])
+    matrix = m[0]
+    matrix.setflags(write=False)
+    top = float(top[0])
+    return HessianReport(matrix=matrix, max_eigenvalue=top, psd_margin=-top)

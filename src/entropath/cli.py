@@ -82,7 +82,9 @@ def cmd_verify(args) -> int:
         raise ValueError(f"expected {n} slopes, got {slopes.size}")
     point = params.p + args.t * slopes
     params = ParamVector(point)
-    by_id = {cid: explorer.evaluate_checker(cid, params, slopes) for cid in explorer.SHANNON_SUITE}
+    # One group for the whole suite: its u_k decomposition feeds both uk_nonneg and the payload.
+    group = explorer.Group.row(params, slopes)
+    by_id = {cid: explorer.group_report(cid, group) for cid in explorer.SHANNON_SUITE}
     reports = [r for r in by_id.values() if r is not None]
     holds = all(r.holds for r in reports)
     payload = {
@@ -93,7 +95,7 @@ def cmd_verify(args) -> int:
         "t": args.t,
         "suite": args.suite,
         "checks": [r.to_dict() for r in reports],
-        "uk": inequalities.compute_uk(params, slopes).to_dict() if n >= 2 else None,
+        "uk": group.uk.row(0).to_dict() if n >= 2 else None,
         "entropy_second_derivative": -by_id["entropy_concavity"].worst,
         "holds": holds,
     }

@@ -14,10 +14,12 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, fields, replace
+from functools import cached_property
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
-from . import calculus, inequalities, qentropy
+from . import calculus, inequalities, pmf, qentropy
 from .errors import ConsistencyError
 from .pmf import ParamVector
 from .qentropy import CriticalQResult, EntropySpec
@@ -25,8 +27,10 @@ from .qentropy import CriticalQResult, EntropySpec
 __all__ = [
     "CHECKERS",
     "CHECKER_IDS",
+    "Checker",
     "CounterexampleCertificate",
     "FAMILIES",
+    "Group",
     "OVERESTIMATE_CAVEAT",
     "SHANNON_SUITE",
     "ScanConfig",
@@ -35,6 +39,7 @@ __all__ = [
     "SplitMix64",
     "estimate_critical_q",
     "evaluate_checker",
+    "group_report",
     "run_scan",
 ]
 
@@ -96,47 +101,117 @@ _SLOPE_DISTRIBUTIONS = ("unit_sphere", "signed_unit", "monotone_unit")
 _THEOREM_TOLERANCE = 1e-9
 
 
-def _cuts_certificate(margin, tolerance: float):
+def _cuts_certificate(margin, tolerance):
     """The certificate rule: a margin below ten times its checker's tolerance (arrays too)."""
     return margin < -10.0 * tolerance
 
 
-def _single(name: str, margin: float) -> inequalities.MarginReport:
-    return inequalities.MarginReport.from_array(name, np.array((margin,)), _THEOREM_TOLERANCE)
+# Bytes of leave-out buffer one group may take. A scan holds one group at a
+# time, so its memory does not grow with instance_count; and the builder ran
+# fastest per instance with buffers of 0.1-0.6 MB (n = 6..30, 2-vCPU x86-64).
+_GROUP_BYTES = 1 << 19
 
 
-def _uk_report(pv: ParamVector, s: np.ndarray, q) -> inequalities.MarginReport:
-    u = inequalities.compute_uk(pv, s).u
-    return inequalities.MarginReport.from_array("uk_nonneg", u, _THEOREM_TOLERANCE)
+class Group:
+    """Instances of one n, stacked row by row for the checkers' group kernels.
+
+    p and slopes are (m, n). f, the leave-out structures, g and h and the
+    u_k decomposition are built on first use and shared by every kernel run
+    on the group. With uses_leave, f comes from the leave-out builder;
+    without it, from its own convolution, and the group never builds
+    singles or pairs. Both give f the same bits.
+    """
+
+    def __init__(self, p: np.ndarray, slopes: np.ndarray, uses_leave: bool, instances=()):
+        self.p = p
+        self.slopes = slopes
+        self.uses_leave = uses_leave
+        self.instances = tuple(instances)
+
+    @classmethod
+    def of(cls, instances, uses_leave: bool) -> "Group":
+        """The instances' stored tuples, stacked; they must share one n."""
+        p = np.array([inst.p for inst in instances])
+        slopes = np.array([inst.slopes for inst in instances])
+        return cls(p, slopes, uses_leave, instances)
+
+    @classmethod
+    def row(cls, params: ParamVector, slopes, uses_leave: bool = True) -> "Group":
+        """One instance as a one-row group, its slopes checked against it."""
+        return cls(params.p[None], calculus._check_slopes(params, slopes)[None], uses_leave)
+
+    @property
+    def n(self) -> int:
+        return self.p.shape[1]
+
+    @cached_property
+    def leave(self) -> pmf.LeaveStructures:
+        return pmf.leave_structures(self.p)
+
+    @cached_property
+    def f(self) -> np.ndarray:
+        return self.leave.f if self.uses_leave else pmf._convolve_bernoullis(self.p)
+
+    @cached_property
+    def fgh(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        ls = self.leave
+        return (self.f, *calculus.stacked_mixtures(ls.singles, ls.pairs, self.slopes))
+
+    @cached_property
+    def uk(self) -> inequalities.UkDecomposition:
+        return inequalities.stacked_uk(*self.fgh)
 
 
-def _q_report(kind: str):
-    name = f"{kind}_concavity"
-    return lambda pv, s, q: _single(name, -qentropy.q_curvature(pv, s, EntropySpec(kind, q)))
+def _theorem(values: np.ndarray) -> inequalities.Margins:
+    """Theorem-level margins (m, K) under the fixed tolerance."""
+    return inequalities.Margins(values, np.full(len(values), _THEOREM_TOLERANCE))
 
 
-# Checker id -> (smallest n it applies to, report function of (params, slopes, q)).
-# Every entry looks its function up on the module at call time, so a rebound
-# module attribute (a tracer's wrapper, a test's monkeypatch) is the one called.
+def _hessian_psd(grp: Group, q) -> inequalities.Margins:
+    """Minus the top eigenvalue of every row's entropy Hessian."""
+    ls = grp.leave
+    top = calculus.stacked_entropy_hessian(grp.p, ls.f, ls.singles, ls.pairs)[1]
+    return _theorem(-top[:, None])
+
+
+def _q_kernel(kind: str):
+    def kernel(grp: Group, q: float) -> inequalities.Margins:
+        return _theorem(-qentropy.stacked_q_curvature(*grp.fgh, EntropySpec(kind, q))[:, None])
+
+    return kernel
+
+
+class Checker(NamedTuple):
+    """The smallest n a checker applies to, whether it reads the leave-out
+    structures (g and h included), and its group kernel (group, q) -> Margins."""
+
+    min_n: int
+    uses_leave: bool
+    kernel: Callable
+
+
+# Checker id -> Checker. Every kernel looks its function up on the module at
+# call time, so a rebound module attribute (a tracer's wrapper, a test's
+# monkeypatch) is the one called.
 CHECKERS = {
-    "log_concavity": (1, lambda pv, s, q: inequalities.check_log_concavity(pv.pmf)),
-    "two_fold_log_concavity": (
-        1, lambda pv, s, q: inequalities.check_two_fold_log_concavity(pv.pmf)
+    "log_concavity": Checker(1, False, lambda grp, q: inequalities.stacked_log_concavity(grp.f)),
+    "two_fold_log_concavity": Checker(
+        1, False, lambda grp, q: inequalities.stacked_two_fold_log_concavity(grp.f)
     ),
-    "c1": (1, lambda pv, s, q: inequalities.check_c1(pv.pmf)),
-    "c1bar": (1, lambda pv, s, q: inequalities.check_c1bar(pv.pmf)),
-    "cij": (2, lambda pv, s, q: inequalities.check_cij_nonpositive(pv)),
-    "condition4": (2, lambda pv, s, q: inequalities.check_condition4(pv, s)),
-    "corollary_fgh": (2, lambda pv, s, q: inequalities.check_corollary_fgh(pv, s)),
-    "uk_nonneg": (2, _uk_report),
-    "entropy_concavity": (
-        1, lambda pv, s, q: _single("entropy_concavity", -calculus.entropy_curvature(pv, s))
+    "c1": Checker(1, False, lambda grp, q: inequalities.stacked_c1(grp.f)),
+    "c1bar": Checker(1, False, lambda grp, q: inequalities.stacked_c1bar(grp.f)),
+    "cij": Checker(2, True, lambda grp, q: inequalities.stacked_cij(grp.leave.pairs)),
+    "condition4": Checker(2, True, lambda grp, q: inequalities.stacked_condition4(*grp.fgh)),
+    "corollary_fgh": Checker(
+        2, True, lambda grp, q: inequalities.stacked_corollary_fgh(*grp.fgh)
     ),
-    "hessian_psd": (
-        1, lambda pv, s, q: _single("hessian_psd", calculus.entropy_hessian(pv).psd_margin)
+    "uk_nonneg": Checker(2, True, lambda grp, q: _theorem(grp.uk.u)),
+    "entropy_concavity": Checker(
+        1, True, lambda grp, q: _theorem(-calculus.stacked_entropy_curvature(*grp.fgh)[:, None])
     ),
-    "renyi_concavity": (1, _q_report("renyi")),
-    "tsallis_concavity": (1, _q_report("tsallis")),
+    "hessian_psd": Checker(1, True, _hessian_psd),
+    "renyi_concavity": Checker(1, True, _q_kernel("renyi")),
+    "tsallis_concavity": Checker(1, True, _q_kernel("tsallis")),
 }
 
 CHECKER_IDS = tuple(CHECKERS)
@@ -145,13 +220,29 @@ _Q_CHECKERS = ("renyi_concavity", "tsallis_concavity")
 
 SHANNON_SUITE = tuple(cid for cid in CHECKER_IDS if cid not in _Q_CHECKERS)
 
+# Report names that differ from the checker id.
+_REPORT_NAMES = {"cij": "cij_nonpositive"}
 
-def evaluate_checker(cid: str, params: ParamVector, slopes: np.ndarray, q: float | None = None):
-    """MarginReport for one checker on one instance, or None when n is below its minimum."""
+
+def _uses_leave(cids) -> bool:
+    return any(CHECKERS[cid].uses_leave for cid in cids)
+
+
+def group_report(cid: str, group: Group, q: float | None = None, row: int = 0):
+    """One row of the checker's kernel on the group as a MarginReport; None when n is too small."""
     if cid not in CHECKERS:
         raise ValueError(f"unknown checker id {cid!r}")
-    min_n, report = CHECKERS[cid]
-    return report(params, slopes, q) if params.n >= min_n else None
+    checker = CHECKERS[cid]
+    if group.n < checker.min_n:
+        return None
+    return checker.kernel(group, q).report(_REPORT_NAMES.get(cid, cid), row)
+
+
+def evaluate_checker(cid: str, params: ParamVector, slopes: np.ndarray, q: float | None = None):
+    """MarginReport for one checker on one instance, a one-row group; None when n is too small."""
+    if cid not in CHECKERS:
+        raise ValueError(f"unknown checker id {cid!r}")
+    return group_report(cid, Group.row(params, slopes, CHECKERS[cid].uses_leave), q)
 
 
 # Families and the t grids they are evaluated on:
@@ -257,11 +348,16 @@ def _draw_slopes(rng: SplitMix64, n: int, distribution: str) -> np.ndarray:
     return z / top
 
 
+def _draw_n(rng: SplitMix64, n_range: tuple[int, int]) -> int:
+    """The component count: an instance stream's first draw."""
+    n_lo, n_hi = n_range
+    return n_lo + rng.integer(n_hi - n_lo + 1)
+
+
 def sample_instance(config: ScanConfig, index: int) -> ScanInstance:
     """Random instance for the given index; pure in (seed, config, index)."""
     rng = instance_rng(config.seed, index)
-    n_lo, n_hi = config.n_range
-    n = n_lo + rng.integer(n_hi - n_lo + 1)
+    n = _draw_n(rng, config.n_range)
     eps = config.interior_margin
     p = np.array([eps + (1.0 - 2.0 * eps) * rng.uniform() for _ in range(n)])
     slopes = _draw_slopes(rng, n, config.slope_distribution)
@@ -273,23 +369,29 @@ def sample_instance(config: ScanConfig, index: int) -> ScanInstance:
     )
 
 
-def _family_instances(config: ScanConfig) -> list[ScanInstance]:
-    fam = config.family
+def _family_sizes(config: ScanConfig) -> np.ndarray:
+    """The component count of every instance of the configured family, by index."""
     count = config.instance_count
+    n_lo, n_hi = config.n_range
+    if config.family == "random_affine" and n_lo < n_hi:
+        streams = (instance_rng(config.seed, i) for i in range(count))
+        return np.array([_draw_n(rng, config.n_range) for rng in streams])
+    n = {"random_affine": n_lo, "bernoulli": 1, "binomial2": 2}.get(config.family, n_hi)
+    return np.full(count, n)
+
+
+def _family_instances(config: ScanConfig, indices=None) -> list[ScanInstance]:
+    """The configured family's instances at the given indices, all of them by default."""
+    indices = range(config.instance_count) if indices is None else [int(i) for i in indices]
+    fam = config.family
     if fam == "random_affine":
-        return [sample_instance(config, i) for i in range(count)]
+        return [sample_instance(config, i) for i in indices]
     if fam == "bernoulli":
-        ts = np.geomspace(1e-6, 0.5, count)
-        return [
-            ScanInstance(index=i, p=(float(t),), slopes=(1.0,), t=float(t))
-            for i, t in enumerate(ts)
-        ]
+        ts = np.geomspace(1e-6, 0.5, config.instance_count)
+        return [ScanInstance(i, (float(ts[i]),), (1.0,), float(ts[i])) for i in indices]
     n = 2 if fam == "binomial2" else config.n_range[1]
-    ts = np.linspace(0.02, 0.98, count)
-    return [
-        ScanInstance(index=i, p=(float(t),) * n, slopes=(1.0,) * n, t=float(t))
-        for i, t in enumerate(ts)
-    ]
+    ts = np.linspace(0.02, 0.98, config.instance_count)
+    return [ScanInstance(i, (float(ts[i]),) * n, (1.0,) * n, float(ts[i])) for i in indices]
 
 
 @dataclass(frozen=True)
@@ -328,22 +430,38 @@ class CounterexampleCertificate:
         }
 
 
-def _certificate(
-    cfg_hash: str, inst: ScanInstance, cid: str, q, k: int, margin: float, params, slopes
-) -> CounterexampleCertificate:
-    """Certificate for one cut margin, with the margin evaluated again through the table."""
-    return CounterexampleCertificate(
-        config_hash=cfg_hash,
-        instance_index=inst.index,
-        inequality=cid,
-        p=inst.p,
-        slopes=inst.slopes,
-        t=inst.t,
-        q=q,
-        k=k,
-        margin=margin,
-        reeval_margin=evaluate_checker(cid, params, slopes, q).worst,
-    )
+def _certificates(cfg_hash: str, cuts) -> list[CounterexampleCertificate]:
+    """Certificates for cut margins of one n, each margin evaluated again from its stored tuple.
+
+    cuts lists (instance, checker id, q, k, margin). The cut instances are
+    rebuilt from their stored tuples as one group, and each checker's kernel
+    runs once on it. A row has the same bits in any stack, so the margin
+    comes back with the bits it was cut with.
+    """
+    if not cuts:
+        return []
+    insts = {inst.index: inst for inst, *_ in cuts}
+    group = Group.of(list(insts.values()), _uses_leave(cid for _, cid, *_ in cuts))
+    row_of = {index: r for r, index in enumerate(insts)}
+    again = {}
+    for cid, q in dict.fromkeys((cid, q) for _, cid, q, *_ in cuts):
+        values = CHECKERS[cid].kernel(group, q).values
+        again[cid, q] = values[np.arange(len(values)), inequalities._first_mins(values)]
+    return [
+        CounterexampleCertificate(
+            config_hash=cfg_hash,
+            instance_index=inst.index,
+            inequality=cid,
+            p=inst.p,
+            slopes=inst.slopes,
+            t=inst.t,
+            q=q,
+            k=k,
+            margin=margin,
+            reeval_margin=again[cid, q][row_of[inst.index]].item(),
+        )
+        for inst, cid, q, k, margin in cuts
+    ]
 
 
 def reevaluate_certificate(cert: CounterexampleCertificate) -> float:
@@ -379,61 +497,115 @@ class ScanReport:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
 
+def _groups(config: ScanConfig, uses_leave: bool) -> Iterator[Group]:
+    """The configured family's instances grouped by n, ascending, and chunked.
+
+    A chunk holds at most _GROUP_BYTES of leave-out buffer and keeps the
+    index order of its instances. Only one chunk's instances are sampled at
+    a time.
+    """
+    sizes = _family_sizes(config)
+    for n in np.unique(sizes).tolist():
+        indices = np.flatnonzero(sizes == n)
+        chunk = max(1, _GROUP_BYTES // (8 * (n + 1) * (1 + n + n * (n - 1) // 2)))
+        for lo in range(0, indices.size, chunk):
+            yield Group.of(_family_instances(config, indices[lo : lo + chunk]), uses_leave)
+
+
+class _Minimum:
+    """The worst margin of one key as a scan in instance-index order reports it.
+
+    That scan keeps the first row it sees and replaces it by every later row
+    with a smaller margin. So the lowest-indexed row wins if its margin is
+    NaN; otherwise the smallest non-NaN margin does, a tie going to the
+    lowest index. Groups may come in any order; only two rows are kept.
+    """
+
+    def __init__(self):
+        self.first = None  # (index, margin, k) of the lowest index seen
+        self.least = None  # (margin, index, k), the least by (margin, index) without NaN
+
+    def add(self, index: np.ndarray, worst: np.ndarray, ks: np.ndarray) -> None:
+        """Fold in a group's row minima; its rows are in index order."""
+        if self.first is None or index[0] < self.first[0]:
+            self.first = (int(index[0]), worst[0].item(), int(ks[0]))
+        live = np.flatnonzero(~np.isnan(worst))
+        if live.size:
+            r = live[worst[live].argmin()]
+            row = (worst[r].item(), int(index[r]), int(ks[r]))
+            if self.least is None or row[:2] < self.least[:2]:
+                self.least = row
+
+    def entry(self) -> dict:
+        index, margin, k = self.first
+        if not math.isnan(margin):
+            margin, index, k = self.least
+        return {"margin": margin, "instance_index": index, "k": k}
+
+
 def run_scan(config: ScanConfig, collect_margins: bool = False) -> ScanReport:
     """Evaluate the configured checkers over the instance stream.
 
+    Instances are grouped by n, and each checker's kernel runs once per
+    group. A row's worst margin and its k come from _first_min, and rows
+    are merged in instance-index order, so a tie goes to the lowest index.
     Deterministic in (seed, config): rerunning yields a byte-identical JSON
-    report. A certificate is cut only when a margin falls below ten times the
-    checker tolerance, and it is re-evaluated from its stored tuple before
-    being emitted. With collect_margins the full per-instance margin rows are
-    kept for CSV dumps.
+    report. A certificate is cut only when a margin falls below ten times
+    the checker tolerance, and it is re-evaluated from its stored tuple
+    before being emitted. With collect_margins the full per-instance margin
+    rows are kept for CSV dumps, in instance order.
     """
     cfg_hash = config.config_hash()
-    instances = _family_instances(config)
-    worst: dict[str, dict] = {}
+    keys = [
+        (cid, q, cid if q is None else f"{cid}[q={q!r}]")
+        for cid in config.inequality_set
+        for q in (config.q_grid if cid in _Q_CHECKERS else (None,))
+    ]
+    rows_of: dict[int, list] = {}
+    minima: dict[str, _Minimum] = {}
     certificates: list[CounterexampleCertificate] = []
-    rows: list[tuple] = []
-    for inst in instances:
-        params = ParamVector(np.array(inst.p))
-        slopes = np.array(inst.slopes)
-        for cid in config.inequality_set:
-            q_values = config.q_grid if cid in _Q_CHECKERS else (None,)
-            for q in q_values:
-                report = evaluate_checker(cid, params, slopes, q)
-                if report is None:
-                    continue
-                key = cid if q is None else f"{cid}[q={q!r}]"
-                if collect_margins:
-                    ks, values = report.ks.tolist(), report.values.tolist()
-                    rows.extend((inst.index, key, k, v) for k, v in zip(ks, values))
-                if report.values.size:
-                    k_worst = int(report.ks[report.worst_position])
-                    entry = worst.get(key)
-                    if entry is None or report.worst < entry["margin"]:
-                        worst[key] = {
-                            "margin": report.worst,
-                            "instance_index": inst.index,
-                            "k": k_worst,
-                        }
-                if _cuts_certificate(report.worst, report.tolerance):
-                    certificates.append(
-                        _certificate(cfg_hash, inst, cid, q, k_worst, report.worst, params, slopes)
+    for group in _groups(config, _uses_leave(config.inequality_set)):
+        index = np.array([inst.index for inst in group.instances])
+        rows = np.arange(index.size)
+        cuts = []
+        for cid, q, key in keys:
+            if group.n < CHECKERS[cid].min_n:
+                continue
+            margins = CHECKERS[cid].kernel(group, q)
+            values = margins.values
+            ks = np.arange(values.shape[1]) if margins.ks is None else margins.ks
+            if collect_margins:
+                k_list = ks.tolist()
+                for inst, v in zip(group.instances, values.tolist()):
+                    rows_of.setdefault(inst.index, []).extend(
+                        (inst.index, key, k, m) for k, m in zip(k_list, v)
                     )
+            if not values.shape[1]:
+                continue
+            pos = inequalities._first_mins(values)
+            worst = values[rows, pos]
+            minima.setdefault(key, _Minimum()).add(index, worst, ks[pos])
+            for r in np.flatnonzero(_cuts_certificate(worst, margins.tolerance)):
+                cuts.append((group.instances[r], cid, q, int(ks[pos[r]]), worst[r].item()))
+        certificates.extend(_certificates(cfg_hash, cuts))
+    worst_margins = {key: minimum.entry() for key, minimum in minima.items()}
     certificates.sort(key=lambda c: (c.instance_index, c.inequality, c.q or 0.0))
     caveat = OVERESTIMATE_CAVEAT if any(c in _Q_CHECKERS for c in config.inequality_set) else None
     return ScanReport(
         config=config,
         config_hash=cfg_hash,
-        worst_margins=worst,
+        worst_margins=worst_margins,
         certificates=tuple(certificates),
-        margin_rows=tuple(rows) if collect_margins else None,
+        margin_rows=tuple(r for i in sorted(rows_of) for r in rows_of[i])
+        if collect_margins
+        else None,
         caveat=caveat,
     )
 
 
 @dataclass(frozen=True, eq=False)
 class _CurvatureStack:
-    """The family's instances of one n with their f, g and h rows stacked."""
+    """A chunk of the family's instances of one n with their f, g and h rows stacked."""
 
     instances: tuple[ScanInstance, ...]
     f: np.ndarray
@@ -444,20 +616,10 @@ class _CurvatureStack:
 def _curvature_stacks(config: ScanConfig) -> list[_CurvatureStack]:
     """The configured family's instances grouped by n, ascending.
 
-    Only f, g and h are kept: each ParamVector, with its leave-out
-    structures, lives for one row, so a root at large n holds one at a time.
+    Only f, g and h are kept: each group's leave-out structures live while
+    its rows are built, so a root at large n holds one group's at a time.
     """
-    by_n: dict[int, list[ScanInstance]] = {}
-    for inst in _family_instances(config):
-        by_n.setdefault(len(inst.p), []).append(inst)
-    stacks = []
-    for n, insts in sorted(by_n.items()):
-        f, g, h = (np.empty((len(insts), width)) for width in (n + 1, n, n - 1))
-        for row, inst in enumerate(insts):
-            params = ParamVector(np.array(inst.p))
-            f[row], g[row], h[row] = calculus._fgh(params, np.array(inst.slopes))
-        stacks.append(_CurvatureStack(tuple(insts), f, g, h))
-    return stacks
+    return [_CurvatureStack(group.instances, *group.fgh) for group in _groups(config, True)]
 
 
 def _step_certificates(
@@ -465,8 +627,9 @@ def _step_certificates(
 ) -> list[CounterexampleCertificate]:
     """The certificates run_scan cuts at q on the single curvature checker of the kind.
 
-    One stacked kernel call per n gives every margin; each margin that cuts
-    a certificate is evaluated again from its stored tuple alone.
+    One stacked kernel call per stack gives every margin; the rows that cut
+    a certificate are evaluated again from their stored tuples, one group
+    per stack.
     """
     if kind == "shannon":
         scan = replace(config, inequality_set=("entropy_concavity",), q_grid=None)
@@ -479,12 +642,12 @@ def _step_certificates(
     certificates = []
     for stack in stacks:
         margins = -qentropy.stacked_q_curvature(stack.f, stack.g, stack.h, spec)
-        for row in np.flatnonzero(_cuts_certificate(margins, _THEOREM_TOLERANCE)):
-            inst = stack.instances[row]
-            params, slopes = ParamVector(np.array(inst.p)), np.array(inst.slopes)
-            certificates.append(
-                _certificate(cfg_hash, inst, cid, q, 0, float(margins[row]), params, slopes)
+        cut = np.flatnonzero(_cuts_certificate(margins, _THEOREM_TOLERANCE))
+        certificates.extend(
+            _certificates(
+                cfg_hash, [(stack.instances[r], cid, q, 0, margins[r].item()) for r in cut]
             )
+        )
     certificates.sort(key=lambda c: c.instance_index)
     return certificates
 

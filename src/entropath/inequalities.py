@@ -11,20 +11,22 @@ across magnitudes.
 from __future__ import annotations
 
 import enum
+import functools
 import json
 import math
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, fields
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .calculus import _fgh, _check_slopes
+from .calculus import _check_slopes, _fgh, _fgh_rows
 from .errors import BoundaryError, ConsistencyError, LemmaHypothesisError
 from .pmf import ParamVector, Pmf, _check_pair
 
 __all__ = [
     "ABS_FLOOR",
     "MarginReport",
+    "Margins",
     "REL_TOL",
     "SmoothFunction",
     "UkBranch",
@@ -46,14 +48,23 @@ __all__ = [
     "compute_uk",
     "margin_rows",
     "rows_to_csv",
+    "stacked_c1",
+    "stacked_c1bar",
+    "stacked_cij",
+    "stacked_condition4",
+    "stacked_corollary_fgh",
+    "stacked_log_concavity",
+    "stacked_two_fold_log_concavity",
+    "stacked_uk",
 ]
 
 ABS_FLOOR = 1e-13
 REL_TOL = 1e-10
 
 
-def _tolerance(scale: float) -> float:
-    return max(ABS_FLOOR, REL_TOL * scale)
+def _tolerance(scale: np.ndarray) -> np.ndarray:
+    """Each row's tolerance, max(ABS_FLOOR, REL_TOL * scale)."""
+    return np.maximum(ABS_FLOOR, REL_TOL * scale)
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,6 +150,32 @@ def _first_min(values: np.ndarray) -> int | None:
     return pos
 
 
+def _first_mins(values: np.ndarray) -> np.ndarray:
+    """_first_min of every row of values (m, K), K >= 1."""
+    pos = values.argmin(axis=-1)
+    if values.shape[-1] > 1:  # argmin lands on a row's first NaN; those rows go through _first_min
+        for r in np.flatnonzero(np.isnan(values.min(axis=-1))):
+            pos[r] = _first_min(values[r])
+    return pos
+
+
+class Margins(NamedTuple):
+    """One checker's margins over a stack of m instances.
+
+    values (m, K) holds each row's margins at the indices ks (K,), which
+    default to 0..K-1, and tolerance (m,) each row's tolerance. Every
+    stacked_* checker returns one; its check_* function is a one-row call.
+    """
+
+    values: np.ndarray
+    tolerance: np.ndarray
+    ks: np.ndarray | None = None
+
+    def report(self, name: str, row: int = 0) -> MarginReport:
+        """Row row as a MarginReport."""
+        return MarginReport.from_array(name, self.values[row], self.tolerance[row], self.ks)
+
+
 def margin_rows(report: MarginReport, instance_id: int = 0) -> list[tuple[int, str, int, float]]:
     """Flatten a report into (instance_id, inequality, k, margin) rows."""
     return [(instance_id, report.name, k, v) for k, v in report.margins]
@@ -157,9 +194,9 @@ def _masses(f) -> np.ndarray:
     return np.asarray(f, dtype=np.float64)
 
 
-def _scale(*terms: np.ndarray) -> float:
-    """Largest entry over all the monomial arrays, 0 when they are empty."""
-    return max((float(t.max()) for t in terms if t.size), default=0.0)
+def _scale(*terms: np.ndarray) -> np.ndarray:
+    """Each row's largest entry over all the monomial arrays (..., K), 0 when they are empty."""
+    return functools.reduce(np.maximum, [t.max(axis=-1, initial=0.0) for t in terms])
 
 
 def _window(v: np.ndarray, lo: int, hi: int) -> list[np.ndarray]:
@@ -174,13 +211,16 @@ def _window(v: np.ndarray, lo: int, hi: int) -> list[np.ndarray]:
     return [pad[..., j - lo : j - lo + size + 1] for j in range(lo, hi + 1)]
 
 
+def stacked_log_concavity(f: np.ndarray) -> Margins:
+    """Newton margins f_{k+1}^2 - f_k f_{k+2} of every row of f (m, n+1)."""
+    sq = f[..., 1:-1] * f[..., 1:-1]
+    pr = f[..., :-2] * f[..., 2:]
+    return Margins(sq - pr, _tolerance(_scale(sq, pr)))
+
+
 def check_log_concavity(f) -> MarginReport:
     """Newton margins f_{k+1}^2 - f_k f_{k+2} over the support."""
-    v = _masses(f)
-    sq = v[1:-1] * v[1:-1]
-    pr = v[:-2] * v[2:]
-    margins = sq - pr
-    return MarginReport.from_array("log_concavity", margins, _tolerance(_scale(sq, pr)))
+    return stacked_log_concavity(_masses(f)[None]).report("log_concavity")
 
 
 def _two_fold(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -220,16 +260,16 @@ def _gaps(v: np.ndarray):
     return shifted, (fm1 * fm1 - fm2 * f0, f0 * f0 - fm1 * f1, f1 * f1 - f0 * f2)
 
 
-def check_two_fold_log_concavity(f) -> MarginReport:
-    """Cubic margins saying the Newton gaps D_k are themselves log-concave.
+def stacked_two_fold_log_concavity(f: np.ndarray) -> Margins:
+    """Cubic margins saying the Newton gaps D_k are themselves log-concave, for every row of f.
 
     Each margin is the direct cubic form; it is cross-checked against
     D_k^2 - D_{k-1} D_{k+1}, which equals f_k times the cubic form, and the
-    two must agree to 1e-12 relative.
+    two must agree to 1e-12 relative. The first disagreement in row order
+    raises.
     """
-    v = _masses(f)
-    margin, scale = _two_fold(v)
-    (_, _, f0, _, _), (d_lo, d_mid, d_hi) = _gaps(v)
+    margin, scale = _two_fold(f)
+    (_, _, f0, _, _), (d_lo, d_mid, d_hi) = _gaps(f)
     sq = d_mid * d_mid
     prod = d_lo * d_hi
     gap_form = sq - prod
@@ -237,36 +277,52 @@ def check_two_fold_log_concavity(f) -> MarginReport:
     check_scale = np.maximum(np.maximum(sq, np.abs(prod)), np.abs(ref))
     bad = np.flatnonzero(np.abs(gap_form - ref) > 1e-12 * np.maximum(check_scale, 1e-300))
     if bad.size:
-        k = int(bad[0])
+        at = np.unravel_index(bad[0], ref.shape)
         raise ConsistencyError(
-            f"two-fold margin forms disagree at k={k}: {float(ref[k])!r} vs {float(gap_form[k])!r}"
+            f"two-fold margin forms disagree at k={int(at[-1])}: "
+            f"{float(ref[at])!r} vs {float(gap_form[at])!r}"
         )
-    return MarginReport.from_array("two_fold_log_concavity", margin, _tolerance(_scale(scale)))
+    return Margins(margin, _tolerance(_scale(scale)))
 
 
-def _c1(v: np.ndarray) -> tuple[np.ndarray, float]:
-    """Margins f_{k-1} D_k - D_{k-1} f_{k+1} for k = 0..m+1, and their monomial scale."""
+def check_two_fold_log_concavity(f) -> MarginReport:
+    """Cubic margins saying the Newton gaps D_k are themselves log-concave."""
+    return stacked_two_fold_log_concavity(_masses(f)[None]).report("two_fold_log_concavity")
+
+
+def _c1(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Margins f_{k-1} D_k - D_{k-1} f_{k+1} for k = 0..m+1, and each row's monomial scale."""
     (fm2, fm1, f0, f1, _), (d_lo, d_mid, _) = _gaps(v)
     margin = fm1 * d_mid - d_lo * f1
     return margin, _scale(fm1 * (f0 * f0), fm1 * fm1 * f1, fm2 * f0 * f1)
 
 
+def stacked_c1(f: np.ndarray) -> Margins:
+    """Cubic margins f_{k-1} D_k - D_{k-1} f_{k+1} (lower-neighbor form) of every row of f."""
+    margin, scale = _c1(f)
+    return Margins(margin, _tolerance(scale))
+
+
 def check_c1(f) -> MarginReport:
     """Cubic margins f_{k-1} D_k - D_{k-1} f_{k+1} (lower-neighbor form)."""
-    margin, scale = _c1(_masses(f))
-    return MarginReport.from_array("c1", margin, _tolerance(scale))
+    return stacked_c1(_masses(f)[None]).report("c1")
 
 
-def check_c1bar(f) -> MarginReport:
-    """Mirrored cubic margins f_{k+1} D_k - D_{k+1} f_{k-1}.
+def stacked_c1bar(f: np.ndarray) -> Margins:
+    """Mirrored cubic margins f_{k+1} D_k - D_{k+1} f_{k-1} of every row of f.
 
     Reversing the support swaps the two neighbors, so the margin at k is the
     lower-neighbor margin of the reversed pmf at m - k, for k = 0..m. At
     k = m + 1 both products vanish and the margin is 0.
     """
-    reversed_margin, scale = _c1(_masses(f)[::-1])
-    margin = np.append(reversed_margin[-2::-1], 0.0)
-    return MarginReport.from_array("c1bar", margin, _tolerance(scale))
+    reversed_margin, scale = _c1(f[..., ::-1])
+    top = np.zeros(f.shape[:-1] + (1,))
+    return Margins(np.concatenate((reversed_margin[..., -2::-1], top), axis=-1), _tolerance(scale))
+
+
+def check_c1bar(f) -> MarginReport:
+    """Mirrored cubic margins f_{k+1} D_k - D_{k+1} f_{k-1}."""
+    return stacked_c1bar(_masses(f)[None]).report("c1bar")
 
 
 def c1_product_identity_residual(f) -> float:
@@ -288,7 +344,7 @@ def c1_product_identity_residual(f) -> float:
 
 
 def _condition4_margins(f: np.ndarray, g: np.ndarray, h: np.ndarray):
-    """Margins for k = 0..n-2 along the last axis, and their monomial scale."""
+    """Margins for k = 0..n-2 along the last axis, and each row's monomial scale."""
     f0, f1, f2 = f[..., :-2], f[..., 1:-1], f[..., 2:]
     g0, g1 = g[..., :-1], g[..., 1:]
     cross = 2.0 * g0 * g1 * f1
@@ -300,13 +356,29 @@ def _condition4_margins(f: np.ndarray, g: np.ndarray, h: np.ndarray):
     return margins, _scale(np.abs(cross), lower, upper, abs_h * sq, abs_h * f0 * f2)
 
 
+def stacked_condition4(f: np.ndarray, g: np.ndarray, h: np.ndarray) -> Margins:
+    """Margins of the strong upper bound on h_k against the g/f quadratic, for every row."""
+    margins, scale = _condition4_margins(f, g, h)
+    return Margins(margins, _tolerance(scale))
+
+
 def check_condition4(params: ParamVector, slopes) -> MarginReport:
     """Margins of the strong upper bound on h_k against the g/f quadratic."""
     slopes = _check_slopes(params, slopes)
     if params.n < 2:
         raise ValueError("condition4 needs at least two components")
-    margins, scale = _condition4_margins(*_fgh(params, slopes))
-    return MarginReport.from_array("condition4", margins, _tolerance(scale))
+    return stacked_condition4(*_fgh_rows(params, slopes)).report("condition4")
+
+
+def stacked_corollary_fgh(f: np.ndarray, g: np.ndarray, h: np.ndarray) -> Margins:
+    """Margins g_k^2 - h_k f_k and g_{k+1}^2 - h_k f_{k+2} of every row; two entries per k."""
+    lo_sq, hi_sq = g[..., :-1] * g[..., :-1], g[..., 1:] * g[..., 1:]
+    abs_h = np.abs(h)
+    # Interleaved per k: the lower margin, then the upper one.
+    margins = np.stack([lo_sq - h * f[..., :-2], hi_sq - h * f[..., 2:]], axis=-1)
+    scale = _scale(lo_sq, hi_sq, abs_h * f[..., :-2], abs_h * f[..., 2:])
+    ks = np.repeat(np.arange(h.shape[-1]), 2)
+    return Margins(margins.reshape(h.shape[:-1] + (-1,)), _tolerance(scale), ks)
 
 
 def check_corollary_fgh(params: ParamVector, slopes) -> MarginReport:
@@ -314,14 +386,7 @@ def check_corollary_fgh(params: ParamVector, slopes) -> MarginReport:
     slopes = _check_slopes(params, slopes)
     if params.n < 2:
         raise ValueError("corollary margins need at least two components")
-    f, g, h = _fgh(params, slopes)
-    lo_sq, hi_sq = g[:-1] * g[:-1], g[1:] * g[1:]
-    abs_h = np.abs(h)
-    # Interleaved per k: the lower margin, then the upper one.
-    margins = np.stack([lo_sq - h * f[:-2], hi_sq - h * f[2:]], axis=1).ravel()
-    scale = _scale(lo_sq, hi_sq, abs_h * f[:-2], abs_h * f[2:])
-    ks = np.repeat(np.arange(h.size), 2)
-    return MarginReport.from_array("corollary_fgh", margins, _tolerance(scale), ks)
+    return stacked_corollary_fgh(*_fgh_rows(params, slopes)).report("corollary_fgh")
 
 
 class UkBranch(str, enum.Enum):
@@ -360,15 +425,42 @@ class UkTerm:
         }
 
 
-@dataclass(frozen=True)
-class UkDecomposition:
-    """Per-index decomposition of the entropy curvature bound."""
+# UkDecomposition.branch holds the position of each index's branch in this tuple.
+_UK_BRANCHES = (UkBranch.H_NONPOSITIVE, UkBranch.TRANSFORM, UkBranch.DEGENERATE)
+_H_NONPOSITIVE, _TRANSFORM, _DEGENERATE = range(3)
 
-    terms: tuple[UkTerm, ...]
+
+@dataclass(frozen=True, eq=False)
+class UkDecomposition:
+    """Per-index decomposition of the entropy curvature bound, as arrays over k = 0..n-2.
+
+    u and h hold u_k and h_k, branch the position of each k's UkBranch in
+    _UK_BRANCHES, and A, B, C, alpha, beta, gamma the transform data, which
+    mean something only where the branch is TRANSFORM. A stack of instances
+    puts a leading axis on every array; row(r) is one instance's.
+    """
+
+    u: np.ndarray
+    h: np.ndarray
+    branch: np.ndarray
+    A: np.ndarray
+    B: np.ndarray
+    C: np.ndarray
+    alpha: np.ndarray
+    beta: np.ndarray
+    gamma: np.ndarray
+
+    def row(self, r: int) -> "UkDecomposition":
+        return UkDecomposition(*(getattr(self, f.name)[r] for f in fields(self)))
 
     @property
-    def u(self) -> np.ndarray:
-        return np.array([t.u for t in self.terms])
+    def terms(self) -> tuple[UkTerm, ...]:
+        """One UkTerm per index, built on demand; the transform data is None off its branch."""
+        columns = zip(*(getattr(self, f.name).tolist() for f in fields(self)))
+        return tuple(
+            UkTerm(k, u, h, _UK_BRANCHES[code], *(data if code == _TRANSFORM else ()))
+            for k, (u, h, code, *data) in enumerate(columns)
+        )
 
     def to_dict(self) -> dict:
         return {"terms": [t.to_dict() for t in self.terms]}
@@ -377,21 +469,59 @@ class UkDecomposition:
         return json.dumps(self.to_dict())
 
 
-def _xlogx(x: float) -> float:
-    return x * math.log(x) if x > 0.0 else 0.0
-
-
-def compute_uk(params: ParamVector, slopes, interior_margin: float = 0.0) -> UkDecomposition:
-    """Per-index curvature bound u_k with its transform data.
+def stacked_uk(f: np.ndarray, g: np.ndarray, h: np.ndarray) -> UkDecomposition:
+    """Per-index curvature bound u_k with its transform data, for every row of f, g, h.
 
     u_k = h_k log(f_k f_{k+2} / f_{k+1}^2) + (g_k^2/f_k - 2 g_k g_{k+1}/f_{k+1}
     + g_{k+1}^2/f_{k+2}). When h_k > 0 and both neighboring g values are
-    nonzero, the A/B/C and alpha/beta/gamma transform is populated and the
-    transform lower bound on u_k is asserted to 1e-10; a vanishing g leaves
-    the ratios undefined, so those indices are recorded as degenerate instead.
-    The log of the mass ratio is split into single-mass logs to avoid
-    underflow in long tails.
+    nonzero, the A/B/C and alpha/beta/gamma transform applies and its lower
+    bound on u_k is asserted to 1e-10 over the whole stack; a vanishing g
+    leaves the ratios undefined, so those indices are recorded as
+    degenerate instead. The log of the mass ratio is split into single-mass
+    logs to avoid underflow in long tails.
     """
+    if np.any(f <= 0.0):
+        raise BoundaryError(
+            "zero mass on the support; the decomposition needs interior parameters"
+        )
+    logf = np.log(f)
+    f0, f1, f2 = f[..., :-2], f[..., 1:-1], f[..., 2:]
+    g0, g1 = g[..., :-1], g[..., 1:]
+    log_ratio = logf[..., :-2] + logf[..., 2:] - 2.0 * logf[..., 1:-1]
+    quad = g0 * g0 / f0 - 2.0 * g0 * g1 / f1 + g1 * g1 / f2
+    u = h * log_ratio + quad
+    sq0, sq1 = g0 * g0, g1 * g1
+    degenerate = (sq0 == 0.0) | (sq1 == 0.0)
+    branch = np.where(h <= 0.0, _H_NONPOSITIVE, np.where(degenerate, _DEGENERATE, _TRANSFORM))
+    ag = np.abs(g0) * np.abs(g1)
+    with np.errstate(divide="ignore", invalid="ignore"):  # off the transform branch
+        a_val = (sq0 - f0 * h) / sq0
+        b_val = (ag - f1 * h) / ag
+        c_val = (sq1 - f2 * h) / sq1
+    alpha = sq0 / f0
+    beta = ag / f1
+    gamma = sq1 / f2
+    transform = branch == _TRANSFORM
+    if transform.any():
+        a, b, c = (np.where(transform, x, 0.0) for x in (a_val, b_val, c_val))
+        bound = (
+            alpha * _xlogx_array(1.0 - a)
+            - 2.0 * beta * _xlogx_array(1.0 - b)
+            + gamma * _xlogx_array(1.0 - c)
+            + (alpha * a - 2.0 * beta * b + gamma * c)
+        )
+        reach = np.maximum.reduce([np.ones_like(u), np.abs(u), alpha, 2.0 * beta, gamma])
+        bad = np.flatnonzero(transform & (u - bound < -1e-10 * reach))
+        if bad.size:
+            at = np.unravel_index(bad[0], u.shape)
+            raise ConsistencyError(
+                f"transform bound exceeded u_{int(at[-1])}: u={u[at]!r}, bound={bound[at]!r}"
+            )
+    return UkDecomposition(u, h, branch, a_val, b_val, c_val, alpha, beta, gamma)
+
+
+def compute_uk(params: ParamVector, slopes, interior_margin: float = 0.0) -> UkDecomposition:
+    """Per-index curvature bound u_k with its transform data: a one-row stacked_uk."""
     slopes = _check_slopes(params, slopes)
     if params.n < 2:
         raise ValueError("the decomposition needs at least two components")
@@ -399,55 +529,7 @@ def compute_uk(params: ParamVector, slopes, interior_margin: float = 0.0) -> UkD
         np.any(params.p < interior_margin) or np.any(params.p > 1.0 - interior_margin)
     ):
         raise BoundaryError("parameters outside the requested interior margin")
-    f, g, h = _fgh(params, slopes)
-    if np.any(f <= 0.0):
-        raise BoundaryError("zero mass on the support; the decomposition needs interior parameters")
-    logf = np.log(f)
-    terms = []
-    for k in range(h.size):
-        fk, f1, f2 = f[k], f[k + 1], f[k + 2]
-        gk, g1 = g[k], g[k + 1]
-        hk = h[k]
-        log_ratio = logf[k] + logf[k + 2] - 2.0 * logf[k + 1]
-        quad = gk * gk / fk - 2.0 * gk * g1 / f1 + g1 * g1 / f2
-        u = hk * log_ratio + quad
-        if hk <= 0.0:
-            terms.append(UkTerm(k=k, u=u, h=hk, branch=UkBranch.H_NONPOSITIVE))
-            continue
-        if gk * gk == 0.0 or g1 * g1 == 0.0:
-            terms.append(UkTerm(k=k, u=u, h=hk, branch=UkBranch.DEGENERATE))
-            continue
-        ag = abs(gk) * abs(g1)
-        a_val = (gk * gk - fk * hk) / (gk * gk)
-        b_val = (ag - f1 * hk) / ag
-        c_val = (g1 * g1 - f2 * hk) / (g1 * g1)
-        alpha = gk * gk / fk
-        beta = ag / f1
-        gamma = g1 * g1 / f2
-        bound = (
-            alpha * _xlogx(1.0 - a_val)
-            - 2.0 * beta * _xlogx(1.0 - b_val)
-            + gamma * _xlogx(1.0 - c_val)
-            + (alpha * a_val - 2.0 * beta * b_val + gamma * c_val)
-        )
-        gap = u - bound
-        if gap < -1e-10 * max(1.0, abs(u), alpha, 2.0 * beta, gamma):
-            raise ConsistencyError(f"transform bound exceeded u_{k}: u={u!r}, bound={bound!r}")
-        terms.append(
-            UkTerm(
-                k=k,
-                u=u,
-                h=hk,
-                branch=UkBranch.TRANSFORM,
-                A=a_val,
-                B=b_val,
-                C=c_val,
-                alpha=alpha,
-                beta=beta,
-                gamma=gamma,
-            )
-        )
-    return UkDecomposition(terms=tuple(terms))
+    return stacked_uk(*_fgh_rows(params, slopes)).row(0)
 
 
 @dataclass(frozen=True)
@@ -553,18 +635,24 @@ def compute_cij(params: ParamVector, i: int, j: int, k: int) -> float:
     return value
 
 
-def check_cij_nonpositive(params: ParamVector) -> MarginReport:
-    """Margins -c_{i,j}(k) >= 0 swept over all pairs and indices.
+def stacked_cij(pairs: np.ndarray) -> Margins:
+    """Margins -c_{i,j}(k) >= 0 of every row of a leave-two-out stack (m, n(n-1)/2, n-1).
 
     Margin indices enumerate (pair, k) rows with pairs in lexicographic order
     and k running over the leave-two-out support plus one step past each end.
     """
+    margin, scale = _two_fold(pairs)
+    m = pairs.shape[0]
+    tolerance = _tolerance(_scale(scale.reshape(m, -1)))
+    del scale  # free the stacked temporary before the caller goes on
+    return Margins(margin.reshape(m, -1), tolerance)
+
+
+def check_cij_nonpositive(params: ParamVector) -> MarginReport:
+    """Margins -c_{i,j}(k) >= 0 swept over all pairs and indices."""
     if params.n < 2:
         raise ValueError("pair coefficients need at least two components")
-    margin, scale = _two_fold(params.leave.pairs)
-    tolerance = _tolerance(_scale(scale))
-    del scale  # free the stacked temporary before the margin tuples are built
-    return MarginReport.from_array("cij_nonpositive", margin.ravel(), tolerance)
+    return stacked_cij(params.leave.pairs[None]).report("cij_nonpositive")
 
 
 def _condition4_margin_at(params: ParamVector, slopes: np.ndarray, k: int) -> float:

@@ -14,29 +14,23 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 __all__ = [
-    "BRUTE_FORCE_MAX_N",
     "LeaveStructures",
     "ParamVector",
     "Pmf",
-    "brute_force_pmf",
     "compute_pmf",
-    "leave_one_out",
     "leave_structures",
-    "leave_two_out",
     "pair_indices",
 ]
-
-# Enumerating 2^n outcomes is the test oracle; past this it stops being cheap.
-BRUTE_FORCE_MAX_N = 20
 
 _SUM_TOL = 1e-12
 
 
-def _as_prob_array(p) -> np.ndarray:
+def _as_prob_array(p, ndim: int = 1) -> np.ndarray:
     arr = np.asarray(p, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ValueError("parameters must form a one-dimensional sequence")
-    if arr.size == 0:
+    if arr.ndim != ndim:
+        shape = "one-dimensional sequence" if ndim == 1 else "stack of shape (m, n)"
+        raise ValueError(f"parameters must form a {shape}")
+    if arr.shape[-1] == 0:
         raise ValueError("empty model: at least one Bernoulli parameter is required")
     if not np.isfinite(arr).all():
         raise ValueError("parameters must be finite")
@@ -71,8 +65,9 @@ class ParamVector:
 
     @cached_property
     def leave(self) -> "LeaveStructures":
-        """Leave-one-out and leave-two-out structures, built on first use."""
-        return leave_structures(self)
+        """Leave-one-out and leave-two-out structures, built on first use as a one-row stack."""
+        ls = leave_structures(self.p[None])
+        return LeaveStructures(ls.f[0], ls.singles[0], ls.pairs[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,37 +116,26 @@ class Pmf:
 
 
 def _convolve_bernoullis(probs: np.ndarray) -> np.ndarray:
-    """Sequential Bernoulli convolution in one buffer.
+    """Sequential Bernoulli convolution of every row of probs (..., n), as rows (..., n + 1).
 
-    Each step writes the top entry first and then updates the interior from
-    high index to low, so no value is read after being overwritten.
+    Step t maps the masses to f_k (1 - p_t) + f_{k-1} p_t over k = 0..t+1,
+    the only entries it can reach. The buffer is k-major and every step is
+    elementwise across rows, so a row has the same bits in any stack.
     """
-    n = probs.size
-    buf = np.zeros(n + 1)
+    n = probs.shape[-1]
+    buf = np.zeros((n + 1,) + probs.shape[:-1])
     buf[0] = 1.0
-    for m, p in enumerate(probs):
-        q = 1.0 - p
-        buf[m + 1] = buf[m] * p
-        if m:
-            buf[1 : m + 1] = buf[1 : m + 1] * q + buf[0:m] * p
-        buf[0] *= q
-    return buf
+    for t in range(n):
+        p = probs[..., t]
+        up = buf[: t + 1] * p
+        buf[: t + 2] *= 1.0 - p
+        buf[1 : t + 2] += up
+    return np.moveaxis(buf, 0, -1)
 
 
 def compute_pmf(params: ParamVector) -> Pmf:
     """Mass function of the component sum, length n + 1."""
     return Pmf(_convolve_bernoullis(params.p))
-
-
-def leave_one_out(params: ParamVector, i: int) -> Pmf:
-    """Mass function of the sum with component i removed (support {0, ..., n-1})."""
-    n = params.n
-    if not 0 <= i < n:
-        raise IndexError(f"component index {i} out of range for n={n}")
-    rest = np.delete(params.p, i)
-    if rest.size == 0:
-        return Pmf(np.array([1.0]))
-    return Pmf(_convolve_bernoullis(rest))
 
 
 def _check_pair(n: int, i: int, j: int) -> None:
@@ -161,41 +145,6 @@ def _check_pair(n: int, i: int, j: int) -> None:
     for idx in (i, j):
         if not 0 <= idx < n:
             raise IndexError(f"component index {idx} out of range for n={n}")
-
-
-def leave_two_out(params: ParamVector, i: int, j: int) -> Pmf:
-    """Mass function with components i and j removed (support {0, ..., n-2}).
-
-    Symmetric in (i, j).
-    """
-    _check_pair(params.n, i, j)
-    rest = np.delete(params.p, [i, j])
-    if rest.size == 0:
-        return Pmf(np.array([1.0]))
-    return Pmf(_convolve_bernoullis(rest))
-
-
-def brute_force_pmf(params: ParamVector) -> Pmf:
-    """Oracle mass function summed over all 2^n outcome patterns.
-
-    Deliberately independent of the convolution path so the tests can pin one
-    against the other. Guarded because the cost doubles with every component.
-    """
-    n = params.n
-    if n > BRUTE_FORCE_MAX_N:
-        raise ValueError(f"enumeration limited to n <= {BRUTE_FORCE_MAX_N}, got n={n}")
-    p = params.p
-    out = np.zeros(n + 1)
-    codes = np.arange(1 << n, dtype=np.uint64)
-    shifts = np.arange(n, dtype=np.uint64)
-    chunk = 1 << 14
-    for lo in range(0, codes.size, chunk):
-        block = codes[lo : lo + chunk]
-        bits = (block[:, None] >> shifts) & np.uint64(1)
-        weights = np.where(bits == 1, p, 1.0 - p).prod(axis=1)
-        counts = bits.sum(axis=1).astype(np.intp)
-        out += np.bincount(counts, weights=weights, minlength=n + 1)
-    return Pmf(out)
 
 
 @lru_cache(maxsize=16)
@@ -209,11 +158,12 @@ def pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True, eq=False)
 class LeaveStructures:
-    """Full pmf plus every leave-one-out and leave-two-out pmf of one parameter vector.
+    """Full pmf plus every leave-one-out and leave-two-out pmf.
 
-    singles has shape (n, n), row i being the pmf without component i; pairs
-    has shape (n(n-1)/2, n-1), one row per pair i < j in lexicographic order.
-    All three arrays are read-only.
+    For one parameter vector, singles has shape (n, n), row i being the pmf
+    without component i, and pairs has shape (n(n-1)/2, n-1), one row per
+    pair i < j in lexicographic order. A stack of m vectors puts a leading
+    axis of size m on all three. The arrays are read-only.
     """
 
     f: np.ndarray
@@ -221,45 +171,50 @@ class LeaveStructures:
     pairs: np.ndarray
 
     def single(self, i: int) -> np.ndarray:
-        return self.singles[i]
+        return self.singles[..., i, :]
 
     def pair(self, i: int, j: int) -> np.ndarray:
         if i > j:
             i, j = j, i
-        n = self.singles.shape[0]
+        n = self.singles.shape[-1]
         if not 0 <= i < j < n:
             raise KeyError((i, j))
-        return self.pairs[i * (2 * n - i - 1) // 2 + (j - i - 1)]
+        return self.pairs[..., i * (2 * n - i - 1) // 2 + (j - i - 1), :]
 
 
-def leave_structures(params: ParamVector) -> LeaveStructures:
-    """One pass of prefix/suffix convolutions shared by every leave-out pmf.
+def leave_structures(p) -> LeaveStructures:
+    """f, every leave-one-out and every leave-two-out pmf of each row of p (m, n).
 
-    Far cheaper than removing components one at a time when all of them are
-    needed, which is what the derivative and Hessian machinery does.
+    One masked two-tap Bernoulli recurrence over a k-major buffer
+    buf[k, instance, row]: row 0 is f, row 1 + i is single i, and the pairs
+    follow in colex order (by j, then i). Step t applies component t to
+    every row that keeps it, over k = 0..t+1 only. Single t skips it: its
+    state is put back after the step. Pair (i, j) is born at step j as a
+    copy of single i, outside that step's rows, so it skips j too. Every
+    row is thus the sequential convolution of its kept components, with the
+    bits of compute_pmf on them, and the same bits in any stack.
     """
-    p = params.p
-    n = params.n
-    kernels = [np.array([1.0 - pi, pi]) for pi in p]
-    pre = [np.array([1.0])]
-    for i in range(n):
-        pre.append(np.convolve(pre[i], kernels[i]))
-    suf = [np.array([1.0])] * (n + 1)
-    for i in range(n - 1, 0, -1):  # suf[0] would be the full pmf, pre[n]
-        suf[i] = np.convolve(kernels[i], suf[i + 1])
-    singles = np.empty((n, n))
-    for i in range(n):
-        singles[i] = np.convolve(pre[i], suf[i + 1])
-    pairs = np.empty((n * (n - 1) // 2, max(n - 1, 0)))
-    row = 0
-    for i in range(n):
-        left = pre[i]  # components 0..i-1, extended below with i+1..j-1
-        for j in range(i + 1, n):
-            pairs[row] = np.convolve(left, suf[j + 1])
-            row += 1
-            if j < n - 1:
-                left = np.convolve(left, kernels[j])
-    f = pre[n]
+    p = _as_prob_array(p, ndim=2)
+    m, n = p.shape
+    born = [1 + n + t * (t - 1) // 2 for t in range(n + 1)]  # first pair row (i, t)
+    buf = np.zeros((n + 1, m, born[n]))
+    buf[0, :, : 1 + n] = 1.0
+    q = 1.0 - p
+    for t in range(n):
+        buf[: t + 1, :, born[t] : born[t + 1]] = buf[: t + 1, :, 1 : 1 + t]
+        live = buf[: t + 2, :, : born[t]]
+        skipped = live[:, :, 1 + t].copy()
+        up = live[:-1] * p[:, t, None]
+        live *= q[:, t, None]
+        live[1:] += up
+        live[:, :, 1 + t] = skipped
+    i, j = pair_indices(n)
+    colex = 1 + n + j * (j - 1) // 2 + i  # buffer row of each pair, in lexicographic order
+    f = np.ascontiguousarray(buf[:, :, 0].T)
+    singles = np.ascontiguousarray(buf[:n, :, 1 : 1 + n].transpose(1, 2, 0))
+    pairs = np.empty((m, i.size, max(n - 1, 0)))
+    for k in range(n - 1):  # one k at a time, so the gather needs no second buffer
+        pairs[:, :, k] = buf[k][:, colex]
     for arr in (f, singles, pairs):
         arr.setflags(write=False)
     return LeaveStructures(f=f, singles=singles, pairs=pairs)

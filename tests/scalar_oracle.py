@@ -7,7 +7,10 @@ the same on every machine. Each function returns the margins as (k, value)
 pairs plus the monomial scale the checker's tolerance is built from.
 
 The cyclic Jacobi eigensolver is here too; it pins the LAPACK eigenvalue of
-the entropy Hessian.
+the entropy Hessian. So are the leave-out mass functions built one removal
+at a time and the 2^n enumeration of the pmf, which pin the library's
+stacked leave-out builder, and the scan as a loop over instances, which pins
+the grouped scan.
 """
 
 from __future__ import annotations
@@ -15,6 +18,58 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from entropath.pmf import ParamVector, Pmf, _check_pair, compute_pmf
+
+
+# Enumerating 2^n outcomes is the test oracle; past this it stops being cheap.
+BRUTE_FORCE_MAX_N = 20
+
+
+def leave_one_out(params: ParamVector, i: int) -> Pmf:
+    """Mass function of the sum with component i removed (support {0, ..., n-1})."""
+    n = params.n
+    if not 0 <= i < n:
+        raise IndexError(f"component index {i} out of range for n={n}")
+    rest = np.delete(params.p, i)
+    if rest.size == 0:
+        return Pmf(np.array([1.0]))
+    return compute_pmf(ParamVector(rest))
+
+
+def leave_two_out(params: ParamVector, i: int, j: int) -> Pmf:
+    """Mass function with components i and j removed (support {0, ..., n-2}).
+
+    Symmetric in (i, j).
+    """
+    _check_pair(params.n, i, j)
+    rest = np.delete(params.p, [i, j])
+    if rest.size == 0:
+        return Pmf(np.array([1.0]))
+    return compute_pmf(ParamVector(rest))
+
+
+def brute_force_pmf(params: ParamVector) -> Pmf:
+    """Oracle mass function summed over all 2^n outcome patterns.
+
+    Deliberately independent of the convolution path so the tests can pin one
+    against the other. Guarded because the cost doubles with every component.
+    """
+    n = params.n
+    if n > BRUTE_FORCE_MAX_N:
+        raise ValueError(f"enumeration limited to n <= {BRUTE_FORCE_MAX_N}, got n={n}")
+    p = params.p
+    out = np.zeros(n + 1)
+    codes = np.arange(1 << n, dtype=np.uint64)
+    shifts = np.arange(n, dtype=np.uint64)
+    chunk = 1 << 14
+    for lo in range(0, codes.size, chunk):
+        block = codes[lo : lo + chunk]
+        bits = (block[:, None] >> shifts) & np.uint64(1)
+        weights = np.where(bits == 1, p, 1.0 - p).prod(axis=1)
+        counts = bits.sum(axis=1).astype(np.intp)
+        out += np.bincount(counts, weights=weights, minlength=n + 1)
+    return Pmf(out)
 
 
 def at(v: np.ndarray, k: int) -> float:
@@ -192,6 +247,26 @@ def jacobi_eigenvalues(matrix, off_tol: float = 1e-12, max_sweeps: int = 30) -> 
     return np.sort(np.diagonal(a).copy())
 
 
+def hessian_matrix(f: np.ndarray, singles: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """The entropy Hessian of one instance from its leave-out pmfs, as two-dimensional products.
+
+    The first-order part is one (n, n+1) @ (n+1, n) product; the stacked
+    library kernel must give each row these bits.
+    """
+    n = singles.shape[0]
+    gp = np.zeros((n, n + 2))
+    gp[:, 1 : n + 1] = singles
+    d = gp[:, : n + 1] - gp[:, 1:]
+    m = -(d * (1.0 / f)) @ d.T
+    hp = np.zeros((pairs.shape[0], n + 3))
+    hp[:, 2 : n + 1] = pairs
+    cross = -((np.log(f) + 1.0) * (hp[:, 2:] - 2.0 * hp[:, 1:-1] + hp[:, :-2])).sum(axis=1)
+    rows, cols = np.triu_indices(n, 1)
+    m[rows, cols] += cross
+    m[cols, rows] += cross
+    return 0.5 * (m + m.T)
+
+
 # Curvature formulas along an affine path, one instance at a time, as the
 # library computed them before its curvature kernels took stacks: f, g and h
 # are the 1-D pmf and mixture sequences. Each returns the value and the
@@ -324,3 +399,103 @@ def bisect_by_scans(config, family: str, kind: str, bracket, tol: float = 1e-7, 
         else:
             hi = mid
     return 0.5 * (lo + hi), tuple(trace)
+
+
+def _xlogx(x: float) -> float:
+    return x * math.log(x) if x > 0.0 else 0.0
+
+
+def uk_terms(f: np.ndarray, g: np.ndarray, h: np.ndarray):
+    """u_k and its transform data one k at a time: (u, h, branch, A, B, C, alpha, beta, gamma).
+
+    Off the transform branch the six transform entries are None. The
+    transform lower bound on u_k is asserted to 1e-10, as the library does.
+    """
+    logf = np.log(f)
+    terms = []
+    for k in range(h.size):
+        fk, f1, f2 = f[k], f[k + 1], f[k + 2]
+        gk, g1, hk = g[k], g[k + 1], h[k]
+        log_ratio = logf[k] + logf[k + 2] - 2.0 * logf[k + 1]
+        u = hk * log_ratio + (gk * gk / fk - 2.0 * gk * g1 / f1 + g1 * g1 / f2)
+        if hk <= 0.0:
+            terms.append((u, hk, "h_nonpositive") + (None,) * 6)
+            continue
+        if gk * gk == 0.0 or g1 * g1 == 0.0:
+            terms.append((u, hk, "degenerate") + (None,) * 6)
+            continue
+        ag = abs(gk) * abs(g1)
+        a_val = (gk * gk - fk * hk) / (gk * gk)
+        b_val = (ag - f1 * hk) / ag
+        c_val = (g1 * g1 - f2 * hk) / (g1 * g1)
+        alpha, beta, gamma = gk * gk / fk, ag / f1, g1 * g1 / f2
+        bound = (
+            alpha * _xlogx(1.0 - a_val)
+            - 2.0 * beta * _xlogx(1.0 - b_val)
+            + gamma * _xlogx(1.0 - c_val)
+            + (alpha * a_val - 2.0 * beta * b_val + gamma * c_val)
+        )
+        assert u - bound >= -1e-10 * max(1.0, abs(u), alpha, 2.0 * beta, gamma)
+        terms.append((u, hk, "transform", a_val, b_val, c_val, alpha, beta, gamma))
+    return terms
+
+
+# The scan as it was first written: every instance on its own, every checker
+# evaluated on it through evaluate_checker, the worst margins merged as the
+# instances come. The grouped scan must give the same report byte for byte.
+
+
+def scan_by_instance(config, collect_margins: bool = False):
+    """The ScanReport of config, one instance at a time."""
+    from entropath.explorer import (
+        _Q_CHECKERS,
+        OVERESTIMATE_CAVEAT,
+        CounterexampleCertificate,
+        ScanReport,
+        _cuts_certificate,
+        _family_instances,
+        evaluate_checker,
+    )
+
+    cfg_hash = config.config_hash()
+    worst: dict[str, dict] = {}
+    certificates = []
+    rows = []
+    for inst in _family_instances(config):
+        params = ParamVector(np.array(inst.p))
+        slopes = np.array(inst.slopes)
+        for cid in config.inequality_set:
+            for q in config.q_grid if cid in _Q_CHECKERS else (None,):
+                report = evaluate_checker(cid, params, slopes, q)
+                if report is None:
+                    continue
+                key = cid if q is None else f"{cid}[q={q!r}]"
+                if collect_margins:
+                    rows.extend((inst.index, key, k, v) for k, v in report.margins)
+                if report.values.size:
+                    k_worst = int(report.ks[report.worst_position])
+                    entry = worst.get(key)
+                    if entry is None or report.worst < entry["margin"]:
+                        worst[key] = {
+                            "margin": report.worst,
+                            "instance_index": inst.index,
+                            "k": k_worst,
+                        }
+                if _cuts_certificate(report.worst, report.tolerance):
+                    again = evaluate_checker(cid, ParamVector(np.array(inst.p)),
+                                             np.array(inst.slopes), q)
+                    certificates.append(CounterexampleCertificate(
+                        config_hash=cfg_hash, instance_index=inst.index, inequality=cid,
+                        p=inst.p, slopes=inst.slopes, t=inst.t, q=q, k=k_worst,
+                        margin=report.worst, reeval_margin=again.worst,
+                    ))
+    certificates.sort(key=lambda c: (c.instance_index, c.inequality, c.q or 0.0))
+    caveat = OVERESTIMATE_CAVEAT if any(c in _Q_CHECKERS for c in config.inequality_set) else None
+    return ScanReport(
+        config=config,
+        config_hash=cfg_hash,
+        worst_margins=worst,
+        certificates=tuple(certificates),
+        margin_rows=tuple(rows) if collect_margins else None,
+        caveat=caveat,
+    )

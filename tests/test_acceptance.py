@@ -35,7 +35,8 @@ from entropath.inequalities import (
     compute_uk,
 )
 from entropath.numdiff import central_first, central_second
-from entropath.pmf import ParamVector, brute_force_pmf, compute_pmf
+from entropath.pmf import ParamVector, compute_pmf
+from scalar_oracle import brute_force_pmf
 from entropath.qentropy import (
     EntropySpec,
     binomial2_tsallis_curvature,

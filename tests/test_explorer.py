@@ -1,5 +1,6 @@
 """Scan determinism, certificate soundness, and empirical critical q."""
 
+import json
 import tracemalloc
 from dataclasses import replace
 
@@ -7,11 +8,13 @@ import numpy as np
 import pytest
 
 import scalar_oracle as oracle
-from entropath import explorer, inequalities, qentropy
+from entropath import cli, explorer, inequalities, pmf, qentropy
+from entropath.errors import BoundaryError, ConsistencyError
 from entropath.explorer import (
     CHECKER_IDS,
     CHECKERS,
     SHANNON_SUITE,
+    Group,
     ScanConfig,
     SplitMix64,
     estimate_critical_q,
@@ -113,12 +116,13 @@ class TestCheckerTable:
             evaluate_checker("not_a_checker", ParamVector(np.array([0.3])), np.zeros(1))
 
     def test_functions_looked_up_at_call_time(self, monkeypatch):
-        # A tracer rebinds module attributes; the table must call the rebound ones.
-        marker = inequalities.MarginReport.from_array("marker", np.array([1.0]), 1e-9)
-        monkeypatch.setattr(inequalities, "check_c1", lambda f: marker)
-        monkeypatch.setattr(qentropy, "q_curvature", lambda params, slopes, spec: 42.0)
+        # A tracer rebinds module attributes; the table must call the rebound kernels.
+        marker = inequalities.Margins(np.array([[1.0]]), np.array([1e-9]))
+        monkeypatch.setattr(inequalities, "stacked_c1", lambda f: marker)
+        monkeypatch.setattr(qentropy, "stacked_q_curvature", lambda *args: np.array([42.0]))
         params, slopes = ParamVector(np.array([0.3, 0.6])), np.array([1.0, -0.5])
-        assert evaluate_checker("c1", params, slopes) is marker
+        report = evaluate_checker("c1", params, slopes)
+        assert (report.name, report.values.tolist(), report.tolerance) == ("c1", [1.0], 1e-9)
         assert evaluate_checker("tsallis_concavity", params, slopes, 3.0).worst == -42.0
 
 
@@ -327,3 +331,163 @@ class TestEstimatorMatchesScanBisection:
         with pytest.raises(ValueError, match="constant"):
             estimate_critical_q(cfg, "binomial2", "tsallis", (3.5, 3.8))
         assert calls == [(5, 3), (5, 3)]
+
+
+def _scan_outputs(scan, config):
+    """The JSON report and the CSV rows of a scan, or the type and message of what it raised."""
+    try:
+        report = scan(config, collect_margins=True)
+    except (ValueError, RuntimeError) as exc:  # BoundaryError and ConsistencyError included
+        return type(exc), str(exc)
+    return report.to_json(), inequalities.rows_to_csv(report.margin_rows)
+
+
+GROUPED_SCAN_CASES = {
+    # Interleaved n, so the groups come back in a different order than the instances.
+    "random_affine_1_12": ScanConfig(seed=5, n_range=(1, 12), instance_count=120),
+    "random_affine_2_8": ScanConfig(seed=6, n_range=(2, 8), instance_count=90),
+    # q checkers that cut certificates, re-evaluated per group.
+    "renyi_bernoulli": ScanConfig(seed=1, n_range=(1, 1), instance_count=25, family="bernoulli",
+                                  inequality_set=("renyi_concavity",), q_grid=(2.5, 1.5)),
+    "tsallis_binomial2": ScanConfig(seed=1, n_range=(2, 2), instance_count=49,
+                                    family="binomial2", inequality_set=CHECKER_IDS,
+                                    q_grid=(4.0, 3.0)),
+    "q_grid_random": ScanConfig(seed=3, n_range=(1, 5), instance_count=60,
+                                inequality_set=("renyi_concavity", "tsallis_concavity",
+                                                "uk_nonneg", "cij"),
+                                q_grid=(1.5, 2.5, 3.9, 4.5)),
+    # Fixed t grids: on binomial2 all 49 hessian_psd margins tie at -ln 4.
+    "bernoulli": ScanConfig(seed=1, n_range=(1, 1), instance_count=49, family="bernoulli"),
+    "binomial2": ScanConfig(seed=1, n_range=(2, 2), instance_count=49, family="binomial2"),
+    "binomial_n": ScanConfig(seed=1, n_range=(1, 7), instance_count=49, family="binomial_n"),
+    # Raise at n = 200: the two-fold identity check, and at t = 0.02 underflowed masses.
+    "two_fold_n200": ScanConfig(seed=0, n_range=(200, 200), instance_count=20,
+                                family="binomial_n",
+                                inequality_set=("log_concavity", "two_fold_log_concavity")),
+    "uk_n200": ScanConfig(seed=0, n_range=(200, 200), instance_count=2, family="binomial_n",
+                          inequality_set=("uk_nonneg",)),
+}
+
+
+class TestGroupedScanMatchesInstanceLoop:
+    """run_scan against the scan written as a loop over instances and evaluate_checker."""
+
+    @pytest.mark.parametrize("case", GROUPED_SCAN_CASES)
+    def test_same_json_and_csv(self, case):
+        config = GROUPED_SCAN_CASES[case]
+        want = _scan_outputs(oracle.scan_by_instance, config)
+        assert _scan_outputs(run_scan, config) == want
+
+    def test_cases_cover_certificates_ties_and_errors(self):
+        assert run_scan(GROUPED_SCAN_CASES["renyi_bernoulli"]).certificates
+        assert run_scan(GROUPED_SCAN_CASES["tsallis_binomial2"]).certificates
+        binomial2 = oracle.scan_by_instance(GROUPED_SCAN_CASES["binomial2"])
+        assert binomial2.worst_margins["hessian_psd"]["margin"] == pytest.approx(-np.log(0.25))
+        with pytest.raises(ConsistencyError, match="two-fold margin forms disagree at k=50"):
+            run_scan(GROUPED_SCAN_CASES["two_fold_n200"])
+        with pytest.raises(BoundaryError, match="^zero mass on the support"):
+            run_scan(GROUPED_SCAN_CASES["uk_n200"])
+
+    def test_checker_kernels_give_every_row_its_one_row_bits(self):
+        cfg = ScanConfig(seed=8, n_range=(5, 5), instance_count=7,
+                         inequality_set=CHECKER_IDS, q_grid=(2.5,))
+        group = Group.of(explorer._family_instances(cfg), uses_leave=True)
+        for cid in CHECKER_IDS:
+            stacked = CHECKERS[cid].kernel(group, 2.5)
+            for row, inst in enumerate(group.instances):
+                alone = evaluate_checker(cid, ParamVector(np.array(inst.p)),
+                                         np.array(inst.slopes), 2.5)
+                assert stacked.values[row].tobytes() == alone.values.tobytes(), cid
+                assert float(stacked.tolerance[row]) == alone.tolerance, cid
+
+
+class TestGroupMemory:
+    def test_pmf_only_scan_never_builds_leave_structures(self, monkeypatch):
+        def refuse(p):
+            raise AssertionError("leave-out structures built for pmf-only checkers")
+
+        monkeypatch.setattr(pmf, "leave_structures", refuse)
+        cfg = ScanConfig(seed=0, n_range=(200, 200), instance_count=5, family="binomial_n",
+                         inequality_set=("log_concavity", "c1", "c1bar"))
+        assert set(run_scan(cfg).worst_margins) == {"log_concavity", "c1", "c1bar"}
+        with pytest.raises(ConsistencyError):
+            run_scan(replace(cfg, inequality_set=("two_fold_log_concavity",)))
+
+    def test_scan_peak_does_not_grow_with_instance_count(self):
+        def peak(count: int) -> int:
+            cfg = ScanConfig(seed=0, n_range=(40, 40), instance_count=count)
+            tracemalloc.start()
+            try:
+                run_scan(cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(400) <= 1.5 * peak(10)
+
+
+class TestVerifyDecomposesOnce:
+    def test_one_uk_decomposition_per_verify(self, monkeypatch, capsys):
+        calls = []
+        kernel = inequalities.stacked_uk
+
+        def counting(f, g, h):
+            calls.append(f.shape)
+            return kernel(f, g, h)
+
+        monkeypatch.setattr(inequalities, "stacked_uk", counting)
+        argv = ["verify", "--p", "0.2,0.5,0.7", "--slopes", "1,-0.5,0.3", "--format", "json"]
+        assert cli.main(argv) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert calls == [(1, 4)]
+        uk = next(c for c in report["checks"] if c["name"] == "uk_nonneg")
+        assert [m for _, m in uk["margins"]] == [t["u"] for t in report["uk"]["terms"]]
+
+
+class TestRowMinima:
+    def test_rows_with_nan_follow_first_min(self):
+        rng = np.random.default_rng(12)
+        values = rng.choice([-1.0, 0.5, 2.0, np.nan], (400, 5))
+        values[:, 0] = np.where(rng.random(400) < 0.5, np.nan, values[:, 0])
+        pos = inequalities._first_mins(values)
+        assert pos.tolist() == [inequalities._first_min(row) for row in values]
+        assert any(np.isnan(v).any() and not np.isnan(v[p]) for v, p in zip(values, pos))
+
+    def test_a_cut_ladder_margin_is_evaluated_again(self):
+        cfg = ScanConfig(seed=4, n_range=(6, 6), instance_count=3,
+                         inequality_set=("condition4",))
+        insts = explorer._family_instances(cfg)
+        margins = CHECKERS["condition4"].kernel(Group.of(insts, True), None).values
+        pos = inequalities._first_mins(margins)
+        cuts = [(inst, "condition4", None, int(pos[r]), margins[r, pos[r]].item())
+                for r, inst in enumerate(insts)]
+        certificates = explorer._certificates(cfg.config_hash(), cuts[::-1])
+        assert [c.reeval_margin for c in certificates] == [c[4] for c in cuts[::-1]]
+        assert [c.reeval_margin for c in certificates] == [
+            reevaluate_certificate(c) for c in certificates
+        ]
+
+
+class TestWorstMarginMerge:
+    def test_groups_in_any_order_give_the_sequential_pick(self):
+        # The scan keeps the first row and replaces it by any smaller margin:
+        # a leading NaN sticks, later NaNs never win, ties go to the lowest index.
+        rng = np.random.default_rng(11)
+        for trial in range(300):
+            count = int(rng.integers(1, 12))
+            worst = rng.choice([-1.0, -0.5, 0.0, -0.0, 2.0, np.nan], count)
+            want = None
+            for i, w in enumerate(worst.tolist()):
+                if want is None or w < want[1]:
+                    want = (i, w)
+            cuts = np.sort(rng.choice(np.arange(1, count), int(rng.integers(0, count)),
+                                      replace=False)) if count > 1 else []
+            groups = np.split(np.arange(count), cuts)
+            rng.shuffle(groups)
+            minimum = explorer._Minimum()
+            for index in groups:
+                minimum.add(index, worst[index], 10 * index)
+            got = minimum.entry()
+            assert got["instance_index"] == want[0], (worst, groups)
+            assert got["k"] == 10 * want[0]
+            assert np.array_equal(got["margin"], want[1], equal_nan=True)

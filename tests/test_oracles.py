@@ -14,6 +14,7 @@ from entropath.calculus import (
     entropy_hessian,
     path_derivatives,
     stacked_entropy_curvature,
+    stacked_entropy_hessian,
 )
 from entropath.errors import BoundaryError, ConsistencyError
 from entropath.inequalities import (
@@ -27,8 +28,10 @@ from entropath.inequalities import (
     check_corollary_fgh,
     check_log_concavity,
     check_two_fold_log_concavity,
+    compute_uk,
+    stacked_uk,
 )
-from entropath.pmf import ParamVector, compute_pmf
+from entropath.pmf import ParamVector, compute_pmf, leave_structures
 from entropath.qentropy import (
     EntropySpec,
     power_sum_derivatives,
@@ -158,6 +161,19 @@ def test_cached_leave_structures_are_read_only():
             arr[0] = 0.0
 
 
+@pytest.mark.parametrize("n", (1, 2, 3, 5, 12, 30, 50))
+def test_hessian_stack_rows_equal_two_dimensional_products(n):
+    p = np.random.default_rng(n).uniform(0.05, 0.95, (6, n))
+    ls = leave_structures(p)
+    matrices, top = stacked_entropy_hessian(p, ls.f, ls.singles, ls.pairs)
+    for row in range(6):
+        want = oracle.hessian_matrix(ls.f[row], ls.singles[row], ls.pairs[row])
+        assert matrices[row].tobytes() == want.tobytes()
+        report = entropy_hessian(ParamVector(p[row]))
+        assert report.matrix.tobytes() == want.tobytes()
+        assert top[row].item() == report.max_eigenvalue == float(np.linalg.eigvalsh(want)[-1])
+
+
 # The stacked curvature kernels: one call per stack of f (m, n+1), g (m, n)
 # and h (m, n-1) rows, of which the one-instance functions are one-row calls.
 KERNEL_QS = (0.5, 2.0, 3.65986, 4.0)
@@ -276,3 +292,24 @@ def test_stacked_kernels_raise_boundary_error_as_one_row_calls_do(spec):
         assert _bits(stacked[1]) == _bits(one)
         assert _bits(stacked) == _bits([q_curvature(ParamVector(pp), ss, spec)
                                         for pp, ss in mates])
+
+
+def _uk_rows(dec):
+    return [(t.u, t.h, t.branch.value, t.A, t.B, t.C, t.alpha, t.beta, t.gamma)
+            for t in dec.terms]
+
+
+def test_uk_decomposition_equals_the_scalar_loop():
+    # g vanishes identically here; by the corollary g_k^2 >= h_k f_k, h_k <= 0 then.
+    crafted = (ParamVector(np.array([0.5, 0.5, 0.5])), np.array([1.0, -1.0, 0.0]))
+    branches = set()
+    stacks = KERNEL_STACKS[1:] + [([crafted], *(a[None] for a in _fgh(*crafted)))]
+    for cases, f, g, h in stacks:
+        stacked = stacked_uk(f, g, h)
+        for row, (params, slopes) in enumerate(cases):
+            want = oracle.uk_terms(f[row], g[row], h[row])
+            got = _uk_rows(stacked.row(row))
+            assert got == want
+            assert _uk_rows(compute_uk(params, slopes)) == got
+            branches.update(t[2] for t in got)
+    assert branches == {"h_nonpositive", "transform"}

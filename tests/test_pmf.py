@@ -1,5 +1,6 @@
 """Mass-function construction against the enumeration oracle."""
 
+import itertools
 import json
 
 import numpy as np
@@ -7,15 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entropath.pmf import (
-    ParamVector,
-    Pmf,
-    brute_force_pmf,
-    compute_pmf,
-    leave_one_out,
-    leave_structures,
-    leave_two_out,
-)
+from entropath.pmf import ParamVector, Pmf, _convolve_bernoullis, compute_pmf, leave_structures
+from scalar_oracle import brute_force_pmf, leave_one_out, leave_two_out
 
 prob_lists = st.lists(
     st.floats(min_value=0.0, max_value=1.0, allow_nan=False), min_size=1, max_size=8
@@ -145,7 +139,7 @@ class TestLeaveOut:
         for _ in range(25):
             n = int(rng.integers(2, 10))
             pv = ParamVector(rng.random(n))
-            ls = leave_structures(pv)
+            ls = pv.leave
             np.testing.assert_allclose(ls.f, compute_pmf(pv).values, atol=1e-14)
             for i in range(n):
                 np.testing.assert_allclose(
@@ -155,6 +149,83 @@ class TestLeaveOut:
                     np.testing.assert_allclose(
                         ls.pair(j, i), leave_two_out(pv, i, j).values, atol=1e-14
                     )
+
+
+def kept_convolutions(p: np.ndarray, drop: int) -> np.ndarray:
+    """The pmf of p without each set of `drop` components, lexicographic, one row per set.
+
+    Each row convolves its kept components in index order, as compute_pmf
+    does; the rows are stacked only to keep the sweep up to n = 60 fast.
+    """
+    n = p.size
+    keep = [np.delete(np.arange(n), list(out)) for out in itertools.combinations(range(n), drop)]
+    if not keep:
+        return np.zeros((0, 0))
+    return _convolve_bernoullis(p[np.array(keep)])
+
+
+def _bits(a) -> bytes:
+    return np.ascontiguousarray(a).tobytes()
+
+
+class TestLeaveStructuresBuilder:
+    """The masked recurrence against one-removal-at-a-time oracles, bit for bit."""
+
+    def test_stacked_convolution_equals_compute_pmf(self, rng):
+        for n in range(1, 61):
+            p = rng.random((5, n))
+            stacked = _convolve_bernoullis(p)
+            for row in range(5):
+                assert _bits(stacked[row]) == _bits(compute_pmf(ParamVector(p[row])).values)
+
+    @pytest.mark.parametrize("degenerate", (False, True), ids=("interior", "zeros_and_ones"))
+    def test_rows_equal_oracles_and_one_row_calls(self, degenerate):
+        rng = np.random.default_rng(60 + degenerate)
+        for n in range(1, 61):
+            # Every stack size up to n = 24. Above that the stacks stay small:
+            # a 49-row stack at n = 60 alone takes most of a second to build.
+            m = (1, 4, 15, 49)[n % 4] if n <= 24 else (1, 4)[n % 2]
+            p = rng.random((m, n))
+            if degenerate:  # about a third of the entries exactly 0 or 1
+                hit = rng.random((m, n)) < 0.3
+                p[hit] = rng.integers(0, 2, int(hit.sum()))
+            ls = leave_structures(p)
+            assert ls.f.shape == (m, n + 1)
+            assert ls.singles.shape == (m, n, n)
+            assert ls.pairs.shape == (m, n * (n - 1) // 2, max(n - 1, 0))
+            for arr in (ls.f, ls.singles, ls.pairs):
+                assert not arr.flags.writeable
+            for row in range(m):
+                one = leave_structures(p[row : row + 1])
+                for name in ("f", "singles", "pairs"):
+                    stacked, alone = getattr(ls, name)[row], getattr(one, name)[0]
+                    assert _bits(stacked) == _bits(alone), (name, n, m, row)
+            for row in {0, m - 1}:
+                pv = ParamVector(p[row])
+                assert _bits(ls.f[row]) == _bits(compute_pmf(pv).values)
+                assert _bits(ls.singles[row]) == _bits(kept_convolutions(p[row], 1)), (n, row)
+                assert _bits(ls.pairs[row]) == _bits(kept_convolutions(p[row], 2)), (n, row)
+                if n <= 8:
+                    for i in range(n):
+                        assert _bits(ls.single(i)[row]) == _bits(leave_one_out(pv, i).values)
+                        for j in range(i + 1, n):
+                            want = leave_two_out(pv, i, j).values
+                            assert _bits(ls.pair(j, i)[row]) == _bits(want)
+
+    def test_param_vector_leave_is_the_one_row_call(self, rng):
+        p = rng.random(9)
+        ls, one = ParamVector(p).leave, leave_structures(p[None])
+        for cached, row in zip((ls.f, ls.singles, ls.pairs), (one.f, one.singles, one.pairs)):
+            assert _bits(cached) == _bits(row[0])
+            assert not cached.flags.writeable
+
+    def test_rejects_invalid_stacks(self):
+        with pytest.raises(ValueError):
+            leave_structures(np.array([0.3, 0.5]))
+        with pytest.raises(ValueError):
+            leave_structures(np.array([[0.3, 1.5]]))
+        with pytest.raises(ValueError):
+            leave_structures(np.zeros((2, 0)))
 
 
 class TestBruteForce:
