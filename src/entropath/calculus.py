@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoundaryError
-from .pmf import ParamVector, Pmf, pair_indices
+from .pmf import ParamVector, _masses, pair_indices
 
 __all__ = [
     "AffinePath",
@@ -210,7 +210,7 @@ def pmf_second_time_derivative(path: AffinePath, t: float) -> np.ndarray:
 
 def shannon_entropy(f) -> float:
     """Entropy in nats; zero masses contribute zero."""
-    v = f.values if isinstance(f, Pmf) else np.asarray(f, dtype=np.float64)
+    v = _masses(f)
     pos = v[v > 0.0]
     return float(-(pos * np.log(pos)).sum())
 

@@ -117,28 +117,28 @@ class Group:
 
     p and slopes are (m, n). f, the leave-out structures, g and h and the
     u_k decomposition are built on first use and shared by every kernel run
-    on the group. With uses_leave, f comes from the leave-out builder;
-    without it, from its own convolution, and the group never builds
-    singles or pairs. Both give f the same bits.
+    on the group, so a group whose kernels read only f never builds singles
+    or pairs. f is its own convolution; fgh takes the builder's f, which has
+    the same bits, so a group that builds the leave-out structures need not
+    convolve again.
     """
 
-    def __init__(self, p: np.ndarray, slopes: np.ndarray, uses_leave: bool, instances=()):
+    def __init__(self, p: np.ndarray, slopes: np.ndarray, instances=()):
         self.p = p
         self.slopes = slopes
-        self.uses_leave = uses_leave
         self.instances = tuple(instances)
 
     @classmethod
-    def of(cls, instances, uses_leave: bool) -> "Group":
+    def of(cls, instances) -> "Group":
         """The instances' stored tuples, stacked; they must share one n."""
         p = np.array([inst.p for inst in instances])
         slopes = np.array([inst.slopes for inst in instances])
-        return cls(p, slopes, uses_leave, instances)
+        return cls(p, slopes, instances)
 
     @classmethod
-    def row(cls, params: ParamVector, slopes, uses_leave: bool = True) -> "Group":
+    def row(cls, params: ParamVector, slopes) -> "Group":
         """One instance as a one-row group, its slopes checked against it."""
-        return cls(params.p[None], calculus._check_slopes(params, slopes)[None], uses_leave)
+        return cls(params.p[None], calculus._check_slopes(params, slopes)[None])
 
     @property
     def n(self) -> int:
@@ -150,12 +150,12 @@ class Group:
 
     @cached_property
     def f(self) -> np.ndarray:
-        return self.leave.f if self.uses_leave else pmf._convolve_bernoullis(self.p)
+        return pmf._convolve_bernoullis(self.p)
 
     @cached_property
     def fgh(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         ls = self.leave
-        return (self.f, *calculus.stacked_mixtures(ls.singles, ls.pairs, self.slopes))
+        return (ls.f, *calculus.stacked_mixtures(ls.singles, ls.pairs, self.slopes))
 
     @cached_property
     def uk(self) -> inequalities.UkDecomposition:
@@ -182,11 +182,9 @@ def _q_kernel(kind: str):
 
 
 class Checker(NamedTuple):
-    """The smallest n a checker applies to, whether it reads the leave-out
-    structures (g and h included), and its group kernel (group, q) -> Margins."""
+    """The smallest n a checker applies to and its group kernel (group, q) -> Margins."""
 
     min_n: int
-    uses_leave: bool
     kernel: Callable
 
 
@@ -194,24 +192,22 @@ class Checker(NamedTuple):
 # call time, so a rebound module attribute (a tracer's wrapper, a test's
 # monkeypatch) is the one called.
 CHECKERS = {
-    "log_concavity": Checker(1, False, lambda grp, q: inequalities.stacked_log_concavity(grp.f)),
+    "log_concavity": Checker(1, lambda grp, q: inequalities.stacked_log_concavity(grp.f)),
     "two_fold_log_concavity": Checker(
-        1, False, lambda grp, q: inequalities.stacked_two_fold_log_concavity(grp.f)
+        1, lambda grp, q: inequalities.stacked_two_fold_log_concavity(grp.f)
     ),
-    "c1": Checker(1, False, lambda grp, q: inequalities.stacked_c1(grp.f)),
-    "c1bar": Checker(1, False, lambda grp, q: inequalities.stacked_c1bar(grp.f)),
-    "cij": Checker(2, True, lambda grp, q: inequalities.stacked_cij(grp.leave.pairs)),
-    "condition4": Checker(2, True, lambda grp, q: inequalities.stacked_condition4(*grp.fgh)),
-    "corollary_fgh": Checker(
-        2, True, lambda grp, q: inequalities.stacked_corollary_fgh(*grp.fgh)
-    ),
-    "uk_nonneg": Checker(2, True, lambda grp, q: _theorem(grp.uk.u)),
+    "c1": Checker(1, lambda grp, q: inequalities.stacked_c1(grp.f)),
+    "c1bar": Checker(1, lambda grp, q: inequalities.stacked_c1bar(grp.f)),
+    "cij": Checker(2, lambda grp, q: inequalities.stacked_cij(grp.leave.pairs)),
+    "condition4": Checker(2, lambda grp, q: inequalities.stacked_condition4(*grp.fgh)),
+    "corollary_fgh": Checker(2, lambda grp, q: inequalities.stacked_corollary_fgh(*grp.fgh)),
+    "uk_nonneg": Checker(2, lambda grp, q: _theorem(grp.uk.u)),
     "entropy_concavity": Checker(
-        1, True, lambda grp, q: _theorem(-calculus.stacked_entropy_curvature(*grp.fgh)[:, None])
+        1, lambda grp, q: _theorem(-calculus.stacked_entropy_curvature(*grp.fgh)[:, None])
     ),
-    "hessian_psd": Checker(1, True, _hessian_psd),
-    "renyi_concavity": Checker(1, True, _q_kernel("renyi")),
-    "tsallis_concavity": Checker(1, True, _q_kernel("tsallis")),
+    "hessian_psd": Checker(1, _hessian_psd),
+    "renyi_concavity": Checker(1, _q_kernel("renyi")),
+    "tsallis_concavity": Checker(1, _q_kernel("tsallis")),
 }
 
 CHECKER_IDS = tuple(CHECKERS)
@@ -224,25 +220,19 @@ SHANNON_SUITE = tuple(cid for cid in CHECKER_IDS if cid not in _Q_CHECKERS)
 _REPORT_NAMES = {"cij": "cij_nonpositive"}
 
 
-def _uses_leave(cids) -> bool:
-    return any(CHECKERS[cid].uses_leave for cid in cids)
-
-
-def group_report(cid: str, group: Group, q: float | None = None, row: int = 0):
-    """One row of the checker's kernel on the group as a MarginReport; None when n is too small."""
+def group_report(cid: str, group: Group, q: float | None = None):
+    """Row 0 of the checker's kernel on the group as a MarginReport; None when n is too small."""
     if cid not in CHECKERS:
         raise ValueError(f"unknown checker id {cid!r}")
     checker = CHECKERS[cid]
     if group.n < checker.min_n:
         return None
-    return checker.kernel(group, q).report(_REPORT_NAMES.get(cid, cid), row)
+    return checker.kernel(group, q).report(_REPORT_NAMES.get(cid, cid))
 
 
 def evaluate_checker(cid: str, params: ParamVector, slopes: np.ndarray, q: float | None = None):
     """MarginReport for one checker on one instance, a one-row group; None when n is too small."""
-    if cid not in CHECKERS:
-        raise ValueError(f"unknown checker id {cid!r}")
-    return group_report(cid, Group.row(params, slopes, CHECKERS[cid].uses_leave), q)
+    return group_report(cid, Group.row(params, slopes), q)
 
 
 # Families and the t grids they are evaluated on:
@@ -441,7 +431,7 @@ def _certificates(cfg_hash: str, cuts) -> list[CounterexampleCertificate]:
     if not cuts:
         return []
     insts = {inst.index: inst for inst, *_ in cuts}
-    group = Group.of(list(insts.values()), _uses_leave(cid for _, cid, *_ in cuts))
+    group = Group.of(list(insts.values()))
     row_of = {index: r for r, index in enumerate(insts)}
     again = {}
     for cid, q in dict.fromkeys((cid, q) for _, cid, q, *_ in cuts):
@@ -497,7 +487,7 @@ class ScanReport:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
 
-def _groups(config: ScanConfig, uses_leave: bool) -> Iterator[Group]:
+def _groups(config: ScanConfig) -> Iterator[Group]:
     """The configured family's instances grouped by n, ascending, and chunked.
 
     A chunk holds at most _GROUP_BYTES of leave-out buffer and keeps the
@@ -509,7 +499,7 @@ def _groups(config: ScanConfig, uses_leave: bool) -> Iterator[Group]:
         indices = np.flatnonzero(sizes == n)
         chunk = max(1, _GROUP_BYTES // (8 * (n + 1) * (1 + n + n * (n - 1) // 2)))
         for lo in range(0, indices.size, chunk):
-            yield Group.of(_family_instances(config, indices[lo : lo + chunk]), uses_leave)
+            yield Group.of(_family_instances(config, indices[lo : lo + chunk]))
 
 
 class _Minimum:
@@ -543,51 +533,70 @@ class _Minimum:
         return {"margin": margin, "instance_index": index, "k": k}
 
 
-def run_scan(config: ScanConfig, collect_margins: bool = False) -> ScanReport:
-    """Evaluate the configured checkers over the instance stream.
-
-    Instances are grouped by n, and each checker's kernel runs once per
-    group. A row's worst margin and its k come from _first_min, and rows
-    are merged in instance-index order, so a tie goes to the lowest index.
-    Deterministic in (seed, config): rerunning yields a byte-identical JSON
-    report. A certificate is cut only when a margin falls below ten times
-    the checker tolerance, and it is re-evaluated from its stored tuple
-    before being emitted. With collect_margins the full per-instance margin
-    rows are kept for CSV dumps, in instance order.
-    """
-    cfg_hash = config.config_hash()
-    keys = [
+def _scan_keys(config: ScanConfig) -> list[tuple[str, float | None, str]]:
+    """(checker id, q, report key) of every margin family the scan evaluates, in report order."""
+    return [
         (cid, q, cid if q is None else f"{cid}[q={q!r}]")
         for cid in config.inequality_set
         for q in (config.q_grid if cid in _Q_CHECKERS else (None,))
     ]
-    rows_of: dict[int, list] = {}
+
+
+def _scan_group(
+    group: Group, keys, cfg_hash: str, minima: dict, rows_of: dict | None = None
+) -> list[CounterexampleCertificate]:
+    """One step of run_scan: each key's kernel runs once on the group.
+
+    A row's worst margin and its k come from _first_min and are folded into
+    minima[key]. With rows_of, every margin row is appended under its
+    instance index, for CSV dumps. Returns the certificates the group cuts,
+    each evaluated again from its stored tuple.
+    """
+    index = np.array([inst.index for inst in group.instances])
+    rows = np.arange(index.size)
+    cuts = []
+    for cid, q, key in keys:
+        if group.n < CHECKERS[cid].min_n:
+            continue
+        margins = CHECKERS[cid].kernel(group, q)
+        values = margins.values
+        ks = np.arange(values.shape[1]) if margins.ks is None else margins.ks
+        if rows_of is not None:
+            k_list = ks.tolist()
+            for inst, v in zip(group.instances, values.tolist()):
+                rows_of.setdefault(inst.index, []).extend(
+                    (inst.index, key, k, m) for k, m in zip(k_list, v)
+                )
+        if not values.shape[1]:
+            continue
+        pos = inequalities._first_mins(values)
+        worst = values[rows, pos]
+        minima.setdefault(key, _Minimum()).add(index, worst, ks[pos])
+        cut = np.flatnonzero(_cuts_certificate(worst, margins.tolerance))
+        for r, k, margin in zip(cut.tolist(), ks[pos[cut]].tolist(), worst[cut].tolist()):
+            cuts.append((group.instances[r], cid, q, k, margin))
+    return _certificates(cfg_hash, cuts)
+
+
+def run_scan(config: ScanConfig, collect_margins: bool = False) -> ScanReport:
+    """Evaluate the configured checkers over the instance stream.
+
+    Instances are grouped by n, and each checker's kernel runs once per
+    group (_scan_group). Rows are merged in instance-index order, so a tie
+    goes to the lowest index. Deterministic in (seed, config): rerunning
+    yields a byte-identical JSON report. A certificate is cut only when a
+    margin falls below ten times the checker tolerance, and it is
+    re-evaluated from its stored tuple before being emitted. With
+    collect_margins the full per-instance margin rows are kept for CSV
+    dumps, in instance order.
+    """
+    cfg_hash = config.config_hash()
+    keys = _scan_keys(config)
+    rows_of = {} if collect_margins else None
     minima: dict[str, _Minimum] = {}
     certificates: list[CounterexampleCertificate] = []
-    for group in _groups(config, _uses_leave(config.inequality_set)):
-        index = np.array([inst.index for inst in group.instances])
-        rows = np.arange(index.size)
-        cuts = []
-        for cid, q, key in keys:
-            if group.n < CHECKERS[cid].min_n:
-                continue
-            margins = CHECKERS[cid].kernel(group, q)
-            values = margins.values
-            ks = np.arange(values.shape[1]) if margins.ks is None else margins.ks
-            if collect_margins:
-                k_list = ks.tolist()
-                for inst, v in zip(group.instances, values.tolist()):
-                    rows_of.setdefault(inst.index, []).extend(
-                        (inst.index, key, k, m) for k, m in zip(k_list, v)
-                    )
-            if not values.shape[1]:
-                continue
-            pos = inequalities._first_mins(values)
-            worst = values[rows, pos]
-            minima.setdefault(key, _Minimum()).add(index, worst, ks[pos])
-            for r in np.flatnonzero(_cuts_certificate(worst, margins.tolerance)):
-                cuts.append((group.instances[r], cid, q, int(ks[pos[r]]), worst[r].item()))
-        certificates.extend(_certificates(cfg_hash, cuts))
+    for group in _groups(config):
+        certificates.extend(_scan_group(group, keys, cfg_hash, minima, rows_of))
     worst_margins = {key: minimum.entry() for key, minimum in minima.items()}
     certificates.sort(key=lambda c: (c.instance_index, c.inequality, c.q or 0.0))
     caveat = OVERESTIMATE_CAVEAT if any(c in _Q_CHECKERS for c in config.inequality_set) else None
@@ -603,55 +612,6 @@ def run_scan(config: ScanConfig, collect_margins: bool = False) -> ScanReport:
     )
 
 
-@dataclass(frozen=True, eq=False)
-class _CurvatureStack:
-    """A chunk of the family's instances of one n with their f, g and h rows stacked."""
-
-    instances: tuple[ScanInstance, ...]
-    f: np.ndarray
-    g: np.ndarray
-    h: np.ndarray
-
-
-def _curvature_stacks(config: ScanConfig) -> list[_CurvatureStack]:
-    """The configured family's instances grouped by n, ascending.
-
-    Only f, g and h are kept: each group's leave-out structures live while
-    its rows are built, so a root at large n holds one group's at a time.
-    """
-    return [_CurvatureStack(group.instances, *group.fgh) for group in _groups(config, True)]
-
-
-def _step_certificates(
-    stacks: list[_CurvatureStack], config: ScanConfig, kind: str, q: float
-) -> list[CounterexampleCertificate]:
-    """The certificates run_scan cuts at q on the single curvature checker of the kind.
-
-    One stacked kernel call per stack gives every margin; the rows that cut
-    a certificate are evaluated again from their stored tuples, one group
-    per stack.
-    """
-    if kind == "shannon":
-        scan = replace(config, inequality_set=("entropy_concavity",), q_grid=None)
-        spec, q = EntropySpec.shannon(), None
-    else:
-        scan = replace(config, inequality_set=(f"{kind}_concavity",), q_grid=(q,))
-        spec = EntropySpec(kind, q)
-    cid = scan.inequality_set[0]
-    cfg_hash = scan.config_hash()
-    certificates = []
-    for stack in stacks:
-        margins = -qentropy.stacked_q_curvature(stack.f, stack.g, stack.h, spec)
-        cut = np.flatnonzero(_cuts_certificate(margins, _THEOREM_TOLERANCE))
-        certificates.extend(
-            _certificates(
-                cfg_hash, [(stack.instances[r], cid, q, 0, margins[r].item()) for r in cut]
-            )
-        )
-    certificates.sort(key=lambda c: c.instance_index)
-    return certificates
-
-
 def estimate_critical_q(
     config: ScanConfig,
     family: str,
@@ -662,12 +622,12 @@ def estimate_critical_q(
     """Bisect the q where the scan first finds a violation for the family.
 
     A q counts as violating when a scan of the family on the kind's
-    curvature checker would cut a certificate there. The family's f, g and h
-    are built once per root and every step evaluates them by one stacked
-    kernel call per n. The violation predicate is assumed monotone in q, per
-    the shape of the conjecture; that assumption is recorded in the caveat,
-    not enforced. The Shannon kind never produces violations, so it surfaces
-    the constant predicate error.
+    curvature checker would cut a certificate there: every step runs
+    run_scan's own group step on that one-checker scan. The family's groups,
+    with their f, g and h, are built once per root. The violation predicate
+    is assumed monotone in q, per the shape of the conjecture; that
+    assumption is recorded in the caveat, not enforced. The Shannon kind
+    never produces violations, so it surfaces the constant predicate error.
     """
     if kind not in ("shannon", "renyi", "tsallis"):
         raise ValueError(f"unknown entropy kind {kind!r}")
@@ -677,10 +637,20 @@ def estimate_critical_q(
     lo, hi = float(bracket[0]), float(bracket[1])
     if not lo < hi:
         raise ValueError("bracket must satisfy q_lo < q_hi")
-    stacks = _curvature_stacks(base)
+    groups = list(_groups(base))
+    for group in groups:
+        # The curvature kernels read only f, g and h. Build them while the
+        # leave-out structures are alive, then drop those: a root at large n
+        # cannot hold every group's at once.
+        group.fgh
+        del group.leave
+    cid = "entropy_concavity" if kind == "shannon" else f"{kind}_concavity"
 
     def violated(q: float) -> bool:
-        return bool(_step_certificates(stacks, base, kind, q))
+        scan = replace(base, inequality_set=(cid,), q_grid=None if kind == "shannon" else (q,))
+        keys, cfg_hash, minima = _scan_keys(scan), scan.config_hash(), {}
+        # A list, not a generator: every group runs, as in a scan, so a later group still raises.
+        return any([_scan_group(group, keys, cfg_hash, minima) for group in groups])
 
     v_lo = violated(lo)
     v_hi = violated(hi)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .calculus import _check_slopes, _fgh, _fgh_rows
 from .errors import BoundaryError, ConsistencyError, LemmaHypothesisError
-from .pmf import ParamVector, Pmf, _check_pair
+from .pmf import ParamVector, _check_pair, _masses
 
 __all__ = [
     "ABS_FLOOR",
@@ -95,12 +95,7 @@ class MarginReport:
         Both are kept as read-only views, so the caller's arrays stay writable.
         """
         values = _read_only(values, np.float64)
-        if ks is not None:
-            ks = _read_only(ks, np.int64)
-        elif values.size <= _INDICES.size:
-            ks = _INDICES[: values.size]
-        else:
-            ks = _read_only(np.arange(values.size), np.int64)
+        ks = _read_only(np.arange(values.size) if ks is None else ks, np.int64)
         if values.ndim != 1 or ks.shape != values.shape:
             raise ValueError("margins and their indices must be one-dimensional and of one size")
         pos = _first_min(values)
@@ -124,13 +119,6 @@ class MarginReport:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict())
-
-
-# Default margin indices. A report of up to this many margins slices them
-# instead of allocating its own, which keeps a one-margin report as cheap to
-# build as the tuple it replaced.
-_INDICES = np.arange(4096, dtype=np.int64)
-_INDICES.setflags(write=False)
 
 
 def _read_only(a, dtype) -> np.ndarray:
@@ -171,9 +159,9 @@ class Margins(NamedTuple):
     tolerance: np.ndarray
     ks: np.ndarray | None = None
 
-    def report(self, name: str, row: int = 0) -> MarginReport:
-        """Row row as a MarginReport."""
-        return MarginReport.from_array(name, self.values[row], self.tolerance[row], self.ks)
+    def report(self, name: str) -> MarginReport:
+        """Row 0 as a MarginReport."""
+        return MarginReport.from_array(name, self.values[0], self.tolerance[0], self.ks)
 
 
 def margin_rows(report: MarginReport, instance_id: int = 0) -> list[tuple[int, str, int, float]]:
@@ -186,12 +174,6 @@ def rows_to_csv(rows) -> str:
     for instance_id, name, k, margin in rows:
         lines.append(f"{instance_id},{name},{k},{margin!r}")
     return "\n".join(lines) + "\n"
-
-
-def _masses(f) -> np.ndarray:
-    if isinstance(f, Pmf):
-        return f.values
-    return np.asarray(f, dtype=np.float64)
 
 
 def _scale(*terms: np.ndarray) -> np.ndarray:

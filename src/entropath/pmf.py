@@ -133,6 +133,11 @@ def _convolve_bernoullis(probs: np.ndarray) -> np.ndarray:
     return np.moveaxis(buf, 0, -1)
 
 
+def _masses(f) -> np.ndarray:
+    """The masses of a Pmf, or any sequence as a float64 array."""
+    return f.values if isinstance(f, Pmf) else np.asarray(f, dtype=np.float64)
+
+
 def compute_pmf(params: ParamVector) -> Pmf:
     """Mass function of the component sum, length n + 1."""
     return Pmf(_convolve_bernoullis(params.p))

@@ -29,7 +29,7 @@ from .calculus import (
 from .errors import BoundaryError, ConsistencyError
 from .inequalities import MarginReport
 from .numdiff import central_second
-from .pmf import ParamVector, Pmf, compute_pmf
+from .pmf import ParamVector, _masses, compute_pmf
 
 __all__ = [
     "CRITICAL_Q_PROBES",
@@ -96,7 +96,7 @@ def q_entropy(f, spec: EntropySpec) -> float:
     q >= 0, including q = 0, so the q = 0 Renyi value is the log of the
     number of nonzero masses).
     """
-    v = f.values if isinstance(f, Pmf) else np.asarray(f, dtype=np.float64)
+    v = _masses(f)
     if spec.kind == "shannon":
         return shannon_entropy(v)
     q = spec.q

@@ -115,6 +115,17 @@ class TestCheckerTable:
         with pytest.raises(ValueError):
             evaluate_checker("not_a_checker", ParamVector(np.array([0.3])), np.zeros(1))
 
+    @pytest.mark.parametrize("cid", ("log_concavity", "two_fold_log_concavity", "c1", "c1bar"))
+    def test_pmf_only_checker_never_builds_leave_structures(self, cid, monkeypatch):
+        def refuse(p):
+            raise AssertionError(f"leave-out structures built for {cid}")
+
+        monkeypatch.setattr(pmf, "leave_structures", refuse)
+        params, slopes = ParamVector(np.array([0.3, 0.6, 0.45])), np.array([1.0, -0.5, 0.2])
+        report = evaluate_checker(cid, params, slopes)
+        want = getattr(inequalities, f"check_{cid}")(pmf.compute_pmf(params))
+        assert report.values.tobytes() == want.values.tobytes()
+
     def test_functions_looked_up_at_call_time(self, monkeypatch):
         # A tracer rebinds module attributes; the table must call the rebound kernels.
         marker = inequalities.Margins(np.array([[1.0]]), np.array([1e-9]))
@@ -277,9 +288,12 @@ class TestEstimatorMatchesScanBisection:
         want = _outcome(oracle.bisect_by_scans, cfg, family, kind, bracket, 1e-7, steps)
         assert _outcome(estimate_critical_q, cfg, family, kind, bracket) == want
         base = replace(cfg, family=family)
-        stacks = explorer._curvature_stacks(base)
+        groups = list(explorer._groups(base))
         for q, certificates in steps:
-            got = explorer._step_certificates(stacks, base, kind, q)
+            scan = replace(base, inequality_set=(f"{kind}_concavity",), q_grid=(q,))
+            keys, cfg_hash = explorer._scan_keys(scan), scan.config_hash()
+            got = [c for grp in groups for c in explorer._scan_group(grp, keys, cfg_hash, {})]
+            got.sort(key=lambda c: c.instance_index)
             assert [c.to_dict() for c in got] == [c.to_dict() for c in certificates], q
 
     @pytest.mark.parametrize(
@@ -391,7 +405,7 @@ class TestGroupedScanMatchesInstanceLoop:
     def test_checker_kernels_give_every_row_its_one_row_bits(self):
         cfg = ScanConfig(seed=8, n_range=(5, 5), instance_count=7,
                          inequality_set=CHECKER_IDS, q_grid=(2.5,))
-        group = Group.of(explorer._family_instances(cfg), uses_leave=True)
+        group = Group.of(explorer._family_instances(cfg))
         for cid in CHECKER_IDS:
             stacked = CHECKERS[cid].kernel(group, 2.5)
             for row, inst in enumerate(group.instances):
@@ -457,7 +471,7 @@ class TestRowMinima:
         cfg = ScanConfig(seed=4, n_range=(6, 6), instance_count=3,
                          inequality_set=("condition4",))
         insts = explorer._family_instances(cfg)
-        margins = CHECKERS["condition4"].kernel(Group.of(insts, True), None).values
+        margins = CHECKERS["condition4"].kernel(Group.of(insts), None).values
         pos = inequalities._first_mins(margins)
         cuts = [(inst, "condition4", None, int(pos[r]), margins[r, pos[r]].item())
                 for r, inst in enumerate(insts)]
