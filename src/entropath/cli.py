@@ -18,10 +18,9 @@ import numpy as np
 from . import explorer, inequalities, qentropy
 from .calculus import entropy_hessian
 from .errors import BoundaryError, LemmaHypothesisError
+from .explorer import SCHEMA_VERSION
 from .inequalities import X_LOG_X, margin_rows, rows_to_csv
 from .pmf import ParamVector
-
-SCHEMA_VERSION = 1
 
 _PROBE_BY_FAMILY_KIND = {
     ("analytic", "tsallis"): "analytic_tsallis",
@@ -38,6 +37,7 @@ def _parse_floats(text: str) -> list[float]:
 
 
 def _emit(args, payload: dict, rows) -> None:
+    payload = {**payload, "schema_version": SCHEMA_VERSION, "subcommand": args.subcommand}
     if args.format == "json":
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     elif args.format == "csv":
@@ -88,8 +88,6 @@ def cmd_verify(args) -> int:
     reports = [r for r in by_id.values() if r is not None]
     holds = all(r.holds for r in reports)
     payload = {
-        "schema_version": SCHEMA_VERSION,
-        "subcommand": "verify",
         "p": [float(v) for v in params.p],
         "slopes": [float(v) for v in slopes],
         "t": args.t,
@@ -144,10 +142,7 @@ def _load_config(args) -> explorer.ScanConfig:
 def cmd_scan(args) -> int:
     config = _load_config(args)
     report = explorer.run_scan(config, collect_margins=(args.format == "csv"))
-    payload = dict(report.to_dict())
-    payload["subcommand"] = "scan"
-    rows = list(report.margin_rows or ())
-    _emit(args, payload, rows)
+    _emit(args, report.to_dict(), list(report.margin_rows or ()))
     return 0 if not report.certificates else 1
 
 
@@ -168,11 +163,8 @@ def cmd_critical_q(args) -> int:
                 f"known combinations: {sorted(_PROBE_BY_FAMILY_KIND)}"
             )
         result = qentropy.find_critical_q(probe_id, (lo, hi))
-    payload = dict(result.to_dict())
-    payload["schema_version"] = SCHEMA_VERSION
-    payload["subcommand"] = "critical-q"
-    rows = [(i, payload["family"], i, float(s)) for i, (q, s) in enumerate(result.sign_trace)]
-    _emit(args, payload, rows)
+    rows = [(i, result.family, i, float(s)) for i, (q, s) in enumerate(result.sign_trace)]
+    _emit(args, result.to_dict(), rows)
     return 0
 
 
@@ -180,8 +172,6 @@ def cmd_hessian(args) -> int:
     params = ParamVector(np.array(_parse_floats(args.p)))
     report = entropy_hessian(params)
     payload = dict(report.to_dict())
-    payload["schema_version"] = SCHEMA_VERSION
-    payload["subcommand"] = "hessian"
     payload["p"] = [float(v) for v in params.p]
     payload["holds"] = report.max_eigenvalue <= 1e-9
     rows = [(0, "hessian_psd", 0, report.psd_margin)]
@@ -195,8 +185,6 @@ def cmd_lemma_check(args) -> int:
         grid_points=args.grid,
     )
     payload = {
-        "schema_version": SCHEMA_VERSION,
-        "subcommand": "lemma-check",
         "inputs": {
             "A": args.A,
             "B": args.B,

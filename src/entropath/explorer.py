@@ -32,6 +32,7 @@ __all__ = [
     "FAMILIES",
     "Group",
     "OVERESTIMATE_CAVEAT",
+    "SCHEMA_VERSION",
     "SHANNON_SUITE",
     "ScanConfig",
     "ScanInstance",
@@ -420,16 +421,18 @@ class CounterexampleCertificate:
         }
 
 
-def _certificates(cfg_hash: str, cuts) -> list[CounterexampleCertificate]:
+def _certificates(config: ScanConfig, cuts) -> list[CounterexampleCertificate]:
     """Certificates for cut margins of one n, each margin evaluated again from its stored tuple.
 
     cuts lists (instance, checker id, q, k, margin). The cut instances are
     rebuilt from their stored tuples as one group, and each checker's kernel
     runs once on it. A row has the same bits in any stack, so the margin
-    comes back with the bits it was cut with.
+    comes back with the bits it was cut with. The config is hashed only when
+    a margin is cut.
     """
     if not cuts:
         return []
+    cfg_hash = config.config_hash()
     insts = {inst.index: inst for inst, *_ in cuts}
     group = Group.of(list(insts.values()))
     row_of = {index: r for r, index in enumerate(insts)}
@@ -454,12 +457,8 @@ def _certificates(cfg_hash: str, cuts) -> list[CounterexampleCertificate]:
     ]
 
 
-def reevaluate_certificate(cert: CounterexampleCertificate) -> float:
-    """Worst margin recomputed from the stored tuple alone."""
-    cid = cert.inequality
-    params = ParamVector(np.array(cert.p))
-    report = evaluate_checker(cid, params, np.array(cert.slopes), cert.q)
-    return report.worst
+# Version of every JSON report's key set; the CLI stamps it on each payload.
+SCHEMA_VERSION = 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -473,7 +472,7 @@ class ScanReport:
 
     def to_dict(self) -> dict:
         return {
-            "schema_version": 1,
+            "schema_version": SCHEMA_VERSION,
             "config": self.config.to_dict(),
             "config_hash": self.config_hash,
             "instance_count": self.config.instance_count,
@@ -533,76 +532,67 @@ class _Minimum:
         return {"margin": margin, "instance_index": index, "k": k}
 
 
-def _scan_keys(config: ScanConfig) -> list[tuple[str, float | None, str]]:
-    """(checker id, q, report key) of every margin family the scan evaluates, in report order."""
-    return [
+def _scan(config: ScanConfig, groups, rows_of: dict | None = None):
+    """The scan loop: (worst margins by report key, certificates) of the config's checkers.
+
+    Each checker's kernel runs once per group, once per q of the grid for
+    the q-dependent ones. A row's worst margin and its k come from _first_min
+    and are merged in instance-index order, so a tie goes to the lowest index.
+    A certificate is cut only when a margin falls below ten times the checker
+    tolerance, and it is evaluated again from its stored tuple before being
+    emitted. With rows_of, every margin row is appended under its instance
+    index, for CSV dumps.
+    """
+    keys = [
         (cid, q, cid if q is None else f"{cid}[q={q!r}]")
         for cid in config.inequality_set
         for q in (config.q_grid if cid in _Q_CHECKERS else (None,))
     ]
-
-
-def _scan_group(
-    group: Group, keys, cfg_hash: str, minima: dict, rows_of: dict | None = None
-) -> list[CounterexampleCertificate]:
-    """One step of run_scan: each key's kernel runs once on the group.
-
-    A row's worst margin and its k come from _first_min and are folded into
-    minima[key]. With rows_of, every margin row is appended under its
-    instance index, for CSV dumps. Returns the certificates the group cuts,
-    each evaluated again from its stored tuple.
-    """
-    index = np.array([inst.index for inst in group.instances])
-    rows = np.arange(index.size)
-    cuts = []
-    for cid, q, key in keys:
-        if group.n < CHECKERS[cid].min_n:
-            continue
-        margins = CHECKERS[cid].kernel(group, q)
-        values = margins.values
-        ks = np.arange(values.shape[1]) if margins.ks is None else margins.ks
-        if rows_of is not None:
-            k_list = ks.tolist()
-            for inst, v in zip(group.instances, values.tolist()):
-                rows_of.setdefault(inst.index, []).extend(
-                    (inst.index, key, k, m) for k, m in zip(k_list, v)
-                )
-        if not values.shape[1]:
-            continue
-        pos = inequalities._first_mins(values)
-        worst = values[rows, pos]
-        minima.setdefault(key, _Minimum()).add(index, worst, ks[pos])
-        cut = np.flatnonzero(_cuts_certificate(worst, margins.tolerance))
-        for r, k, margin in zip(cut.tolist(), ks[pos[cut]].tolist(), worst[cut].tolist()):
-            cuts.append((group.instances[r], cid, q, k, margin))
-    return _certificates(cfg_hash, cuts)
+    minima: dict[str, _Minimum] = {}
+    certificates: list[CounterexampleCertificate] = []
+    for group in groups:
+        index = np.array([inst.index for inst in group.instances])
+        rows = np.arange(index.size)
+        cuts = []
+        for cid, q, key in keys:
+            if group.n < CHECKERS[cid].min_n:
+                continue
+            margins = CHECKERS[cid].kernel(group, q)
+            values = margins.values
+            ks = np.arange(values.shape[1]) if margins.ks is None else margins.ks
+            if rows_of is not None:
+                k_list = ks.tolist()
+                for inst, v in zip(group.instances, values.tolist()):
+                    rows_of.setdefault(inst.index, []).extend(
+                        (inst.index, key, k, m) for k, m in zip(k_list, v)
+                    )
+            if not values.shape[1]:
+                continue
+            pos = inequalities._first_mins(values)
+            worst = values[rows, pos]
+            minima.setdefault(key, _Minimum()).add(index, worst, ks[pos])
+            cut = np.flatnonzero(_cuts_certificate(worst, margins.tolerance))
+            for r, k, margin in zip(cut.tolist(), ks[pos[cut]].tolist(), worst[cut].tolist()):
+                cuts.append((group.instances[r], cid, q, k, margin))
+        certificates.extend(_certificates(config, cuts))
+    certificates.sort(key=lambda c: (c.instance_index, c.inequality, c.q or 0.0))
+    return {key: minimum.entry() for key, minimum in minima.items()}, certificates
 
 
 def run_scan(config: ScanConfig, collect_margins: bool = False) -> ScanReport:
     """Evaluate the configured checkers over the instance stream.
 
-    Instances are grouped by n, and each checker's kernel runs once per
-    group (_scan_group). Rows are merged in instance-index order, so a tie
-    goes to the lowest index. Deterministic in (seed, config): rerunning
-    yields a byte-identical JSON report. A certificate is cut only when a
-    margin falls below ten times the checker tolerance, and it is
-    re-evaluated from its stored tuple before being emitted. With
-    collect_margins the full per-instance margin rows are kept for CSV
-    dumps, in instance order.
+    Instances are grouped by n and chunked (_groups), and _scan runs each
+    checker's kernel once per group. Deterministic in (seed, config):
+    rerunning yields a byte-identical JSON report. With collect_margins the
+    full per-instance margin rows are kept for CSV dumps, in instance order.
     """
-    cfg_hash = config.config_hash()
-    keys = _scan_keys(config)
     rows_of = {} if collect_margins else None
-    minima: dict[str, _Minimum] = {}
-    certificates: list[CounterexampleCertificate] = []
-    for group in _groups(config):
-        certificates.extend(_scan_group(group, keys, cfg_hash, minima, rows_of))
-    worst_margins = {key: minimum.entry() for key, minimum in minima.items()}
-    certificates.sort(key=lambda c: (c.instance_index, c.inequality, c.q or 0.0))
+    worst_margins, certificates = _scan(config, _groups(config), rows_of)
     caveat = OVERESTIMATE_CAVEAT if any(c in _Q_CHECKERS for c in config.inequality_set) else None
     return ScanReport(
         config=config,
-        config_hash=cfg_hash,
+        config_hash=config.config_hash(),
         worst_margins=worst_margins,
         certificates=tuple(certificates),
         margin_rows=tuple(r for i in sorted(rows_of) for r in rows_of[i])
@@ -621,54 +611,31 @@ def estimate_critical_q(
 ) -> CriticalQResult:
     """Bisect the q where the scan first finds a violation for the family.
 
-    A q counts as violating when a scan of the family on the kind's
-    curvature checker would cut a certificate there: every step runs
-    run_scan's own group step on that one-checker scan. The family's groups,
-    with their f, g and h, are built once per root. The violation predicate
+    qentropy.find_critical_q bisects a probe that reads +1 where a scan of
+    the family on the kind's curvature checker cuts a certificate, and -1
+    where it cuts none. The family's groups, with their f, g and h, are
+    built once per root, on the probe's first call. The violation predicate
     is assumed monotone in q, per the shape of the conjecture; that
     assumption is recorded in the caveat, not enforced. The Shannon kind
     never produces violations, so it surfaces the constant predicate error.
     """
     if kind not in ("shannon", "renyi", "tsallis"):
         raise ValueError(f"unknown entropy kind {kind!r}")
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}")
     base = replace(config, family=family)
-    lo, hi = float(bracket[0]), float(bracket[1])
-    if not lo < hi:
-        raise ValueError("bracket must satisfy q_lo < q_hi")
-    groups = list(_groups(base))
-    for group in groups:
-        # The curvature kernels read only f, g and h. Build them while the
-        # leave-out structures are alive, then drop those: a root at large n
-        # cannot hold every group's at once.
-        group.fgh
-        del group.leave
     cid = "entropy_concavity" if kind == "shannon" else f"{kind}_concavity"
+    groups: list[Group] = []
 
-    def violated(q: float) -> bool:
+    def probe(q: float) -> float:
+        if not groups:
+            groups.extend(_groups(base))
+            for group in groups:
+                # The curvature kernels read only f, g and h. Build them while the
+                # leave-out structures are alive, then drop those: a root at large n
+                # cannot hold every group's at once.
+                group.fgh
+                del group.leave
         scan = replace(base, inequality_set=(cid,), q_grid=None if kind == "shannon" else (q,))
-        keys, cfg_hash, minima = _scan_keys(scan), scan.config_hash(), {}
-        # A list, not a generator: every group runs, as in a scan, so a later group still raises.
-        return any([_scan_group(group, keys, cfg_hash, minima) for group in groups])
+        return 1.0 if _scan(scan, groups)[1] else -1.0
 
-    v_lo = violated(lo)
-    v_hi = violated(hi)
-    trace = [(lo, 1 if v_lo else -1), (hi, 1 if v_hi else -1)]
-    if v_lo == v_hi:
-        raise ValueError("violation predicate is constant over the bracket")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        v_mid = violated(mid)
-        trace.append((mid, 1 if v_mid else -1))
-        if v_mid == v_lo:
-            lo = mid
-        else:
-            hi = mid
-    return CriticalQResult(
-        family=f"{family}:{kind}",
-        bracket=(float(bracket[0]), float(bracket[1])),
-        root=0.5 * (lo + hi),
-        sign_trace=tuple(trace),
-        caveat=OVERESTIMATE_CAVEAT,
-    )
+    result = qentropy.find_critical_q(f"{family}:{kind}", bracket, probe, tol)
+    return replace(result, caveat=OVERESTIMATE_CAVEAT)

@@ -637,12 +637,6 @@ def check_cij_nonpositive(params: ParamVector) -> MarginReport:
     return stacked_cij(params.leave.pairs[None]).report("cij_nonpositive")
 
 
-def _condition4_margin_at(params: ParamVector, slopes: np.ndarray, k: int) -> float:
-    """Condition4 margin at one k; 0 outside k = 0..n-2, where every term vanishes."""
-    margins, _ = _condition4_margins(*_fgh(params, slopes))
-    return float(margins[k]) if 0 <= k < margins.size else 0.0
-
-
 def check_quadratic_decomposition_n2(params: ParamVector, k: int) -> MarginReport:
     """Extract the two-component slope-quadratic coefficients by probing.
 
@@ -662,9 +656,10 @@ def check_quadratic_decomposition_n2(params: ParamVector, k: int) -> MarginRepor
     w1 = p1 * (1.0 - p1)
     if w0 == 0.0 or w1 == 0.0:
         raise BoundaryError("coefficient extraction is singular at boundary parameters")
-    q10 = _condition4_margin_at(params, np.array([1.0, 0.0]), k)
-    q01 = _condition4_margin_at(params, np.array([0.0, 1.0]), k)
-    q11 = _condition4_margin_at(params, np.array([1.0, 1.0]), k)
+    # Q at the three slope rows in one stacked call; 0 outside k = 0..n-2, where every
+    # term vanishes.
+    q, _ = _condition4_margins(*_fgh(params, np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])))
+    q10, q01, q11 = q[:, k].tolist() if 0 <= k < q.shape[1] else (0.0, 0.0, 0.0)
     b01 = q10 / w1
     b10 = q01 / w0
     c = (q11 - q10 - q01) / (2.0 * w0 * w1)

@@ -380,7 +380,7 @@ def find_critical_q(
     s_hi = _sign(probe(hi))
     trace = [(lo, s_lo), (hi, s_hi)]
     if s_lo == s_hi or 0 in (s_lo, s_hi):
-        raise ValueError("probe does not change sign over the bracket")
+        raise ValueError("violation predicate is constant over the bracket")
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         s_mid = _sign(probe(mid))

@@ -367,6 +367,14 @@ def scan_step_certificates(config, kind: str, q: float):
     return run_scan(scan).certificates
 
 
+def reevaluate_certificate(cert) -> float:
+    """A certificate's worst margin recomputed from its stored tuple alone, as a one-row group."""
+    from entropath.explorer import evaluate_checker
+
+    return evaluate_checker(cert.inequality, ParamVector(np.array(cert.p)),
+                            np.array(cert.slopes), cert.q).worst
+
+
 def bisect_by_scans(config, family: str, kind: str, bracket, tol: float = 1e-7, steps=None):
     """(root, sign trace) of the bisection driven by scan_step_certificates.
 

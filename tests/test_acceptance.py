@@ -19,7 +19,7 @@ from entropath.calculus import (
     shannon_entropy,
 )
 from entropath.errors import LemmaHypothesisError
-from entropath.explorer import ScanConfig, reevaluate_certificate, run_scan, sample_instance
+from entropath.explorer import ScanConfig, run_scan, sample_instance
 from entropath.inequalities import (
     X_LOG_X,
     c1_product_identity_residual,
@@ -36,7 +36,7 @@ from entropath.inequalities import (
 )
 from entropath.numdiff import central_first, central_second
 from entropath.pmf import ParamVector, compute_pmf
-from scalar_oracle import brute_force_pmf
+from scalar_oracle import brute_force_pmf, reevaluate_certificate
 from entropath.qentropy import (
     EntropySpec,
     binomial2_tsallis_curvature,

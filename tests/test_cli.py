@@ -194,6 +194,16 @@ class TestCriticalQ:
         )
         assert code == 2
 
+    def test_no_sign_change_names_the_constant_predicate(self, capsys):
+        # 2 - 4q + 2^q is 0 at q = 1 and -2 at q = 2: no sign change to bisect.
+        code, out, err = run_cli(
+            capsys,
+            "critical-q", "--family", "analytic", "--kind", "tsallis", "--bracket", "1,2",
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: violation predicate is constant over the bracket\n"
+
 
 class TestHessian:
     def test_one_dimensional(self, capsys):

@@ -1,6 +1,7 @@
 """Scan determinism, certificate soundness, and empirical critical q."""
 
 import json
+import math
 import tracemalloc
 from dataclasses import replace
 
@@ -20,7 +21,6 @@ from entropath.explorer import (
     estimate_critical_q,
     evaluate_checker,
     instance_rng,
-    reevaluate_certificate,
     run_scan,
     sample_instance,
 )
@@ -50,6 +50,27 @@ class TestSplitMix64:
         c = instance_rng(99, 6).next_u64()
         assert a == b
         assert a != c
+
+    def test_unit_sphere_slopes_are_box_muller_draws(self):
+        # Restated from the raw stream: n, then n p draws, then per slope a
+        # Box-Muller pair u1 in (0, 1) from the top 52 bits and u2 in [0, 1)
+        # from the top 53; the slopes are scaled so the largest |slope| is 1.
+        cfg = ScanConfig(seed=21, n_range=(1, 9), instance_count=40,
+                         slope_distribution="unit_sphere")
+        for index in range(cfg.instance_count):
+            inst = sample_instance(cfg, index)
+            rng = instance_rng(cfg.seed, index)
+            n = 1 + rng.next_u64() % 9
+            for _ in range(n):
+                rng.next_u64()
+            z = []
+            for _ in range(n):
+                u1 = ((rng.next_u64() >> 12) + 0.5) * 2.0**-52
+                u2 = (rng.next_u64() >> 11) * 2.0**-53
+                z.append(math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2))
+            top = max(abs(v) for v in z)
+            assert inst.slopes == tuple(v / top for v in z)
+            assert max(abs(v) for v in inst.slopes) == 1.0
 
 
 class TestScanConfig:
@@ -210,7 +231,7 @@ class TestRunScan:
         assert report.certificates
         for cert in report.certificates:
             assert cert.reeval_margin == cert.margin
-            assert abs(reevaluate_certificate(cert) - cert.margin) <= 1e-12
+            assert abs(oracle.reevaluate_certificate(cert) - cert.margin) <= 1e-12
 
     def test_margin_rows_collected_on_demand(self):
         cfg = ScanConfig(seed=3, n_range=(2, 3), instance_count=5,
@@ -291,9 +312,7 @@ class TestEstimatorMatchesScanBisection:
         groups = list(explorer._groups(base))
         for q, certificates in steps:
             scan = replace(base, inequality_set=(f"{kind}_concavity",), q_grid=(q,))
-            keys, cfg_hash = explorer._scan_keys(scan), scan.config_hash()
-            got = [c for grp in groups for c in explorer._scan_group(grp, keys, cfg_hash, {})]
-            got.sort(key=lambda c: c.instance_index)
+            got = explorer._scan(scan, groups)[1]
             assert [c.to_dict() for c in got] == [c.to_dict() for c in certificates], q
 
     @pytest.mark.parametrize(
@@ -475,10 +494,10 @@ class TestRowMinima:
         pos = inequalities._first_mins(margins)
         cuts = [(inst, "condition4", None, int(pos[r]), margins[r, pos[r]].item())
                 for r, inst in enumerate(insts)]
-        certificates = explorer._certificates(cfg.config_hash(), cuts[::-1])
+        certificates = explorer._certificates(cfg, cuts[::-1])
         assert [c.reeval_margin for c in certificates] == [c[4] for c in cuts[::-1]]
         assert [c.reeval_margin for c in certificates] == [
-            reevaluate_certificate(c) for c in certificates
+            oracle.reevaluate_certificate(c) for c in certificates
         ]
 
 
