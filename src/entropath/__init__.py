@@ -26,7 +26,6 @@ from .explorer import (
     CounterexampleCertificate,
     ScanConfig,
     ScanReport,
-    SplitMix64,
     estimate_critical_q,
     run_scan,
 )

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import explorer, inequalities, qentropy
-from .calculus import entropy_hessian
+from .calculus import _check_slopes, entropy_hessian
 from .errors import BoundaryError, LemmaHypothesisError
 from .explorer import SCHEMA_VERSION
 from .inequalities import X_LOG_X, margin_rows, rows_to_csv
@@ -34,6 +34,13 @@ def _parse_floats(text: str) -> list[float]:
         return [float(part) for part in text.split(",") if part != ""]
     except ValueError as exc:
         raise ValueError(f"could not parse {text!r} as a comma-separated list") from exc
+
+
+def _parse_pair(flag: str, text: str) -> tuple[float, float]:
+    values = _parse_floats(text)
+    if len(values) != 2:
+        raise ValueError(f"{flag} takes two comma-separated values, got {text!r}")
+    return values[0], values[1]
 
 
 def _emit(args, payload: dict, rows) -> None:
@@ -80,6 +87,7 @@ def cmd_verify(args) -> int:
     slopes = np.array(_parse_floats(args.slopes)) if args.slopes else np.zeros(n)
     if slopes.shape != (n,):
         raise ValueError(f"expected {n} slopes, got {slopes.size}")
+    slopes = _check_slopes(params, slopes)
     point = params.p + args.t * slopes
     params = ParamVector(point)
     # One group for the whole suite: its u_k decomposition feeds both uk_nonneg and the payload.
@@ -107,8 +115,7 @@ def _load_config(args) -> explorer.ScanConfig:
     if args.seed is not None:
         inline["seed"] = args.seed
     if args.n_range:
-        lo, hi = (int(v) for v in _parse_floats(args.n_range))
-        inline["n_range"] = (lo, hi)
+        inline["n_range"] = _parse_pair("--n-range", args.n_range)
     if args.instances is not None:
         inline["instance_count"] = args.instances
     if args.checks:
@@ -147,7 +154,7 @@ def cmd_scan(args) -> int:
 
 
 def cmd_critical_q(args) -> int:
-    lo, hi = _parse_floats(args.bracket)
+    lo, hi = _parse_pair("--bracket", args.bracket)
     if args.estimator == "scan":
         config = explorer.ScanConfig(
             seed=args.seed if args.seed is not None else 0,

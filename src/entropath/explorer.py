@@ -1,8 +1,8 @@
 """Seeded scans over (n, p, slopes, q) hunting for concavity violations.
 
 Instance streams come from SplitMix64, a published counter-based generator
-small enough to restate completely (see the class docstring), so an
-independent implementation can reproduce every scan bit for bit. The Shannon
+small enough to restate completely (see _streams), so an independent
+implementation can reproduce every scan bit for bit. The Shannon
 suite is expected to produce no certificates; the Renyi/Tsallis checks do
 produce them above the conjectured thresholds, and every certificate is
 re-evaluated from its stored tuple before it is emitted.
@@ -37,7 +37,6 @@ __all__ = [
     "ScanConfig",
     "ScanInstance",
     "ScanReport",
-    "SplitMix64",
     "estimate_critical_q",
     "evaluate_checker",
     "group_report",
@@ -45,54 +44,36 @@ __all__ = [
 ]
 
 _MASK64 = (1 << 64) - 1
-_GAMMA = 0x9E3779B97F4A7C15
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
 
 
-def _mix64(x: int) -> int:
-    x &= _MASK64
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return x ^ (x >> 31)
+def _mix64(x: np.ndarray) -> np.ndarray:
+    """SplitMix64's finalizer, elementwise on a uint64 array."""
+    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return x ^ (x >> np.uint64(31))
 
 
-class SplitMix64:
-    """Counter-based 64-bit generator (SplitMix64).
+def _streams(seed: int, index, count: int) -> np.ndarray:
+    """The first count outputs of each indexed instance's stream, as an (m, count) uint64 array.
 
-    state_i = seed + i * 0x9E3779B97F4A7C15 (mod 2^64); output_i is state_i
-    passed through the xorshift-multiply finalizer with constants
-    0xBF58476D1CE4E5B9 and 0x94D049BB133111EB and shifts 30/27/31. Uniform
-    doubles take the top 53 bits. This is enough to reimplement the stream
-    exactly in any language.
+    Every stream is SplitMix64, a counter-based 64-bit generator: from a
+    start s, state_j = s + j * 0x9E3779B97F4A7C15 (mod 2^64) for j = 1, 2, ...,
+    and output_j is state_j passed through the xorshift-multiply finalizer
+    with constants 0xBF58476D1CE4E5B9 and 0x94D049BB133111EB and shifts
+    30/27/31. Instance i of a seed starts from the finalizer of
+    seed + (i + 1) * 0x9E3779B97F4A7C15 (mod 2^64). This is enough to
+    reimplement the stream exactly in any language. Every operand is uint64,
+    and uint64 arrays wrap mod 2^64 without a warning.
     """
-
-    def __init__(self, seed: int):
-        self._state = int(seed) & _MASK64
-
-    def next_u64(self) -> int:
-        self._state = (self._state + _GAMMA) & _MASK64
-        return _mix64(self._state)
-
-    def uniform(self) -> float:
-        """Uniform in [0, 1) with 53 random bits."""
-        return (self.next_u64() >> 11) * 2.0**-53
-
-    def uniform_open(self) -> float:
-        """Uniform in (0, 1); safe under log."""
-        return ((self.next_u64() >> 12) + 0.5) * 2.0**-52
-
-    def integer(self, bound: int) -> int:
-        """Integer in [0, bound) by modulo; the bias is irrelevant at desk scale."""
-        return self.next_u64() % bound
-
-    def gaussian(self) -> float:
-        u1 = self.uniform_open()
-        u2 = self.uniform()
-        return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
+    index = np.asarray(index, dtype=np.uint64).reshape(-1)
+    start = _mix64(np.uint64(seed) + (index + np.uint64(1)) * _GAMMA)
+    return _mix64(start[:, None] + np.arange(1, count + 1, dtype=np.uint64) * _GAMMA)
 
 
-def instance_rng(seed: int, index: int) -> SplitMix64:
-    """Generator for one instance; a pure function of (seed, index)."""
-    return SplitMix64(_mix64((seed + (index + 1) * _GAMMA) & _MASK64))
+def _uniform(draws: np.ndarray) -> np.ndarray:
+    """Uniforms in [0, 1) from the top 53 bits of each draw."""
+    return (draws >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
 
 _SLOPE_DISTRIBUTIONS = ("unit_sphere", "signed_unit", "monotone_unit")
@@ -113,33 +94,29 @@ def _cuts_certificate(margin, tolerance):
 _GROUP_BYTES = 1 << 19
 
 
+@dataclass(eq=False)
 class Group:
     """Instances of one n, stacked row by row for the checkers' group kernels.
 
-    p and slopes are (m, n). f, the leave-out structures, g and h and the
-    u_k decomposition are built on first use and shared by every kernel run
-    on the group, so a group whose kernels read only f never builds singles
-    or pairs. f is its own convolution; fgh takes the builder's f, which has
-    the same bits, so a group that builds the leave-out structures need not
-    convolve again.
+    p and slopes are (m, n); index holds each row's instance index and t its
+    family parameter (0 for random_affine). f, the leave-out structures, g
+    and h and the u_k decomposition are built on first use and shared by
+    every kernel run on the group, so a group whose kernels read only f
+    never builds singles or pairs. f is its own convolution; fgh takes the
+    builder's f, which has the same bits, so a group that builds the
+    leave-out structures need not convolve again.
     """
 
-    def __init__(self, p: np.ndarray, slopes: np.ndarray, instances=()):
-        self.p = p
-        self.slopes = slopes
-        self.instances = tuple(instances)
-
-    @classmethod
-    def of(cls, instances) -> "Group":
-        """The instances' stored tuples, stacked; they must share one n."""
-        p = np.array([inst.p for inst in instances])
-        slopes = np.array([inst.slopes for inst in instances])
-        return cls(p, slopes, instances)
+    p: np.ndarray
+    slopes: np.ndarray
+    index: np.ndarray
+    t: np.ndarray
 
     @classmethod
     def row(cls, params: ParamVector, slopes) -> "Group":
         """One instance as a one-row group, its slopes checked against it."""
-        return cls(params.p[None], calculus._check_slopes(params, slopes)[None])
+        slopes = calculus._check_slopes(params, slopes)
+        return cls(params.p[None], slopes[None], np.zeros(1, dtype=np.int64), np.zeros(1))
 
     @property
     def n(self) -> int:
@@ -249,6 +226,13 @@ OVERESTIMATE_CAVEAT = (
 )
 
 
+def _integer(name: str, value) -> int:
+    """value as an int; a float that is not integral is refused, where int() would truncate it."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{name} must be integral, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class ScanConfig:
     """Deterministic description of one scan."""
@@ -263,12 +247,16 @@ class ScanConfig:
     family: str = "random_affine"
 
     def __post_init__(self):
-        object.__setattr__(self, "seed", int(self.seed) & _MASK64)
-        object.__setattr__(self, "n_range", (int(self.n_range[0]), int(self.n_range[1])))
-        object.__setattr__(self, "instance_count", int(self.instance_count))
+        object.__setattr__(self, "seed", _integer("seed", self.seed) & _MASK64)
+        try:
+            n_lo, n_hi = self.n_range
+        except (TypeError, ValueError):
+            raise ValueError(f"n_range must be two integers, got {self.n_range!r}") from None
+        object.__setattr__(self, "n_range", (_integer("n_range", n_lo), _integer("n_range", n_hi)))
+        object.__setattr__(self, "instance_count", _integer("instance_count", self.instance_count))
         object.__setattr__(self, "inequality_set", tuple(self.inequality_set))
         if self.q_grid is not None:
-            object.__setattr__(self, "q_grid", tuple(float(q) for q in self.q_grid))
+            object.__setattr__(self, "q_grid", tuple(qentropy._checked_q(q) for q in self.q_grid))
         if self.instance_count < 1:
             raise ValueError("instance_count must be at least 1")
         if not 0.0 <= self.interior_margin < 0.5:
@@ -305,10 +293,7 @@ class ScanConfig:
             raise ValueError(f"unknown config fields: {sorted(extra)}")
         if "seed" not in data:
             raise ValueError("config needs a seed")
-        kwargs = dict(data)
-        if "n_range" in kwargs:
-            kwargs["n_range"] = tuple(kwargs["n_range"])
-        return cls(**kwargs)
+        return cls(**data)
 
     def canonical_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
@@ -325,64 +310,57 @@ class ScanInstance:
     t: float
 
 
-def _draw_slopes(rng: SplitMix64, n: int, distribution: str) -> np.ndarray:
-    if distribution == "unit_sphere":
-        z = np.array([rng.gaussian() for _ in range(n)])
-    elif distribution == "signed_unit":
-        z = np.array([2.0 * rng.uniform() - 1.0 for _ in range(n)])
+def _component_counts(config: ScanConfig, index: np.ndarray) -> np.ndarray:
+    """The n of each indexed random_affine instance: its stream's first output, drawn always."""
+    n_lo, n_hi = config.n_range
+    first = _streams(config.seed, index, 1)[:, 0]
+    return n_lo + (first % np.uint64(n_hi - n_lo + 1)).astype(np.int64)
+
+
+def _random_affine(config: ScanConfig, index: np.ndarray, n: int) -> Group:
+    """The random_affine instances at index, all of component count n, drawn as one array.
+
+    Output 0 of each stream drew n. Outputs 1..n give p_i = eps + (1 - 2 eps) u
+    with u uniform in [0, 1) from the top 53 bits. The slopes follow:
+    signed_unit 2u - 1, monotone_unit u, and unit_sphere one Box-Muller pair
+    per slope, sqrt(-2 ln u1) cos(2 pi u2), with u1 in (0, 1) from the top 52
+    bits plus one half and u2 as u. Each row of slopes is scaled so that its
+    largest |slope| is 1; an all-zero row becomes (1, 0, ..., 0). ln and cos
+    are math's, one element at a time: numpy's differ in the last bits.
+    """
+    sphere = config.slope_distribution == "unit_sphere"
+    draws = _streams(config.seed, index, 1 + n + (2 * n if sphere else n))
+    eps = config.interior_margin
+    p = eps + (1.0 - 2.0 * eps) * _uniform(draws[:, 1 : n + 1])
+    rest = draws[:, n + 1 :]
+    if sphere:
+        u1 = ((rest[:, 0::2] >> np.uint64(12)).astype(np.float64) + 0.5) * 2.0**-52
+        u2 = _uniform(rest[:, 1::2])
+        z = np.array([math.sqrt(-2.0 * math.log(a)) * math.cos(2.0 * math.pi * b)
+                      for a, b in zip(u1.ravel().tolist(), u2.ravel().tolist())]).reshape(u1.shape)
+    elif config.slope_distribution == "signed_unit":
+        z = 2.0 * _uniform(rest) - 1.0
     else:
-        z = np.array([rng.uniform() for _ in range(n)])
-    top = float(np.abs(z).max())
-    if top == 0.0:
-        z[0] = 1.0
-        top = 1.0
-    return z / top
-
-
-def _draw_n(rng: SplitMix64, n_range: tuple[int, int]) -> int:
-    """The component count: an instance stream's first draw."""
-    n_lo, n_hi = n_range
-    return n_lo + rng.integer(n_hi - n_lo + 1)
+        z = _uniform(rest)
+    top = np.abs(z).max(axis=1)
+    z[top == 0.0, 0] = 1.0
+    return Group(p, z / np.where(top == 0.0, 1.0, top)[:, None], index, np.zeros(index.size))
 
 
 def sample_instance(config: ScanConfig, index: int) -> ScanInstance:
-    """Random instance for the given index; pure in (seed, config, index)."""
-    rng = instance_rng(config.seed, index)
-    n = _draw_n(rng, config.n_range)
-    eps = config.interior_margin
-    p = np.array([eps + (1.0 - 2.0 * eps) * rng.uniform() for _ in range(n)])
-    slopes = _draw_slopes(rng, n, config.slope_distribution)
-    return ScanInstance(
-        index=index,
-        p=tuple(float(v) for v in p),
-        slopes=tuple(float(v) for v in slopes),
-        t=0.0,
-    )
+    """Random instance for the given index; pure in (seed, config, index). A one-row scan draw."""
+    rows = np.array([index])
+    group = _random_affine(config, rows, int(_component_counts(config, rows)[0]))
+    return ScanInstance(index, tuple(group.p[0].tolist()), tuple(group.slopes[0].tolist()), 0.0)
 
 
 def _family_sizes(config: ScanConfig) -> np.ndarray:
     """The component count of every instance of the configured family, by index."""
     count = config.instance_count
-    n_lo, n_hi = config.n_range
-    if config.family == "random_affine" and n_lo < n_hi:
-        streams = (instance_rng(config.seed, i) for i in range(count))
-        return np.array([_draw_n(rng, config.n_range) for rng in streams])
-    n = {"random_affine": n_lo, "bernoulli": 1, "binomial2": 2}.get(config.family, n_hi)
+    if config.family == "random_affine":
+        return _component_counts(config, np.arange(count))
+    n = {"bernoulli": 1, "binomial2": 2}.get(config.family, config.n_range[1])
     return np.full(count, n)
-
-
-def _family_instances(config: ScanConfig, indices=None) -> list[ScanInstance]:
-    """The configured family's instances at the given indices, all of them by default."""
-    indices = range(config.instance_count) if indices is None else [int(i) for i in indices]
-    fam = config.family
-    if fam == "random_affine":
-        return [sample_instance(config, i) for i in indices]
-    if fam == "bernoulli":
-        ts = np.geomspace(1e-6, 0.5, config.instance_count)
-        return [ScanInstance(i, (float(ts[i]),), (1.0,), float(ts[i])) for i in indices]
-    n = 2 if fam == "binomial2" else config.n_range[1]
-    ts = np.linspace(0.02, 0.98, config.instance_count)
-    return [ScanInstance(i, (float(ts[i]),) * n, (1.0,) * n, float(ts[i])) for i in indices]
 
 
 @dataclass(frozen=True)
@@ -421,39 +399,42 @@ class CounterexampleCertificate:
         }
 
 
-def _certificates(config: ScanConfig, cuts) -> list[CounterexampleCertificate]:
-    """Certificates for cut margins of one n, each margin evaluated again from its stored tuple.
+def _certificates(config: ScanConfig, group: Group, cuts) -> list[CounterexampleCertificate]:
+    """Certificates for cut margins of one group, each margin evaluated again from its stored tuple.
 
-    cuts lists (instance, checker id, q, k, margin). The cut instances are
-    rebuilt from their stored tuples as one group, and each checker's kernel
-    runs once on it. A row has the same bits in any stack, so the margin
-    comes back with the bits it was cut with. The config is hashed only when
-    a margin is cut.
+    cuts lists (row, checker id, q, k, margin). Each cut row's p and slopes
+    are stored as tuples of floats, and the cut rows are rebuilt from those
+    tuples as one group, on which each checker's kernel runs once. A row has
+    the same bits in any stack, so the margin comes back with the bits it was
+    cut with. The config is hashed only when a margin is cut.
     """
     if not cuts:
         return []
     cfg_hash = config.config_hash()
-    insts = {inst.index: inst for inst, *_ in cuts}
-    group = Group.of(list(insts.values()))
-    row_of = {index: r for r, index in enumerate(insts)}
+    rows = list(dict.fromkeys(r for r, *_ in cuts))
+    p = {r: tuple(group.p[r].tolist()) for r in rows}
+    slopes = {r: tuple(group.slopes[r].tolist()) for r in rows}
+    stored = Group(np.array(list(p.values())), np.array(list(slopes.values())),
+                   group.index[rows], group.t[rows])
+    row_of = {r: i for i, r in enumerate(rows)}
     again = {}
     for cid, q in dict.fromkeys((cid, q) for _, cid, q, *_ in cuts):
-        values = CHECKERS[cid].kernel(group, q).values
+        values = CHECKERS[cid].kernel(stored, q).values
         again[cid, q] = values[np.arange(len(values)), inequalities._first_mins(values)]
     return [
         CounterexampleCertificate(
             config_hash=cfg_hash,
-            instance_index=inst.index,
+            instance_index=int(group.index[r]),
             inequality=cid,
-            p=inst.p,
-            slopes=inst.slopes,
-            t=inst.t,
+            p=p[r],
+            slopes=slopes[r],
+            t=group.t[r].item(),
             q=q,
             k=k,
             margin=margin,
-            reeval_margin=again[cid, q][row_of[inst.index]].item(),
+            reeval_margin=again[cid, q][row_of[r]].item(),
         )
-        for inst, cid, q, k, margin in cuts
+        for r, cid, q, k, margin in cuts
     ]
 
 
@@ -494,11 +475,19 @@ def _groups(config: ScanConfig) -> Iterator[Group]:
     a time.
     """
     sizes = _family_sizes(config)
+    count = config.instance_count
+    bernoulli = config.family == "bernoulli"
+    ts = np.geomspace(1e-6, 0.5, count) if bernoulli else np.linspace(0.02, 0.98, count)
     for n in np.unique(sizes).tolist():
         indices = np.flatnonzero(sizes == n)
         chunk = max(1, _GROUP_BYTES // (8 * (n + 1) * (1 + n + n * (n - 1) // 2)))
         for lo in range(0, indices.size, chunk):
-            yield Group.of(_family_instances(config, indices[lo : lo + chunk]))
+            index = indices[lo : lo + chunk]
+            if config.family == "random_affine":
+                yield _random_affine(config, index, n)
+            else:
+                t = ts[index]
+                yield Group(np.repeat(t[:, None], n, axis=1), np.ones((index.size, n)), index, t)
 
 
 class _Minimum:
@@ -551,8 +540,7 @@ def _scan(config: ScanConfig, groups, rows_of: dict | None = None):
     minima: dict[str, _Minimum] = {}
     certificates: list[CounterexampleCertificate] = []
     for group in groups:
-        index = np.array([inst.index for inst in group.instances])
-        rows = np.arange(index.size)
+        rows = np.arange(group.index.size)
         cuts = []
         for cid, q, key in keys:
             if group.n < CHECKERS[cid].min_n:
@@ -562,19 +550,17 @@ def _scan(config: ScanConfig, groups, rows_of: dict | None = None):
             ks = np.arange(values.shape[1]) if margins.ks is None else margins.ks
             if rows_of is not None:
                 k_list = ks.tolist()
-                for inst, v in zip(group.instances, values.tolist()):
-                    rows_of.setdefault(inst.index, []).extend(
-                        (inst.index, key, k, m) for k, m in zip(k_list, v)
-                    )
+                for i, v in zip(group.index.tolist(), values.tolist()):
+                    rows_of.setdefault(i, []).extend((i, key, k, m) for k, m in zip(k_list, v))
             if not values.shape[1]:
                 continue
             pos = inequalities._first_mins(values)
             worst = values[rows, pos]
-            minima.setdefault(key, _Minimum()).add(index, worst, ks[pos])
+            minima.setdefault(key, _Minimum()).add(group.index, worst, ks[pos])
             cut = np.flatnonzero(_cuts_certificate(worst, margins.tolerance))
             for r, k, margin in zip(cut.tolist(), ks[pos[cut]].tolist(), worst[cut].tolist()):
-                cuts.append((group.instances[r], cid, q, k, margin))
-        certificates.extend(_certificates(config, cuts))
+                cuts.append((r, cid, q, k, margin))
+        certificates.extend(_certificates(config, group, cuts))
     certificates.sort(key=lambda c: (c.instance_index, c.inequality, c.q or 0.0))
     return {key: minimum.entry() for key, minimum in minima.items()}, certificates
 

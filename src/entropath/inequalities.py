@@ -561,6 +561,8 @@ def check_functional_lemma(
     xi(t) = alpha U(1-tA) - 2 beta U(1-tB) + gamma U(1-tC), whose convexity
     is what drives the lemma.
     """
+    if grid_points < 1:
+        raise ValueError("grid_points must be at least 1")
     if float(U.value(np.array(1.0))) != 0.0:
         raise LemmaHypothesisError("U_at_one", "U(1) must be exactly 0")
     if float(U.d1(1.0)) != 1.0:

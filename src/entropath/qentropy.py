@@ -53,6 +53,16 @@ __all__ = [
 _KINDS = ("shannon", "renyi", "tsallis")
 
 
+def _checked_q(q) -> float:
+    """q as a float: finite, nonnegative and away from the Shannon point q = 1."""
+    q = float(q)
+    if not math.isfinite(q) or q < 0.0:
+        raise ValueError("q must be a finite nonnegative real")
+    if q == 1.0:
+        raise ValueError("q = 1 is the Shannon point; use kind='shannon'")
+    return q
+
+
 @dataclass(frozen=True)
 class EntropySpec:
     """Which entropy functional to evaluate; q is required away from the Shannon point."""
@@ -69,12 +79,7 @@ class EntropySpec:
             return
         if self.q is None:
             raise ValueError(f"{self.kind} entropy needs a q value")
-        q = float(self.q)
-        if not math.isfinite(q) or q < 0.0:
-            raise ValueError("q must be a finite nonnegative real")
-        if q == 1.0:
-            raise ValueError("q = 1 is the Shannon point; use kind='shannon'")
-        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "q", _checked_q(self.q))
 
     @classmethod
     def shannon(cls) -> "EntropySpec":

@@ -9,8 +9,9 @@ pairs plus the monomial scale the checker's tolerance is built from.
 The cyclic Jacobi eigensolver is here too; it pins the LAPACK eigenvalue of
 the entropy Hessian. So are the leave-out mass functions built one removal
 at a time and the 2^n enumeration of the pmf, which pin the library's
-stacked leave-out builder, and the scan as a loop over instances, which pins
-the grouped scan.
+stacked leave-out builder; the SplitMix64 generator with one object per
+instance, which pins the scan's array draw; and the scan as a loop over
+instances, which pins the grouped scan.
 """
 
 from __future__ import annotations
@@ -448,6 +449,117 @@ def uk_terms(f: np.ndarray, g: np.ndarray, h: np.ndarray):
     return terms
 
 
+# The instance sampler as it was first written: one SplitMix64 object per
+# instance, drawn one Python int at a time. The scan's array draw must give
+# every instance the same bits.
+
+_MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+
+
+def _mix64(x: int) -> int:
+    x &= _MASK64
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return x ^ (x >> 31)
+
+
+class SplitMix64:
+    """Counter-based 64-bit generator (SplitMix64).
+
+    state_i = seed + i * 0x9E3779B97F4A7C15 (mod 2^64); output_i is state_i
+    passed through the xorshift-multiply finalizer with constants
+    0xBF58476D1CE4E5B9 and 0x94D049BB133111EB and shifts 30/27/31. Uniform
+    doubles take the top 53 bits.
+    """
+
+    def __init__(self, seed: int):
+        self._state = int(seed) & _MASK64
+
+    def next_u64(self) -> int:
+        self._state = (self._state + _GAMMA) & _MASK64
+        return _mix64(self._state)
+
+    def uniform(self) -> float:
+        """Uniform in [0, 1) with 53 random bits."""
+        return (self.next_u64() >> 11) * 2.0**-53
+
+    def uniform_open(self) -> float:
+        """Uniform in (0, 1); safe under log."""
+        return ((self.next_u64() >> 12) + 0.5) * 2.0**-52
+
+    def integer(self, bound: int) -> int:
+        """Integer in [0, bound) by modulo."""
+        return self.next_u64() % bound
+
+    def gaussian(self) -> float:
+        u1 = self.uniform_open()
+        u2 = self.uniform()
+        return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
+
+
+def instance_rng(seed: int, index: int) -> SplitMix64:
+    """Generator for one instance; a pure function of (seed, index)."""
+    return SplitMix64(_mix64((seed + (index + 1) * _GAMMA) & _MASK64))
+
+
+def draw_n(rng: SplitMix64, n_range) -> int:
+    """The component count: an instance stream's first draw, even when n_range is one value."""
+    n_lo, n_hi = n_range
+    return n_lo + rng.integer(n_hi - n_lo + 1)
+
+
+def draw_slopes(rng: SplitMix64, n: int, distribution: str) -> np.ndarray:
+    if distribution == "unit_sphere":
+        z = np.array([rng.gaussian() for _ in range(n)])
+    elif distribution == "signed_unit":
+        z = np.array([2.0 * rng.uniform() - 1.0 for _ in range(n)])
+    else:
+        z = np.array([rng.uniform() for _ in range(n)])
+    top = float(np.abs(z).max())
+    if top == 0.0:
+        z[0] = 1.0
+        top = 1.0
+    return z / top
+
+
+def sample_instance(config, index: int):
+    """The random_affine instance at index, drawn from its own generator."""
+    from entropath.explorer import ScanInstance
+
+    rng = instance_rng(config.seed, index)
+    n = draw_n(rng, config.n_range)
+    eps = config.interior_margin
+    p = tuple(eps + (1.0 - 2.0 * eps) * rng.uniform() for _ in range(n))
+    slopes = draw_slopes(rng, n, config.slope_distribution)
+    return ScanInstance(index, p, tuple(float(v) for v in slopes), 0.0)
+
+
+def family_instances(config):
+    """Every instance of the configured family, in index order."""
+    from entropath.explorer import ScanInstance
+
+    indices = range(config.instance_count)
+    if config.family == "random_affine":
+        return [sample_instance(config, i) for i in indices]
+    if config.family == "bernoulli":
+        ts = np.geomspace(1e-6, 0.5, config.instance_count)
+        return [ScanInstance(i, (float(ts[i]),), (1.0,), float(ts[i])) for i in indices]
+    n = 2 if config.family == "binomial2" else config.n_range[1]
+    ts = np.linspace(0.02, 0.98, config.instance_count)
+    return [ScanInstance(i, (float(ts[i]),) * n, (1.0,) * n, float(ts[i])) for i in indices]
+
+
+def stack(instances):
+    """The instances' stored tuples as one Group; they must share one n."""
+    from entropath.explorer import Group
+
+    return Group(np.array([inst.p for inst in instances]),
+                 np.array([inst.slopes for inst in instances]),
+                 np.array([inst.index for inst in instances]),
+                 np.array([inst.t for inst in instances]))
+
+
 # The scan as it was first written: every instance on its own, every checker
 # evaluated on it through evaluate_checker, the worst margins merged as the
 # instances come. The grouped scan must give the same report byte for byte.
@@ -461,7 +573,6 @@ def scan_by_instance(config, collect_margins: bool = False):
         CounterexampleCertificate,
         ScanReport,
         _cuts_certificate,
-        _family_instances,
         evaluate_checker,
     )
 
@@ -469,7 +580,7 @@ def scan_by_instance(config, collect_margins: bool = False):
     worst: dict[str, dict] = {}
     certificates = []
     rows = []
-    for inst in _family_instances(config):
+    for inst in family_instances(config):
         params = ParamVector(np.array(inst.p))
         slopes = np.array(inst.slopes)
         for cid in config.inequality_set:

@@ -238,6 +238,47 @@ class TestLemmaCheck:
         assert "B_square" in err
 
 
+class TestInvalidInputsNameTheInput:
+    @pytest.mark.parametrize("argv, message", [
+        (["scan", "--seed", "1", "--n-range", "2.7,3.9"], "n_range must be integral, got 2.7"),
+        (["scan", "--seed", "1", "--n-range", "3"],
+         "--n-range takes two comma-separated values, got '3'"),
+        (["scan", "--seed", "1", "--checks", "log_concavity", "--q-grid", "nan,inf",
+          "--format", "json"], "q must be a finite nonnegative real"),
+        (["scan", "--seed", "1", "--checks", "log_concavity", "--q-grid", "2,1"],
+         "q = 1 is the Shannon point; use kind='shannon'"),
+        (["critical-q", "--family", "analytic", "--kind", "tsallis", "--bracket", "1,2,3"],
+         "--bracket takes two comma-separated values, got '1,2,3'"),
+        (["lemma-check", "--A", "0.5", "--B", "0", "--C", "0.5", "--alpha", "1",
+          "--beta", "0", "--gamma", "1", "--grid", "0"], "grid_points must be at least 1"),
+        (["verify", "--p", "0.2,0.3", "--slopes", "1,nan"], "slopes must be finite"),
+    ])
+    def test_exits_two_with_the_message(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("field, value", [
+        ("instance_count", 2.5), ("seed", 7.5), ("n_range", [2, 3.5]), ("n_range", [3])
+    ])
+    def test_config_file_fields_are_not_truncated(self, capsys, tmp_path, field, value):
+        path = tmp_path / "scan.json"
+        path.write_text(json.dumps({"seed": 7, "instance_count": 3, field: value}))
+        code, out, err = run_cli(capsys, "scan", "--config", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {field} must be")
+
+    def test_integral_floats_stay_valid(self, capsys, tmp_path):
+        path = tmp_path / "scan.json"
+        outs = []
+        for cfg in ({"seed": 7, "n_range": [2, 3], "instance_count": 3},
+                    {"seed": 7.0, "n_range": [2.0, 3.0], "instance_count": 3.0}):
+            path.write_text(json.dumps(cfg))
+            code, out, _ = run_cli(capsys, "scan", "--config", str(path), "--format", "json")
+            assert code == 0
+            outs.append(out)
+        assert outs[0] == outs[1]
+
+
 def test_json_reports_round_trip(capsys):
     for argv in (
         ["verify", "--p", "0.3,0.6", "--slopes", "0.5,-1", "--format", "json"],

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -15,12 +16,9 @@ from entropath.explorer import (
     CHECKER_IDS,
     CHECKERS,
     SHANNON_SUITE,
-    Group,
     ScanConfig,
-    SplitMix64,
     estimate_critical_q,
     evaluate_checker,
-    instance_rng,
     run_scan,
     sample_instance,
 )
@@ -30,7 +28,7 @@ from entropath.pmf import ParamVector
 class TestSplitMix64:
     def test_reference_stream_for_seed_zero(self):
         # First outputs of the published generator for seed 0.
-        rng = SplitMix64(0)
+        rng = oracle.SplitMix64(0)
         assert [rng.next_u64() for _ in range(3)] == [
             0xE220A8397B1DCDAF,
             0x6E789E6AA1B965F4,
@@ -38,16 +36,16 @@ class TestSplitMix64:
         ]
 
     def test_uniform_range(self):
-        rng = SplitMix64(12345)
+        rng = oracle.SplitMix64(12345)
         draws = [rng.uniform() for _ in range(1000)]
         assert all(0.0 <= u < 1.0 for u in draws)
         draws_open = [rng.uniform_open() for _ in range(1000)]
         assert all(0.0 < u < 1.0 for u in draws_open)
 
     def test_instance_streams_are_counter_based(self):
-        a = instance_rng(99, 5).next_u64()
-        b = instance_rng(99, 5).next_u64()
-        c = instance_rng(99, 6).next_u64()
+        a = oracle.instance_rng(99, 5).next_u64()
+        b = oracle.instance_rng(99, 5).next_u64()
+        c = oracle.instance_rng(99, 6).next_u64()
         assert a == b
         assert a != c
 
@@ -59,7 +57,7 @@ class TestSplitMix64:
                          slope_distribution="unit_sphere")
         for index in range(cfg.instance_count):
             inst = sample_instance(cfg, index)
-            rng = instance_rng(cfg.seed, index)
+            rng = oracle.instance_rng(cfg.seed, index)
             n = 1 + rng.next_u64() % 9
             for _ in range(n):
                 rng.next_u64()
@@ -73,10 +71,95 @@ class TestSplitMix64:
             assert max(abs(v) for v in inst.slopes) == 1.0
 
 
+# Seeds at both ends of 64 bits, and indices past 2^32, so that the uint64
+# arithmetic of the array draw wraps.
+WRAP_SEEDS = (0, 2**63, 2**64 - 1)
+WIDE_INDICES = (0, 1, 17, 2**32 + 3, 2**40 + 12345)
+
+
+def _bits(values) -> bytes:
+    return np.array(values, dtype=np.float64).tobytes()
+
+
+class TestArrayDrawMatchesTheGenerator:
+    """The scan's array draw against one SplitMix64 object per instance."""
+
+    @pytest.mark.parametrize("seed", WRAP_SEEDS)
+    def test_streams(self, seed):
+        want = []
+        for index in WIDE_INDICES:
+            rng = oracle.instance_rng(seed, index)
+            want.append([rng.next_u64() for _ in range(7)])
+        assert explorer._streams(seed, np.array(WIDE_INDICES), 7).tolist() == want
+
+    @pytest.mark.parametrize("seed", WRAP_SEEDS)
+    @pytest.mark.parametrize("n_range", [(1, 1), (4, 4), (1, 12), (3, 7)])
+    def test_family_sizes(self, seed, n_range):
+        cfg = ScanConfig(seed=seed, n_range=n_range, instance_count=50)
+        want = [oracle.draw_n(oracle.instance_rng(seed, i), n_range) for i in range(50)]
+        assert explorer._family_sizes(cfg).tolist() == want
+
+    @pytest.mark.parametrize("seed", WRAP_SEEDS)
+    @pytest.mark.parametrize("n_range", [(5, 5), (1, 9)])
+    @pytest.mark.parametrize("distribution", ["unit_sphere", "signed_unit", "monotone_unit"])
+    def test_sample_instance(self, seed, n_range, distribution):
+        cfg = ScanConfig(seed=seed, n_range=n_range, slope_distribution=distribution,
+                         interior_margin=0.01)
+        for index in WIDE_INDICES + tuple(range(2, 40)):
+            got, want = sample_instance(cfg, index), oracle.sample_instance(cfg, index)
+            assert (got.index, got.t) == (want.index, want.t)
+            assert _bits(got.p) == _bits(want.p)
+            assert _bits(got.slopes) == _bits(want.slopes)
+
+    @pytest.mark.parametrize("family", ["random_affine", "bernoulli", "binomial2", "binomial_n"])
+    @pytest.mark.parametrize("distribution", ["unit_sphere", "signed_unit", "monotone_unit"])
+    def test_scan_groups(self, family, distribution):
+        cfg = ScanConfig(seed=2**64 - 1, n_range=(1, 30), instance_count=300, family=family,
+                         slope_distribution=distribution)
+        want = {inst.index: inst for inst in oracle.family_instances(cfg)}
+        seen = []
+        for group in explorer._groups(cfg):
+            for row, index in enumerate(group.index.tolist()):
+                inst = want[index]
+                assert group.t[row].item() == inst.t
+                assert group.p[row].tobytes() == _bits(inst.p)
+                assert group.slopes[row].tobytes() == _bits(inst.slopes)
+                seen.append(index)
+        assert sorted(seen) == list(range(cfg.instance_count))
+
+
 class TestScanConfig:
     def test_zero_instances_rejected(self):
         with pytest.raises(ValueError):
             ScanConfig(seed=1, instance_count=0)
+
+    def test_integer_fields_are_not_truncated(self):
+        for kwargs in ({"seed": 1.5}, {"n_range": (2.7, 3.9)}, {"instance_count": 2.5},
+                       {"instance_count": math.inf}, {"seed": math.nan}):
+            with pytest.raises(ValueError, match="must be integral"):
+                ScanConfig(**{"seed": 1, **kwargs})
+        exact = ScanConfig(seed=3, n_range=(2, 4), instance_count=9)
+        floats = ScanConfig(seed=3.0, n_range=[2.0, 4.0], instance_count=9.0)
+        assert floats.to_dict() == exact.to_dict()
+        assert floats.config_hash() == exact.config_hash()
+
+    @pytest.mark.parametrize("q, message", [
+        (math.nan, "q must be a finite nonnegative real"),
+        (math.inf, "q must be a finite nonnegative real"),
+        (-0.5, "q must be a finite nonnegative real"),
+        (1.0, "q = 1 is the Shannon point; use kind='shannon'"),
+    ])
+    def test_every_q_of_the_grid_follows_the_entropy_spec_rule(self, q, message):
+        for checks in (("log_concavity",), ("renyi_concavity",)):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                ScanConfig(seed=1, inequality_set=checks, q_grid=(2.5, q))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            qentropy.EntropySpec("renyi", q)
+
+    def test_estimator_errors_for_a_rejected_q_keep_their_message(self):
+        cfg = ScanConfig(seed=0, n_range=(1, 2), instance_count=5)
+        with pytest.raises(ValueError, match="^q = 1 is the Shannon point; use kind='shannon'$"):
+            estimate_critical_q(cfg, "binomial2", "tsallis", (0.5, 1.0))
 
     def test_unknown_checker_rejected(self):
         with pytest.raises(ValueError):
@@ -424,10 +507,11 @@ class TestGroupedScanMatchesInstanceLoop:
     def test_checker_kernels_give_every_row_its_one_row_bits(self):
         cfg = ScanConfig(seed=8, n_range=(5, 5), instance_count=7,
                          inequality_set=CHECKER_IDS, q_grid=(2.5,))
-        group = Group.of(explorer._family_instances(cfg))
+        insts = oracle.family_instances(cfg)
+        group = oracle.stack(insts)
         for cid in CHECKER_IDS:
             stacked = CHECKERS[cid].kernel(group, 2.5)
-            for row, inst in enumerate(group.instances):
+            for row, inst in enumerate(insts):
                 alone = evaluate_checker(cid, ParamVector(np.array(inst.p)),
                                          np.array(inst.slopes), 2.5)
                 assert stacked.values[row].tobytes() == alone.values.tobytes(), cid
@@ -489,12 +573,12 @@ class TestRowMinima:
     def test_a_cut_ladder_margin_is_evaluated_again(self):
         cfg = ScanConfig(seed=4, n_range=(6, 6), instance_count=3,
                          inequality_set=("condition4",))
-        insts = explorer._family_instances(cfg)
-        margins = CHECKERS["condition4"].kernel(Group.of(insts), None).values
+        group = oracle.stack(oracle.family_instances(cfg))
+        margins = CHECKERS["condition4"].kernel(group, None).values
         pos = inequalities._first_mins(margins)
-        cuts = [(inst, "condition4", None, int(pos[r]), margins[r, pos[r]].item())
-                for r, inst in enumerate(insts)]
-        certificates = explorer._certificates(cfg, cuts[::-1])
+        cuts = [(r, "condition4", None, int(pos[r]), margins[r, pos[r]].item())
+                for r in range(len(margins))]
+        certificates = explorer._certificates(cfg, group, cuts[::-1])
         assert [c.reeval_margin for c in certificates] == [c[4] for c in cuts[::-1]]
         assert [c.reeval_margin for c in certificates] == [
             oracle.reevaluate_certificate(c) for c in certificates
