@@ -1,14 +1,19 @@
 """Command-line front end: verify instances, run scans, estimate critical q.
 
 Exit codes: 0 when every checked margin holds, 1 when a margin fails, 2 on
-parse or validation errors. Machine-readable output is JSON (schema_version 1)
-or CSV with columns instance_id,inequality,k,margin; the human format is for
-eyes only and is never parsed by tests.
+parse or validation errors. An internal consistency failure
+(``ConsistencyError``, e.g. ``scan --seed 0 --family binomial_n --n-range 200,200
+--checks log_concavity,two_fold_log_concavity``) is not caught: it leaves
+``main`` as an exception, so the ``entropath`` process ends in a traceback
+with exit 1, the same code as a failed margin. Machine-readable output is
+JSON (schema_version 1) or CSV with columns instance_id,inequality,k,margin;
+the human format is for eyes only and is never parsed by tests.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -21,12 +26,6 @@ from .errors import BoundaryError, LemmaHypothesisError
 from .explorer import SCHEMA_VERSION
 from .inequalities import X_LOG_X, margin_rows, rows_to_csv
 from .pmf import ParamVector
-
-_PROBE_BY_FAMILY_KIND = {
-    ("analytic", "tsallis"): "analytic_tsallis",
-    ("binomial2", "tsallis"): "binomial2_tsallis_fd",
-    ("bernoulli", "renyi"): "bernoulli_renyi",
-}
 
 
 def _parse_floats(text: str) -> list[float]:
@@ -163,11 +162,13 @@ def cmd_critical_q(args) -> int:
         )
         result = explorer.estimate_critical_q(config, args.family, args.kind, (lo, hi))
     else:
-        probe_id = _PROBE_BY_FAMILY_KIND.get((args.family, args.kind))
-        if probe_id is None:
+        # CRITICAL_Q_PROBES names each probe "<family>_<kind>".
+        probe_id = f"{args.family}_{args.kind}"
+        if probe_id not in qentropy.CRITICAL_Q_PROBES:
+            known = sorted(tuple(key.rsplit("_", 1)) for key in qentropy.CRITICAL_Q_PROBES)
             raise ValueError(
                 f"no probe for family {args.family!r} with kind {args.kind!r}; "
-                f"known combinations: {sorted(_PROBE_BY_FAMILY_KIND)}"
+                f"known combinations: {known}"
             )
         result = qentropy.find_critical_q(probe_id, (lo, hi))
     rows = [(i, result.family, i, float(s)) for i, (q, s) in enumerate(result.sign_trace)]
@@ -209,7 +210,16 @@ def cmd_lemma_check(args) -> int:
     return 0 if report.holds else 1
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared by every later one.
+
+    Parsing keeps no state in the parser: each ``parse_args`` returns a fresh
+    namespace, and argparse looks up ``sys.stdout``/``sys.stderr`` when it
+    prints. Each subcommand's handler is bound here, when the parser is
+    built (``set_defaults(handler=cmd_*)``), so rebinding a ``cmd_*``
+    function afterwards does not change what ``main`` runs.
+    """
     parser = argparse.ArgumentParser(
         prog="entropath",
         description="Verify entropy concavity margins for Bernoulli sums.",

@@ -332,13 +332,11 @@ def binomial2_tsallis_curvature(q: float) -> float:
     return 2.0 ** (3.0 - 2.0 * q) * (2.0 - 4.0 * q + 2.0**q) * q / (q - 1.0)
 
 
-def _binomial2_tsallis_fd_probe(q: float, step: float = 1e-4) -> float:
-    spec = EntropySpec.tsallis(q)
-
-    def ent(t: float) -> float:
-        return q_entropy(compute_pmf(ParamVector(np.array([t, t]))), spec)
-
-    return central_second(ent, 0.5, step)
+def _binomial2_tsallis_probe(q: float) -> float:
+    # The exact kernel at p = (1/2, 1/2), slopes (1, 1); binomial2_tsallis_curvature is its
+    # closed form.
+    params = ParamVector(np.array([0.5, 0.5]))
+    return q_curvature(params, np.array([1.0, 1.0]), EntropySpec.tsallis(q))
 
 
 def _bernoulli_renyi_probe(q: float, p: float = 1e-4) -> float:
@@ -348,8 +346,7 @@ def _bernoulli_renyi_probe(q: float, p: float = 1e-4) -> float:
 
 CRITICAL_Q_PROBES = {
     "analytic_tsallis": lambda q: 2.0 - 4.0 * q + 2.0**q,
-    "binomial2_tsallis": binomial2_tsallis_curvature,
-    "binomial2_tsallis_fd": _binomial2_tsallis_fd_probe,
+    "binomial2_tsallis": _binomial2_tsallis_probe,
     "bernoulli_renyi": _bernoulli_renyi_probe,
 }
 

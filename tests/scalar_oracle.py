@@ -10,8 +10,9 @@ The cyclic Jacobi eigensolver is here too; it pins the LAPACK eigenvalue of
 the entropy Hessian. So are the leave-out mass functions built one removal
 at a time and the 2^n enumeration of the pmf, which pin the library's
 stacked leave-out builder; the SplitMix64 generator with one object per
-instance, which pins the scan's array draw; and the scan as a loop over
-instances, which pins the grouped scan.
+instance, which pins the scan's array draw; the scan as a loop over
+instances, which pins the grouped scan; and the finite-difference probe of
+the two-coin Tsallis curvature, which pins the critical-q probe's root.
 """
 
 from __future__ import annotations
@@ -348,6 +349,24 @@ def tsallis_curvature(f: np.ndarray, g: np.ndarray, h: np.ndarray, q: float):
         terms += [g[k] ** 2 * fq2[k], 2.0 * abs(g[k] * g[k + 1]) * fq2[k + 1],
                   g[k + 1] ** 2 * fq2[k + 2]]
     return float(-q * (u.sum() + boundary)), abs(q) * float(max(terms))
+
+
+# The two-coin Tsallis critical-q probe as it was first written: a centred
+# second difference of the entropy along p = (t, t). The library's probe is
+# the exact kernel; this one pins its root from outside.
+
+
+def binomial2_tsallis_fd_probe(q: float, step: float = 1e-4) -> float:
+    """Second difference in t of the Tsallis entropy at p = (t, t), centred at t = 1/2."""
+    from entropath.numdiff import central_second
+    from entropath.qentropy import EntropySpec, q_entropy
+
+    spec = EntropySpec.tsallis(q)
+
+    def ent(t: float) -> float:
+        return q_entropy(compute_pmf(ParamVector(np.array([t, t]))), spec)
+
+    return central_second(ent, 0.5, step)
 
 
 # The scan estimator of a critical q, as it was first written: one run_scan of

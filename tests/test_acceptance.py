@@ -36,7 +36,7 @@ from entropath.inequalities import (
 )
 from entropath.numdiff import central_first, central_second
 from entropath.pmf import ParamVector, compute_pmf
-from scalar_oracle import brute_force_pmf, reevaluate_certificate
+from scalar_oracle import binomial2_tsallis_fd_probe, brute_force_pmf, reevaluate_certificate
 from entropath.qentropy import (
     EntropySpec,
     binomial2_tsallis_curvature,
@@ -186,8 +186,8 @@ def test_criterion_3_derivative_oracles():
 def test_criterion_4_critical_constants():
     """Both probes hit the Tsallis threshold; the closed form matches at q = 1.5, 3, 4."""
     analytic = find_critical_q("analytic_tsallis", (3.5, 3.8))
-    fd = find_critical_q("binomial2_tsallis_fd", (3.5, 3.8))
-    closed = find_critical_q("binomial2_tsallis", (3.5, 3.8))
+    fd = find_critical_q("binomial2_tsallis_fd", (3.5, 3.8), probe=binomial2_tsallis_fd_probe)
+    closed = find_critical_q("binomial2_tsallis", (3.5, 3.8), probe=binomial2_tsallis_curvature)
     pv = ParamVector(np.array([0.5, 0.5]))
     slopes = np.array([1.0, 1.0])
     gaps = {

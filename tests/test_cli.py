@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from entropath import cli
 from entropath.cli import main
 
 
@@ -155,7 +156,10 @@ class TestCriticalQ:
             "--bracket", "3.5,3.8", "--format", "json",
         )
         assert code == 0
-        assert json.loads(out)["root"] == pytest.approx(3.65986, abs=1e-4)
+        report = json.loads(out)
+        assert report["family"] == "binomial2_tsallis"
+        # The exact kernel's root: mpmath's root of 2 - 4q + 2^q, within the bisection tolerance.
+        assert abs(report["root"] - 3.6598611779191823) <= 1e-7
 
     def test_analytic_probe(self, capsys):
         code, out, _ = run_cli(
@@ -185,6 +189,10 @@ class TestCriticalQ:
             "--bracket", "1.5,2.5",
         )
         assert code == 2
+        assert err == (
+            "error: no probe for family 'binomial2' with kind 'renyi'; known combinations: "
+            "[('analytic', 'tsallis'), ('bernoulli', 'renyi'), ('binomial2', 'tsallis')]\n"
+        )
 
     def test_no_sign_change(self, capsys):
         code, _, err = run_cli(
@@ -277,6 +285,66 @@ class TestInvalidInputsNameTheInput:
             assert code == 0
             outs.append(out)
         assert outs[0] == outs[1]
+
+
+class TestParserReuse:
+    """main builds its parser once per process; no call sees an earlier call's arguments."""
+
+    def test_parser_is_built_once(self):
+        assert cli._parser() is cli._parser()
+
+    def test_scan_seed_does_not_carry_over(self, capsys):
+        code, _, _ = run_cli(
+            capsys, "scan", "--seed", "1", "--instances", "2", "--n-range", "2,3",
+            "--format", "json",
+        )
+        assert code == 0
+        code, out, err = run_cli(capsys, "scan", "--n-range", "2,3")
+        assert code == 2
+        assert out == ""
+        assert "scan needs --seed or --config" in err
+
+    def test_verify_slopes_do_not_carry_over(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "verify", "--p", "0.5,0.5", "--slopes", "1,-1", "--format", "json"
+        )
+        assert code == 0
+        assert json.loads(out)["slopes"] == [1.0, -1.0]
+        code, out, _ = run_cli(capsys, "verify", "--p", "0.5,0.5", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["slopes"] == [0.0, 0.0]
+
+    def test_critical_q_seed_falls_back_to_zero(self, capsys):
+        argv = (
+            "critical-q", "--family", "random_affine", "--kind", "renyi",
+            "--bracket", "1.5,2.5", "--estimator", "scan", "--format", "json",
+        )
+        seeded = run_cli(capsys, *argv, "--seed", "5")
+        unseeded = run_cli(capsys, *argv)
+        seed_zero = run_cli(capsys, *argv, "--seed", "0")
+        assert seeded[0] == unseeded[0] == 0
+        assert unseeded == seed_zero
+        assert json.loads(unseeded[1])["root"] != json.loads(seeded[1])["root"]
+
+    def test_usage_errors_repeat(self, capsys):
+        first = run_cli(capsys, "scan", "--instances", "many")
+        second = run_cli(capsys, "scan", "--instances", "many")
+        assert first == second
+        code, out, err = first
+        assert code == 2
+        assert out == ""
+        assert err.startswith("usage: entropath scan")
+        assert "invalid int value: 'many'" in err
+
+    def test_help_repeats(self, capsys):
+        for argv in (("--help",), ("scan", "--help")):
+            first = run_cli(capsys, *argv)
+            second = run_cli(capsys, *argv)
+            assert first == second
+            code, out, err = first
+            assert code == 0
+            assert out.startswith("usage: entropath")
+            assert err == ""
 
 
 def test_json_reports_round_trip(capsys):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import scalar_oracle as oracle
 from conftest import random_instance
 from entropath.calculus import AffinePath, path_at, shannon_entropy
 from entropath.errors import BoundaryError
@@ -252,12 +253,14 @@ class TestCriticalQ:
         assert res.bracket[0] <= res.root <= res.bracket[1]
 
     def test_closed_form_probe_matches_analytic_root(self):
-        res = find_critical_q("binomial2_tsallis", (3.5, 3.8))
+        res = find_critical_q("binomial2_tsallis", (3.5, 3.8), probe=binomial2_tsallis_curvature)
         ref = find_critical_q("analytic_tsallis", (3.5, 3.8))
         assert res.root == pytest.approx(ref.root, abs=1e-6)
 
     def test_fd_probe_root(self):
-        res = find_critical_q("binomial2_tsallis_fd", (3.5, 3.8))
+        res = find_critical_q(
+            "binomial2_tsallis_fd", (3.5, 3.8), probe=oracle.binomial2_tsallis_fd_probe
+        )
         assert res.root == pytest.approx(Q_STAR, abs=1e-4)
 
     def test_bernoulli_renyi_crossing_near_two(self):
