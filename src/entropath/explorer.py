@@ -263,6 +263,8 @@ class ScanConfig:
             raise ValueError("interior_margin must lie in [0, 0.5)")
         if not 1 <= self.n_range[0] <= self.n_range[1]:
             raise ValueError("n_range must satisfy 1 <= min <= max")
+        if self.n_range[1] >= 1 << 63:
+            raise ValueError(f"n_range must fit in int64, got {list(self.n_range)!r}")
         if self.slope_distribution not in _SLOPE_DISTRIBUTIONS:
             raise ValueError(f"unknown slope distribution {self.slope_distribution!r}")
         if self.family not in FAMILIES:
@@ -399,43 +401,79 @@ class CounterexampleCertificate:
         }
 
 
-def _certificates(config: ScanConfig, group: Group, cuts) -> list[CounterexampleCertificate]:
-    """Certificates for cut margins of one group, each margin evaluated again from its stored tuple.
+class _Cut(NamedTuple):
+    """One checker key's cut rows of one group, as arrays.
 
-    cuts lists (row, checker id, q, k, margin). Each cut row's p and slopes
-    are stored as tuples of floats, and the cut rows are rebuilt from those
-    tuples as one group, on which each checker's kernel runs once. A row has
-    the same bits in any stack, so the margin comes back with the bits it was
-    cut with. The config is hashed only when a margin is cut.
+    rows holds the cut rows rebuilt from the tuples of floats a certificate
+    stores; k, margin and reeval hold each row's k, cut margin and margin
+    evaluated again on rows.
+    """
+
+    cid: str
+    q: float | None
+    rows: Group
+    k: np.ndarray
+    margin: np.ndarray
+    reeval: np.ndarray
+
+
+def _recheck(group: Group, cuts) -> list[_Cut]:
+    """Each key's cut rows of one group, their margins evaluated again from the stored tuples.
+
+    cuts lists (checker id, q, rows, k, margin), the last three arrays over
+    that key's cut rows. The cut rows are rebuilt from their p and slopes as
+    tuples of floats, as one group, on which each key's kernel runs once. A
+    row has the same bits in any stack, so each margin comes back with the
+    bits it was cut with; a pair further apart than a certificate allows
+    raises ConsistencyError with the certificate's message.
     """
     if not cuts:
         return []
-    cfg_hash = config.config_hash()
-    rows = list(dict.fromkeys(r for r, *_ in cuts))
-    p = {r: tuple(group.p[r].tolist()) for r in rows}
-    slopes = {r: tuple(group.slopes[r].tolist()) for r in rows}
-    stored = Group(np.array(list(p.values())), np.array(list(slopes.values())),
+    rows = np.unique(np.concatenate([c[2] for c in cuts]))
+    stored = Group(np.array(group.p[rows].tolist()), np.array(group.slopes[rows].tolist()),
                    group.index[rows], group.t[rows])
-    row_of = {r: i for i, r in enumerate(rows)}
     again = {}
-    for cid, q in dict.fromkeys((cid, q) for _, cid, q, *_ in cuts):
-        values = CHECKERS[cid].kernel(stored, q).values
-        again[cid, q] = values[np.arange(len(values)), inequalities._first_mins(values)]
-    return [
+    records = []
+    for cid, q, cut, k, margin in cuts:
+        if (cid, q) not in again:
+            values = CHECKERS[cid].kernel(stored, q).values
+            again[cid, q] = values[np.arange(len(values)), inequalities._first_mins(values)]
+        at = np.searchsorted(rows, cut)
+        reeval = again[cid, q][at]
+        bad = np.flatnonzero(np.abs(margin - reeval) > 1e-12)
+        if bad.size:
+            raise ConsistencyError(
+                f"certificate does not reproduce: {margin[bad[0]].item()!r} vs "
+                f"{reeval[bad[0]].item()!r}"
+            )
+        rows_at = Group(stored.p[at], stored.slopes[at], stored.index[at], stored.t[at])
+        records.append(_Cut(cid, q, rows_at, k, margin, reeval))
+    return records
+
+
+def _certificates(config_hash: str, cuts: list[_Cut]) -> list[CounterexampleCertificate]:
+    """The certificates of the cut records, sorted by instance index, checker and q."""
+    certificates = [
         CounterexampleCertificate(
-            config_hash=cfg_hash,
-            instance_index=int(group.index[r]),
-            inequality=cid,
-            p=p[r],
-            slopes=slopes[r],
-            t=group.t[r].item(),
-            q=q,
+            config_hash=config_hash,
+            instance_index=index,
+            inequality=cut.cid,
+            p=tuple(p),
+            slopes=tuple(slopes),
+            t=t,
+            q=cut.q,
             k=k,
             margin=margin,
-            reeval_margin=again[cid, q][row_of[r]].item(),
+            reeval_margin=reeval,
         )
-        for r, cid, q, k, margin in cuts
+        for cut in cuts
+        for index, p, slopes, t, k, margin, reeval in zip(
+            cut.rows.index.tolist(), cut.rows.p.tolist(), cut.rows.slopes.tolist(),
+            cut.rows.t.tolist(), cut.k.tolist(), cut.margin.tolist(), cut.reeval.tolist(),
+        )
     ]
+    certificates.sort(key=lambda c: (c.instance_index, c.inequality, c.q or 0.0))
+    return certificates
 
 
 # Version of every JSON report's key set; the CLI stamps it on each payload.
@@ -522,15 +560,15 @@ class _Minimum:
 
 
 def _scan(config: ScanConfig, groups, rows_of: dict | None = None):
-    """The scan loop: (worst margins by report key, certificates) of the config's checkers.
+    """The scan loop: (worst margins by report key, cut records) of the config's checkers.
 
     Each checker's kernel runs once per group, once per q of the grid for
     the q-dependent ones. A row's worst margin and its k come from _first_min
     and are merged in instance-index order, so a tie goes to the lowest index.
-    A certificate is cut only when a margin falls below ten times the checker
-    tolerance, and it is evaluated again from its stored tuple before being
-    emitted. With rows_of, every margin row is appended under its instance
-    index, for CSV dumps.
+    A row is cut only when its worst margin falls below ten times the checker
+    tolerance, and every cut margin is evaluated again from its stored tuple
+    (_recheck). Only run_scan makes certificates of the cuts. With rows_of,
+    every margin row is appended under its instance index, for CSV dumps.
     """
     keys = [
         (cid, q, cid if q is None else f"{cid}[q={q!r}]")
@@ -538,10 +576,10 @@ def _scan(config: ScanConfig, groups, rows_of: dict | None = None):
         for q in (config.q_grid if cid in _Q_CHECKERS else (None,))
     ]
     minima: dict[str, _Minimum] = {}
-    certificates: list[CounterexampleCertificate] = []
+    cuts: list[_Cut] = []
     for group in groups:
         rows = np.arange(group.index.size)
-        cuts = []
+        group_cuts = []
         for cid, q, key in keys:
             if group.n < CHECKERS[cid].min_n:
                 continue
@@ -558,11 +596,10 @@ def _scan(config: ScanConfig, groups, rows_of: dict | None = None):
             worst = values[rows, pos]
             minima.setdefault(key, _Minimum()).add(group.index, worst, ks[pos])
             cut = np.flatnonzero(_cuts_certificate(worst, margins.tolerance))
-            for r, k, margin in zip(cut.tolist(), ks[pos[cut]].tolist(), worst[cut].tolist()):
-                cuts.append((r, cid, q, k, margin))
-        certificates.extend(_certificates(config, group, cuts))
-    certificates.sort(key=lambda c: (c.instance_index, c.inequality, c.q or 0.0))
-    return {key: minimum.entry() for key, minimum in minima.items()}, certificates
+            if cut.size:
+                group_cuts.append((cid, q, cut, ks[pos[cut]], worst[cut]))
+        cuts.extend(_recheck(group, group_cuts))
+    return {key: minimum.entry() for key, minimum in minima.items()}, cuts
 
 
 def run_scan(config: ScanConfig, collect_margins: bool = False) -> ScanReport:
@@ -574,13 +611,14 @@ def run_scan(config: ScanConfig, collect_margins: bool = False) -> ScanReport:
     full per-instance margin rows are kept for CSV dumps, in instance order.
     """
     rows_of = {} if collect_margins else None
-    worst_margins, certificates = _scan(config, _groups(config), rows_of)
+    worst_margins, cuts = _scan(config, _groups(config), rows_of)
+    config_hash = config.config_hash()
     caveat = OVERESTIMATE_CAVEAT if any(c in _Q_CHECKERS for c in config.inequality_set) else None
     return ScanReport(
         config=config,
-        config_hash=config.config_hash(),
+        config_hash=config_hash,
         worst_margins=worst_margins,
-        certificates=tuple(certificates),
+        certificates=tuple(_certificates(config_hash, cuts)),
         margin_rows=tuple(r for i in sorted(rows_of) for r in rows_of[i])
         if collect_margins
         else None,
@@ -598,9 +636,10 @@ def estimate_critical_q(
     """Bisect the q where the scan first finds a violation for the family.
 
     qentropy.find_critical_q bisects a probe that reads +1 where a scan of
-    the family on the kind's curvature checker cuts a certificate, and -1
-    where it cuts none. The family's groups, with their f, g and h, are
-    built once per root, on the probe's first call. The violation predicate
+    the family on the kind's curvature checker cuts a row, and -1 where it
+    cuts none. Every cut margin is evaluated again, but no certificate is
+    made and no config hashed. The family's groups, with their f, g and h,
+    are built once per root, on the probe's first call. The violation predicate
     is assumed monotone in q, per the shape of the conjecture; that
     assumption is recorded in the caveat, not enforced. The Shannon kind
     never produces violations, so it surfaces the constant predicate error.

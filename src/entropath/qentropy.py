@@ -10,6 +10,7 @@ explicit so the value is exact.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -332,16 +333,26 @@ def binomial2_tsallis_curvature(q: float) -> float:
     return 2.0 ** (3.0 - 2.0 * q) * (2.0 - 4.0 * q + 2.0**q) * q / (q - 1.0)
 
 
+@functools.cache
+def _probe_point(p: tuple[float, ...], slopes: tuple[float, ...]):
+    """The one-row f, g, h of a fixed probe point, built once per point and read-only."""
+    params = ParamVector(np.array(p))
+    rows = _fgh_rows(params, _check_slopes(params, slopes))
+    for row in rows:
+        row.flags.writeable = False
+    return rows
+
+
 def _binomial2_tsallis_probe(q: float) -> float:
     # The exact kernel at p = (1/2, 1/2), slopes (1, 1); binomial2_tsallis_curvature is its
     # closed form.
-    params = ParamVector(np.array([0.5, 0.5]))
-    return q_curvature(params, np.array([1.0, 1.0]), EntropySpec.tsallis(q))
+    fgh = _probe_point((0.5, 0.5), (1.0, 1.0))
+    return float(stacked_q_curvature(*fgh, EntropySpec.tsallis(q))[0])
 
 
 def _bernoulli_renyi_probe(q: float, p: float = 1e-4) -> float:
     # The conjectured threshold is a p -> 0 limit, probed at a small fixed p.
-    return q_curvature(ParamVector(np.array([p])), np.array([1.0]), EntropySpec.renyi(q))
+    return float(stacked_q_curvature(*_probe_point((p,), (1.0,)), EntropySpec.renyi(q))[0])
 
 
 CRITICAL_Q_PROBES = {

@@ -11,8 +11,10 @@ the entropy Hessian. So are the leave-out mass functions built one removal
 at a time and the 2^n enumeration of the pmf, which pin the library's
 stacked leave-out builder; the SplitMix64 generator with one object per
 instance, which pins the scan's array draw; the scan as a loop over
-instances, which pins the grouped scan; and the finite-difference probe of
-the two-coin Tsallis curvature, which pins the critical-q probe's root.
+instances, which pins the grouped scan; the finite-difference probe of
+the two-coin Tsallis curvature, which pins the critical-q probe's root; and
+the exact probes that build their point at every q, which pin the cached
+probe points.
 """
 
 from __future__ import annotations
@@ -367,6 +369,26 @@ def binomial2_tsallis_fd_probe(q: float, step: float = 1e-4) -> float:
         return q_entropy(compute_pmf(ParamVector(np.array([t, t]))), spec)
 
     return central_second(ent, 0.5, step)
+
+
+# The exact critical-q probes as they were first written: every q builds its
+# point again and evaluates q_curvature there. The library's probes build
+# each point once and must give the same bits.
+
+
+def binomial2_tsallis_probe(q: float) -> float:
+    """Tsallis curvature at p = (1/2, 1/2), slopes (1, 1), the point built for this q alone."""
+    from entropath.qentropy import EntropySpec, q_curvature
+
+    params = ParamVector(np.array([0.5, 0.5]))
+    return q_curvature(params, np.array([1.0, 1.0]), EntropySpec.tsallis(q))
+
+
+def bernoulli_renyi_probe(q: float, p: float = 1e-4) -> float:
+    """Renyi curvature of one coin at p, slope 1, the point built for this q alone."""
+    from entropath.qentropy import EntropySpec, q_curvature
+
+    return q_curvature(ParamVector(np.array([p])), np.array([1.0]), EntropySpec.renyi(q))
 
 
 # The scan estimator of a critical q, as it was first written: one run_scan of

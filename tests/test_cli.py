@@ -260,6 +260,8 @@ class TestInvalidInputsNameTheInput:
         (["lemma-check", "--A", "0.5", "--B", "0", "--C", "0.5", "--alpha", "1",
           "--beta", "0", "--gamma", "1", "--grid", "0"], "grid_points must be at least 1"),
         (["verify", "--p", "0.2,0.3", "--slopes", "1,nan"], "slopes must be finite"),
+        (["scan", "--seed", "1", "--n-range", "1e20,1e20", "--instances", "2"],
+         "n_range must fit in int64, got [100000000000000000000, 100000000000000000000]"),
     ])
     def test_exits_two_with_the_message(self, capsys, argv, message):
         code, out, err = run_cli(capsys, *argv)

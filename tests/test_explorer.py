@@ -356,6 +356,42 @@ class TestEstimateCriticalQ:
         assert res.bracket[0] <= res.root <= res.bracket[1]
 
 
+class TestPlantedFaultsAreCaught:
+    """A kernel whose margins depend on the stack height fails the re-check of its cut rows."""
+
+    def test_q_kernel(self, monkeypatch):
+        kernel = qentropy.stacked_q_curvature
+
+        def faulty(f, g, h, spec):
+            return kernel(f, g, h, spec) + 1e-9 * len(f)
+
+        cfg = ScanConfig(seed=9, n_range=(1, 1), instance_count=12, family="bernoulli",
+                         inequality_set=("renyi_concavity",), q_grid=(2.5,))
+        # Some rows but not all are cut, so the re-checked stack is lower.
+        assert 0 < len(run_scan(cfg).certificates) < cfg.instance_count
+        monkeypatch.setattr(qentropy, "stacked_q_curvature", faulty)
+        with pytest.raises(ConsistencyError, match="^certificate does not reproduce"):
+            run_scan(cfg)
+        with pytest.raises(ConsistencyError, match="^certificate does not reproduce"):
+            estimate_critical_q(cfg, "bernoulli", "renyi", (1.5, 2.5))
+
+    def test_ladder_kernel(self, monkeypatch):
+        kernel = inequalities.stacked_condition4
+
+        def faulty(f, g, h):
+            margins = kernel(f, g, h)
+            values = margins.values.copy()
+            values[0] -= len(values)  # row 0 alone is cut, by as much as the stack is high
+            return margins._replace(values=values)
+
+        cfg = ScanConfig(seed=4, n_range=(6, 6), instance_count=3,
+                         inequality_set=("condition4",))
+        assert not run_scan(cfg).certificates
+        monkeypatch.setattr(inequalities, "stacked_condition4", faulty)
+        with pytest.raises(ConsistencyError, match="^certificate does not reproduce"):
+            run_scan(cfg)
+
+
 def _outcome(fn, *args):
     """(root, sign trace) of a bisection, or the type and message of what it raised."""
     try:
@@ -395,7 +431,7 @@ class TestEstimatorMatchesScanBisection:
         groups = list(explorer._groups(base))
         for q, certificates in steps:
             scan = replace(base, inequality_set=(f"{kind}_concavity",), q_grid=(q,))
-            got = explorer._scan(scan, groups)[1]
+            got = explorer._certificates(scan.config_hash(), explorer._scan(scan, groups)[1])
             assert [c.to_dict() for c in got] == [c.to_dict() for c in certificates], q
 
     @pytest.mark.parametrize(
@@ -576,10 +612,13 @@ class TestRowMinima:
         group = oracle.stack(oracle.family_instances(cfg))
         margins = CHECKERS["condition4"].kernel(group, None).values
         pos = inequalities._first_mins(margins)
-        cuts = [(r, "condition4", None, int(pos[r]), margins[r, pos[r]].item())
-                for r in range(len(margins))]
-        certificates = explorer._certificates(cfg, group, cuts[::-1])
-        assert [c.reeval_margin for c in certificates] == [c[4] for c in cuts[::-1]]
+        rows = np.arange(len(margins))[::-1]
+        worst = margins[rows, pos[rows]]
+        cuts = explorer._recheck(group, [("condition4", None, rows, pos[rows], worst)])
+        assert cuts[0].reeval.tolist() == worst.tolist()
+        assert cuts[0].rows.index.tolist() == group.index[rows].tolist()
+        certificates = explorer._certificates(cfg.config_hash(), cuts)
+        assert [c.instance_index for c in certificates] == sorted(group.index.tolist())
         assert [c.reeval_margin for c in certificates] == [
             oracle.reevaluate_certificate(c) for c in certificates
         ]

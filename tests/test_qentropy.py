@@ -7,6 +7,7 @@ import pytest
 
 import scalar_oracle as oracle
 from conftest import random_instance
+from entropath import qentropy
 from entropath.calculus import AffinePath, path_at, shannon_entropy
 from entropath.errors import BoundaryError
 from entropath.numdiff import central_second
@@ -286,6 +287,25 @@ class TestCriticalQ:
     def test_custom_probe(self):
         res = find_critical_q("custom", (0.0, 2.0), probe=lambda q: q - 1.2345)
         assert res.root == pytest.approx(1.2345, abs=1e-6)
+
+    @pytest.mark.parametrize("family, per_call, bracket", [
+        ("binomial2_tsallis", oracle.binomial2_tsallis_probe, (3.5, 3.8)),
+        ("bernoulli_renyi", oracle.bernoulli_renyi_probe, (1.5, 2.5)),
+    ])
+    def test_cached_probe_point_bisects_like_the_per_call_probe(self, family, per_call, bracket):
+        got = find_critical_q(family, bracket)
+        want = find_critical_q(family, bracket, probe=per_call)
+        assert (got.root, got.sign_trace) == (want.root, want.sign_trace)
+        probe = qentropy.CRITICAL_Q_PROBES[family]
+        for q in np.linspace(0.1, 6.0, 37).tolist():
+            assert probe(q) == per_call(q), q
+
+    def test_cached_probe_point_is_read_only(self):
+        fgh = qentropy._probe_point((0.5, 0.5), (1.0, 1.0))
+        assert qentropy._probe_point((0.5, 0.5), (1.0, 1.0)) is fgh
+        for row in fgh:
+            with pytest.raises(ValueError, match="read-only"):
+                row[0, 0] = 1.0
 
     def test_lemma_values_reproduced(self):
         # below the threshold the two-coin Tsallis probe is concave, above convex
