@@ -1,7 +1,7 @@
 """Affine parameter paths and analytic entropy derivatives along them.
 
-The central objects are the mixture sequences g (built from leave-one-out
-pmfs) and h (from leave-two-out pmfs): the first two t-derivatives of the
+The central objects are the mixture sequences g (slope-weighted leave-one-out
+pmfs) and h (leave-two-out pmfs): the first two t-derivatives of the
 mass function along an affine path are shifted differences of g and h, and
 the entropy curvature follows from them in closed form. Natural logarithms
 throughout; entropies are in nats.
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoundaryError
-from .pmf import ParamVector, _masses, pair_indices
+from .pmf import ParamVector, _masses
 
 __all__ = [
     "AffinePath",
@@ -34,7 +34,7 @@ __all__ = [
     "shannon_entropy",
     "stacked_entropy_curvature",
     "stacked_entropy_hessian",
-    "stacked_mixtures",
+    "stacked_fgh",
 ]
 
 
@@ -121,43 +121,39 @@ class PathDerivatives:
     h: np.ndarray
 
 
-def stacked_mixtures(singles: np.ndarray, pairs: np.ndarray, slopes: np.ndarray):
-    """g (..., n) and h (..., n-1) of slope rows (..., n) against leave-out stacks.
+def stacked_fgh(p: np.ndarray, slopes: np.ndarray):
+    """f (..., n+1), g (..., n) and h (..., n-1) of every row of p and slopes (..., n).
 
-    singles (..., n, n) and pairs (..., n(n-1)/2, n-1) broadcast against the
-    slopes' leading axes: a stack of instances, or one instance's structures
-    under a stack of slope vectors. Both sums reduce the component axis of a
-    C-ordered product, which numpy adds row by row in index order, so the
-    result does not depend on BLAS, and a row gives the same bits in any
-    stack.
+    With a the slopes and c_t = q_t + p_t x, step t maps F <- c_t F,
+    G <- c_t G + a_t F and H <- c_t H + 2 a_t G (old F and G on the right), so
+    g_k = sum_i a_i f^(i)_k and h_k = sum_{i != j} a_i a_j f^(i,j)_k come
+    without a leave-out pmf. F, G and H / 2 share one k-major buffer, and
+    every step is elementwise across rows, as in pmf._convolve_bernoullis:
+    f has its bits, and a row has the same bits in any stack.
     """
-    n = slopes.shape[-1]
-    g = np.add.reduce(slopes[..., None] * singles, axis=-2)
-    if n == 1:
-        # No pairs. Skipping the empty sum matters on one-component scans,
-        # which the critical-q estimators run by the thousand.
-        return g, np.zeros(slopes.shape[:-1] + (0,))
-    i, j = pair_indices(n)
-    s = slopes.T  # components first: indexing them is cheaper there than behind an ellipsis
-    # Ordered pairs: (i, j) and (j, i) both contribute, hence the factor 2.
-    weights = (2.0 * (s[i] * s[j])).T
-    h = np.add.reduce(weights[..., None] * pairs, axis=-2)
-    return g, h
+    n = p.shape[-1]
+    buf = np.zeros((n + 1, 3) + p.shape[:-1])
+    buf[0, 0] = 1.0
+    q = 1.0 - p
+    for t in range(n):
+        up = buf[: t + 1] * p[..., t]
+        carry = buf[: t + 1, :2] * slopes[..., t]
+        buf[: t + 2] *= q[..., t]
+        buf[1 : t + 2] += up
+        buf[: t + 1, 1:] += carry
+    out = np.moveaxis(buf, 0, -1).copy()  # rows contiguous in k, as the kernels' sums need
+    return out[0], out[1, ..., :n], 2.0 * out[2, ..., : max(n - 1, 0)]  # doubling is exact
 
 
 def _fgh(params: ParamVector, slopes: np.ndarray):
-    """Full pmf plus the g and h sequences, from the vector's cached leave-out structures.
-
-    slopes may stack slope vectors along its last axis; g and h then gain
-    the same leading axes.
-    """
-    ls = params.leave
-    return (ls.f, *stacked_mixtures(ls.singles, ls.pairs, slopes))
+    """f, g and h of one vector; g and h take the leading axes of slopes (..., n), f is one row."""
+    f, g, h = stacked_fgh(np.broadcast_to(params.p, slopes.shape), slopes)
+    return f.reshape(-1, params.n + 1)[0], g, h
 
 
-def _fgh_rows(params: ParamVector, slopes: np.ndarray):
-    """_fgh as one-row stacks, the shape the stacked curvature kernels take."""
-    return tuple(a[None, :] for a in _fgh(params, slopes))
+def _fgh_rows(params: ParamVector, slopes):
+    """f, g and h of one slope vector, checked, as one-row stacks: the stacked kernels' shape."""
+    return stacked_fgh(params.p[None], _check_slopes(params, slopes)[None])
 
 
 def path_derivatives(params: ParamVector, slopes) -> PathDerivatives:
@@ -282,36 +278,50 @@ class HessianReport:
         return json.dumps(self.to_dict())
 
 
-def stacked_entropy_hessian(
-    p: np.ndarray, f: np.ndarray, singles: np.ndarray, pairs: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def stacked_entropy_hessian(p: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Entropy Hessians (m, n, n) of the rows of p (m, n) and their top eigenvalues (m,).
 
-    f, singles and pairs are the rows' leave-out stacks. Mixed second
-    partials come from leave-two-out pmfs; pure ones vanish because each
-    mass is affine in any single parameter. The top eigenvalues come from
-    LAPACK's symmetric eigensolver over the whole stack. entropy_hessian is
-    a one-row call, so a row has the same bits in any stack.
+    f (m, n+1) holds the rows' pmfs. Entry (i, j) is -sum_k d^(i)_k d^(j)_k / f_k,
+    less <f^(i,j), w> off the diagonal; d^(i) is the first difference of f^(i),
+    u = log f + 1 and w_k = u_k - 2 u_{k+1} + u_{k+2}. By the adjoints W_{n-1} = w,
+    W_{j-1}[k] = q_j W_j[k] + p_j W_j[k+1], that sum is X_i . W_j for i < j, X_i
+    convolving the components below j but i. One pass over j takes those sums in k
+    order and applies component j to every X_i and to the prefix X_j starts as;
+    X_i ends as f^(i). A row has the same bits in any stack; entropy_hessian is a one-row call.
     """
     if np.any(p <= 0.0) or np.any(p >= 1.0):
         raise BoundaryError("Hessian requires parameters strictly inside (0, 1)")
-    n = p.shape[-1]
-    u2 = 1.0 / f
-    u1 = np.log(f) + 1.0
-    d = _shift_diff1(singles, n)
-    m = -np.matmul(d * u2[:, None, :], d.transpose(0, 2, 1))
-    i, j = pair_indices(n)
-    cross = -(u1[:, None, :] * _shift_diff2(pairs, n)).sum(axis=-1)
-    m[:, i, j] += cross
-    m[:, j, i] += cross
-    m = 0.5 * (m + m.transpose(0, 2, 1))
-    return m, np.linalg.eigvalsh(m)[:, -1]
+    m, n = p.shape
+    pc = np.ascontiguousarray(p.T)[:, :, None]  # pc[j] holds p_j of every row, (m, 1)
+    qc = 1.0 - pc
+    u = np.log(f) + 1.0
+    adj = np.empty((n, max(n - 1, 0), m))  # adj[j, k] = W_j[k] for k < j
+    adj[n - 1] = (u[:, :-2] - 2.0 * u[:, 1:-1] + u[:, 2:]).T
+    for j in range(n - 1, 1, -1):
+        np.multiply(adj[j, : j - 1], qc[j, :, 0], out=adj[j - 1, : j - 1])
+        adj[j - 1, : j - 1] += adj[j, 1:j] * pc[j, :, 0]
+    # rows[k, r, i] = X_i[k] of row r, column n the prefix; unborn columns stay zero.
+    rows = np.zeros((n + 1, m, n + 1))
+    rows[0, :, n] = 1.0
+    cross = np.zeros((m, n, n + 1))  # cross[r, j, i] = X_i . W_j, zero unless i < j
+    for j in range(n):
+        np.add.reduce(rows[:j] * adj[j, :j, :, None], axis=0, out=cross[:, j])
+        born = rows[: j + 1, :, n].copy()
+        live = rows[: j + 2]
+        up = live[:-1] * pc[j]
+        live *= qc[j]
+        live[1:] += up
+        rows[: j + 1, :, j] = born
+    d = _shift_diff1(rows[:n, :, :n].transpose(1, 2, 0), n)
+    h = -np.matmul(d * (1.0 / f)[:, None, :], d.transpose(0, 2, 1))
+    cross = cross[:, :, :n]
+    h = 0.5 * (h + h.transpose(0, 2, 1)) - (cross + cross.transpose(0, 2, 1))
+    return h, np.linalg.eigvalsh(h)[:, -1]
 
 
 def entropy_hessian(params: ParamVector) -> HessianReport:
     """Full Hessian of the entropy in the parameters, at a strictly interior point."""
-    ls = params.leave
-    m, top = stacked_entropy_hessian(params.p[None], ls.f[None], ls.singles[None], ls.pairs[None])
+    m, top = stacked_entropy_hessian(params.p[None], params.pmf.values[None])
     matrix = m[0]
     matrix.setflags(write=False)
     top = float(top[0])

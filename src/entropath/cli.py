@@ -28,15 +28,20 @@ from .inequalities import X_LOG_X, margin_rows, rows_to_csv
 from .pmf import ParamVector
 
 
-def _parse_floats(text: str) -> list[float]:
+def _parse_floats(text: str, parse=float) -> list:
     try:
-        return [float(part) for part in text.split(",") if part != ""]
+        return [parse(part) for part in text.split(",") if part != ""]
     except ValueError as exc:
         raise ValueError(f"could not parse {text!r} as a comma-separated list") from exc
 
 
-def _parse_pair(flag: str, text: str) -> tuple[float, float]:
-    values = _parse_floats(text)
+def _int_or_float(text: str):
+    """An int when the text is one, so that no bound past 2^53 is rounded; a float otherwise."""
+    return int(text) if text.strip().lstrip("+-").isdigit() else float(text)
+
+
+def _parse_pair(flag: str, text: str, parse=float) -> tuple:
+    values = _parse_floats(text, parse)
     if len(values) != 2:
         raise ValueError(f"{flag} takes two comma-separated values, got {text!r}")
     return values[0], values[1]
@@ -114,7 +119,7 @@ def _load_config(args) -> explorer.ScanConfig:
     if args.seed is not None:
         inline["seed"] = args.seed
     if args.n_range:
-        inline["n_range"] = _parse_pair("--n-range", args.n_range)
+        inline["n_range"] = _parse_pair("--n-range", args.n_range, _int_or_float)
     if args.instances is not None:
         inline["instance_count"] = args.instances
     if args.checks:

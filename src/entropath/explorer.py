@@ -88,9 +88,10 @@ def _cuts_certificate(margin, tolerance):
     return margin < -10.0 * tolerance
 
 
-# Bytes of leave-out buffer one group may take. A scan holds one group at a
-# time, so its memory does not grow with instance_count; and the builder ran
-# fastest per instance with buffers of 0.1-0.6 MB (n = 6..30, 2-vCPU x86-64).
+# Bytes of kernel buffers one group may take. An instance takes at most 32 rows of n + 1
+# floats for f, g and h, 8 (n + 1) rows for the Hessian, or all of cij's leave-out buffer
+# (measured at n = 12 and 60). A scan holds one group at a time, so its memory does not grow
+# with instance_count; the leave-out builder ran fastest with 0.1-0.6 MB (n = 6..30, 2 vCPUs).
 _GROUP_BYTES = 1 << 19
 
 
@@ -99,12 +100,10 @@ class Group:
     """Instances of one n, stacked row by row for the checkers' group kernels.
 
     p and slopes are (m, n); index holds each row's instance index and t its
-    family parameter (0 for random_affine). f, the leave-out structures, g
-    and h and the u_k decomposition are built on first use and shared by
-    every kernel run on the group, so a group whose kernels read only f
-    never builds singles or pairs. f is its own convolution; fgh takes the
-    builder's f, which has the same bits, so a group that builds the
-    leave-out structures need not convolve again.
+    family parameter (0 for random_affine). f, fgh (calculus.stacked_fgh), the
+    u_k decomposition and the leave-out structures are built on first use and
+    shared by every kernel run on the group; f reuses fgh's f, which has the
+    convolution's bits. Only cij reads the leave-out structures.
     """
 
     p: np.ndarray
@@ -128,12 +127,11 @@ class Group:
 
     @cached_property
     def f(self) -> np.ndarray:
-        return pmf._convolve_bernoullis(self.p)
+        return self.fgh[0] if "fgh" in self.__dict__ else pmf._convolve_bernoullis(self.p)
 
     @cached_property
     def fgh(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        ls = self.leave
-        return (ls.f, *calculus.stacked_mixtures(ls.singles, ls.pairs, self.slopes))
+        return calculus.stacked_fgh(self.p, self.slopes)
 
     @cached_property
     def uk(self) -> inequalities.UkDecomposition:
@@ -147,8 +145,7 @@ def _theorem(values: np.ndarray) -> inequalities.Margins:
 
 def _hessian_psd(grp: Group, q) -> inequalities.Margins:
     """Minus the top eigenvalue of every row's entropy Hessian."""
-    ls = grp.leave
-    top = calculus.stacked_entropy_hessian(grp.p, ls.f, ls.singles, ls.pairs)[1]
+    top = calculus.stacked_entropy_hessian(grp.p, grp.f)[1]
     return _theorem(-top[:, None])
 
 
@@ -508,9 +505,9 @@ class ScanReport:
 def _groups(config: ScanConfig) -> Iterator[Group]:
     """The configured family's instances grouped by n, ascending, and chunked.
 
-    A chunk holds at most _GROUP_BYTES of leave-out buffer and keeps the
-    index order of its instances. Only one chunk's instances are sampled at
-    a time.
+    A chunk holds at most _GROUP_BYTES of the buffers the configured
+    checkers build and keeps the index order of its instances. Only one
+    chunk's instances are sampled at a time.
     """
     sizes = _family_sizes(config)
     count = config.instance_count
@@ -518,7 +515,10 @@ def _groups(config: ScanConfig) -> Iterator[Group]:
     ts = np.geomspace(1e-6, 0.5, count) if bernoulli else np.linspace(0.02, 0.98, count)
     for n in np.unique(sizes).tolist():
         indices = np.flatnonzero(sizes == n)
-        chunk = max(1, _GROUP_BYTES // (8 * (n + 1) * (1 + n + n * (n - 1) // 2)))
+        rows = 8 * (n + 1) if "hessian_psd" in config.inequality_set else 32
+        if "cij" in config.inequality_set:
+            rows = 1 + n + n * (n - 1) // 2
+        chunk = max(1, _GROUP_BYTES // (8 * (n + 1) * rows))
         for lo in range(0, indices.size, chunk):
             index = indices[lo : lo + chunk]
             if config.family == "random_affine":
@@ -638,11 +638,12 @@ def estimate_critical_q(
     qentropy.find_critical_q bisects a probe that reads +1 where a scan of
     the family on the kind's curvature checker cuts a row, and -1 where it
     cuts none. Every cut margin is evaluated again, but no certificate is
-    made and no config hashed. The family's groups, with their f, g and h,
-    are built once per root, on the probe's first call. The violation predicate
-    is assumed monotone in q, per the shape of the conjecture; that
-    assumption is recorded in the caveat, not enforced. The Shannon kind
-    never produces violations, so it surfaces the constant predicate error.
+    made and no config hashed. The family's groups, chunked for the one
+    checker, and their f, g and h are built once per root, on the probe's
+    first call. The violation predicate is assumed monotone in q, per the
+    shape of the conjecture; that assumption is recorded in the caveat, not
+    enforced. The Shannon kind never produces violations, so it surfaces
+    the constant predicate error.
     """
     if kind not in ("shannon", "renyi", "tsallis"):
         raise ValueError(f"unknown entropy kind {kind!r}")
@@ -651,15 +652,9 @@ def estimate_critical_q(
     groups: list[Group] = []
 
     def probe(q: float) -> float:
-        if not groups:
-            groups.extend(_groups(base))
-            for group in groups:
-                # The curvature kernels read only f, g and h. Build them while the
-                # leave-out structures are alive, then drop those: a root at large n
-                # cannot hold every group's at once.
-                group.fgh
-                del group.leave
         scan = replace(base, inequality_set=(cid,), q_grid=None if kind == "shannon" else (q,))
+        if not groups:
+            groups.extend(_groups(scan))
         return 1.0 if _scan(scan, groups)[1] else -1.0
 
     result = qentropy.find_critical_q(f"{family}:{kind}", bracket, probe, tol)

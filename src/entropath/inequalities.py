@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .calculus import _check_slopes, _fgh, _fgh_rows
+from .calculus import _check_slopes, _fgh, _fgh_rows, _require_interior
 from .errors import BoundaryError, ConsistencyError, LemmaHypothesisError
 from .pmf import ParamVector, _check_pair, _masses
 
@@ -507,10 +507,7 @@ def compute_uk(params: ParamVector, slopes, interior_margin: float = 0.0) -> UkD
     slopes = _check_slopes(params, slopes)
     if params.n < 2:
         raise ValueError("the decomposition needs at least two components")
-    if interior_margin > 0.0 and (
-        np.any(params.p < interior_margin) or np.any(params.p > 1.0 - interior_margin)
-    ):
-        raise BoundaryError("parameters outside the requested interior margin")
+    _require_interior(params, interior_margin)
     return stacked_uk(*_fgh_rows(params, slopes)).row(0)
 
 
@@ -696,8 +693,5 @@ def check_monotone_worst_case(params: ParamVector, abs_slopes) -> MarginReport:
         raise ValueError("absolute slopes must be nonnegative")
     codes = np.arange(1 << n)
     signs = np.where((codes[:, None] >> np.arange(n)) & 1, -1.0, 1.0)  # row 0 = all +1
-    # One row per pattern, in blocks of 256 patterns so that the (patterns, pairs, n-1)
-    # product behind h stays small; rows do not depend on their block.
-    blocks = np.split(signs * abs_slopes, max(1, (1 << n) // 256))
-    q = np.concatenate([_condition4_margins(*_fgh(params, s))[0] for s in blocks])
+    q, _ = _condition4_margins(*_fgh(params, signs * abs_slopes))  # one row per pattern
     return MarginReport.from_array("monotone_worst_case", q.min(axis=0) - q[0], 1e-12)

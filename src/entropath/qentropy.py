@@ -19,7 +19,6 @@ import numpy as np
 
 from .calculus import (
     AffinePath,
-    _check_slopes,
     _fgh_rows,
     _shift_diff1,
     _shift_diff2,
@@ -133,7 +132,6 @@ def stacked_power_sums(f: np.ndarray, g: np.ndarray, h: np.ndarray, q: float):
 
 def power_sum_derivatives(params: ParamVector, slopes, q: float) -> tuple[float, float, float]:
     """T = sum_k f_k^q with its first two t-derivatives along the affine direction."""
-    slopes = _check_slopes(params, slopes)
     t0, t1, t2 = stacked_power_sums(*_fgh_rows(params, slopes), q)
     return float(t0[0]), float(t1[0]), float(t2[0])
 
@@ -160,7 +158,6 @@ def stacked_tsallis_uk(f: np.ndarray, g: np.ndarray, h: np.ndarray, q: float) ->
 
 def tsallis_uk(params: ParamVector, slopes, q: float) -> np.ndarray:
     """Per-index Tsallis analogue of the Shannon curvature decomposition, k = 0..n-2."""
-    slopes = _check_slopes(params, slopes)
     return stacked_tsallis_uk(*_fgh_rows(params, slopes), q)[0]
 
 
@@ -191,7 +188,6 @@ def stacked_q_curvature(
 
 def q_curvature(params: ParamVector, slopes, spec: EntropySpec) -> float:
     """Second t-derivative of the chosen entropy at the point (p, p'): a one-row stack."""
-    slopes = _check_slopes(params, slopes)
     return float(stacked_q_curvature(*_fgh_rows(params, slopes), spec)[0])
 
 
@@ -337,7 +333,7 @@ def binomial2_tsallis_curvature(q: float) -> float:
 def _probe_point(p: tuple[float, ...], slopes: tuple[float, ...]):
     """The one-row f, g, h of a fixed probe point, built once per point and read-only."""
     params = ParamVector(np.array(p))
-    rows = _fgh_rows(params, _check_slopes(params, slopes))
+    rows = _fgh_rows(params, slopes)
     for row in rows:
         row.flags.writeable = False
     return rows

@@ -271,6 +271,28 @@ def hessian_matrix(f: np.ndarray, singles: np.ndarray, pairs: np.ndarray) -> np.
     return 0.5 * (m + m.T)
 
 
+def hessian_scale(f: np.ndarray, singles: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """The (n, n) monomial scale that bounds the rounding of each entropy Hessian entry.
+
+    Entry (i, j) is 1 (for the rounding of log f) plus the absolute
+    monomials of the first-order term, sum_k (f^(i)_{k-1} + f^(i)_k)
+    (f^(j)_{k-1} + f^(j)_k) / f_k, plus off the diagonal those of the cross
+    term, sum_k f^(i,j)_k (|u_k| + 2|u_{k+1}| + |u_{k+2}|) with u = log f + 1.
+    """
+    n = singles.shape[0]
+    gp = np.zeros((n, n + 2))
+    gp[:, 1 : n + 1] = singles
+    a = gp[:, : n + 1] + gp[:, 1:]
+    scale = 1.0 + (a / f) @ a.T
+    u = np.abs(np.log(f) + 1.0)
+    weights = u[:-2] + 2.0 * u[1:-1] + u[2:]
+    rows, cols = np.triu_indices(n, 1)
+    cross = pairs @ weights if n > 1 else np.zeros(0)
+    scale[rows, cols] += cross
+    scale[cols, rows] += cross
+    return scale
+
+
 # Curvature formulas along an affine path, one instance at a time, as the
 # library computed them before its curvature kernels took stacks: f, g and h
 # are the 1-D pmf and mixture sequences. Each returns the value and the

@@ -262,6 +262,9 @@ class TestInvalidInputsNameTheInput:
         (["verify", "--p", "0.2,0.3", "--slopes", "1,nan"], "slopes must be finite"),
         (["scan", "--seed", "1", "--n-range", "1e20,1e20", "--instances", "2"],
          "n_range must fit in int64, got [100000000000000000000, 100000000000000000000]"),
+        # Integral text is parsed as an int, so a bound past 2^53 is not rounded.
+        (["scan", "--seed", "1", "--n-range", "1,9223372036854775809"],
+         "n_range must fit in int64, got [1, 9223372036854775809]"),
     ])
     def test_exits_two_with_the_message(self, capsys, argv, message):
         code, out, err = run_cli(capsys, *argv)

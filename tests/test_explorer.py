@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import scalar_oracle as oracle
-from entropath import cli, explorer, inequalities, pmf, qentropy
+from entropath import calculus, cli, explorer, inequalities, pmf, qentropy
 from entropath.errors import BoundaryError, ConsistencyError
 from entropath.explorer import (
     CHECKER_IDS,
@@ -219,16 +219,35 @@ class TestCheckerTable:
         with pytest.raises(ValueError):
             evaluate_checker("not_a_checker", ParamVector(np.array([0.3])), np.zeros(1))
 
-    @pytest.mark.parametrize("cid", ("log_concavity", "two_fold_log_concavity", "c1", "c1bar"))
+    @pytest.mark.parametrize("cid", [c for c in CHECKER_IDS if c != "cij"] + [
+        "entropy_hessian", "compute_uk", "path_derivatives", "check_monotone_worst_case",
+        "estimate_critical_q",
+    ])
     def test_pmf_only_checker_never_builds_leave_structures(self, cid, monkeypatch):
+        # Only cij reads leave-two-out pmfs; everything else runs on f, g, h and the
+        # Hessian's adjoint pass.
         def refuse(p):
             raise AssertionError(f"leave-out structures built for {cid}")
 
         monkeypatch.setattr(pmf, "leave_structures", refuse)
         params, slopes = ParamVector(np.array([0.3, 0.6, 0.45])), np.array([1.0, -0.5, 0.2])
-        report = evaluate_checker(cid, params, slopes)
-        want = getattr(inequalities, f"check_{cid}")(pmf.compute_pmf(params))
-        assert report.values.tobytes() == want.values.tobytes()
+        if cid in CHECKERS:
+            report = evaluate_checker(cid, params, slopes, 2.5)
+            if cid in ("log_concavity", "two_fold_log_concavity", "c1", "c1bar"):
+                want = getattr(inequalities, f"check_{cid}")(pmf.compute_pmf(params))
+                assert report.values.tobytes() == want.values.tobytes()
+        elif cid == "entropy_hessian":
+            assert calculus.entropy_hessian(params).max_eigenvalue < 0.0
+        elif cid == "compute_uk":
+            assert (inequalities.compute_uk(params, slopes).u >= 0.0).all()
+        elif cid == "path_derivatives":
+            assert calculus.path_derivatives(params, slopes).h.shape == (2,)
+        elif cid == "check_monotone_worst_case":
+            assert inequalities.check_monotone_worst_case(params, np.abs(slopes)).holds
+        else:
+            cfg = ScanConfig(seed=0, n_range=(1, 2), instance_count=9)
+            result = estimate_critical_q(cfg, "binomial2", "tsallis", (3.5, 3.8))
+            assert 3.5 < result.root < 3.8
 
     def test_functions_looked_up_at_call_time(self, monkeypatch):
         # A tracer rebinds module attributes; the table must call the rebound kernels.
@@ -455,9 +474,16 @@ class TestEstimatorMatchesScanBisection:
         assert isinstance(want[0], type)
         assert _outcome(estimate_critical_q, cfg, family, kind, bracket) == want
 
-    def test_per_root_state_holds_no_leave_structures(self):
-        # At n = 60 one instance's leave-out structures take ~0.9 MB, its f, g
-        # and h rows 1.4 kB: keeping every instance's would grow the peak ~5x.
+    def test_per_root_state_holds_no_leave_structures(self, monkeypatch):
+        # A root builds no leave-out structure (~0.9 MB an instance at n = 60). What
+        # it holds grows with the instance count only by each instance's rows: its p,
+        # slopes, f, g and h and the curvature kernel's temporaries, which _groups
+        # budgets as 32 rows of n + 1 floats.
+        def refuse(p):
+            raise AssertionError("leave-out structures built for a critical-q root")
+
+        monkeypatch.setattr(pmf, "leave_structures", refuse)
+
         def peak(count: int) -> int:
             cfg = ScanConfig(seed=0, n_range=(1, 60), instance_count=count)
             tracemalloc.start()
@@ -468,7 +494,9 @@ class TestEstimatorMatchesScanBisection:
             finally:
                 tracemalloc.stop()
 
-        assert peak(49) <= 1.5 * peak(9)
+        peak(9)  # first-call caches out of the way
+        growth = peak(49) - peak(9)
+        assert growth <= 40 * 32 * 8 * 61
 
     def test_kernel_looked_up_at_call_time(self, monkeypatch):
         # A tracer rebinds module attributes; the estimator must call the rebound kernel.

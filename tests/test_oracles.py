@@ -163,15 +163,20 @@ def test_cached_leave_structures_are_read_only():
 
 @pytest.mark.parametrize("n", (1, 2, 3, 5, 12, 30, 50))
 def test_hessian_stack_rows_equal_two_dimensional_products(n):
+    # The adjoint pass and the leave-two-out products round differently; each
+    # entry of either is within 4(n + 1) ulps of oracle.hessian_scale of the
+    # exact value (tests/test_mp_kernels.py), so they differ by at most twice that.
     p = np.random.default_rng(n).uniform(0.05, 0.95, (6, n))
     ls = leave_structures(p)
-    matrices, top = stacked_entropy_hessian(p, ls.f, ls.singles, ls.pairs)
+    matrices, top = stacked_entropy_hessian(p, ls.f)
     for row in range(6):
         want = oracle.hessian_matrix(ls.f[row], ls.singles[row], ls.pairs[row])
-        assert matrices[row].tobytes() == want.tobytes()
+        scale = oracle.hessian_scale(ls.f[row], ls.singles[row], ls.pairs[row])
+        assert (np.abs(matrices[row] - want) <= 8.0 * (n + 1) * EPS * scale).all()
         report = entropy_hessian(ParamVector(p[row]))
-        assert report.matrix.tobytes() == want.tobytes()
-        assert top[row].item() == report.max_eigenvalue == float(np.linalg.eigvalsh(want)[-1])
+        assert report.matrix.tobytes() == matrices[row].tobytes()
+        assert top[row].item() == report.max_eigenvalue
+        assert report.max_eigenvalue == float(np.linalg.eigvalsh(report.matrix)[-1])
 
 
 # The stacked curvature kernels: one call per stack of f (m, n+1), g (m, n)
