@@ -141,7 +141,8 @@ def stacked_fgh(p: np.ndarray, slopes: np.ndarray):
         buf[: t + 2] *= q[..., t]
         buf[1 : t + 2] += up
         buf[: t + 1, 1:] += carry
-    out = np.moveaxis(buf, 0, -1).copy()  # rows contiguous in k, as the kernels' sums need
+    # k last, and each row contiguous in k, as the kernels' sums need.
+    out = buf.transpose((*range(1, buf.ndim), 0)).copy()
     return out[0], out[1, ..., :n], 2.0 * out[2, ..., : max(n - 1, 0)]  # doubling is exact
 
 

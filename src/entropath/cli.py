@@ -142,6 +142,8 @@ def _load_config(args) -> explorer.ScanConfig:
             data = tomllib.loads(path.read_text())
         else:
             data = json.loads(path.read_text())
+        if not isinstance(data, dict):
+            raise ValueError(f"a config must map field names to values, got {data!r}")
         merged = dict(inline)
         merged.update(data)  # config file wins over inline flags
         return explorer.ScanConfig.from_dict(merged)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from typing import Callable, Iterator, NamedTuple
@@ -102,8 +103,8 @@ class Group:
     p and slopes are (m, n); index holds each row's instance index and t its
     family parameter (0 for random_affine). f, fgh (calculus.stacked_fgh), the
     u_k decomposition and the leave-out structures are built on first use and
-    shared by every kernel run on the group; f reuses fgh's f, which has the
-    convolution's bits. Only cij reads the leave-out structures.
+    shared by every kernel run on the group; once fgh is built, f is its f,
+    which has the convolution's bits. Only cij reads the leave-out structures.
     """
 
     p: np.ndarray
@@ -157,9 +158,15 @@ def _q_kernel(kind: str):
 
 
 class Checker(NamedTuple):
-    """The smallest n a checker applies to and its group kernel (group, q) -> Margins."""
+    """The smallest n a checker applies to, what it reads and its kernel (group, q) -> Margins.
+
+    reads names the group structure the kernel builds on: "f" (the pmf rows),
+    "fgh" (f, g and h, or the u_k decomposition made of them) or "leave" (the
+    leave-out structures).
+    """
 
     min_n: int
+    reads: str
     kernel: Callable
 
 
@@ -167,22 +174,24 @@ class Checker(NamedTuple):
 # call time, so a rebound module attribute (a tracer's wrapper, a test's
 # monkeypatch) is the one called.
 CHECKERS = {
-    "log_concavity": Checker(1, lambda grp, q: inequalities.stacked_log_concavity(grp.f)),
+    "log_concavity": Checker(1, "f", lambda grp, q: inequalities.stacked_log_concavity(grp.f)),
     "two_fold_log_concavity": Checker(
-        1, lambda grp, q: inequalities.stacked_two_fold_log_concavity(grp.f)
+        1, "f", lambda grp, q: inequalities.stacked_two_fold_log_concavity(grp.f)
     ),
-    "c1": Checker(1, lambda grp, q: inequalities.stacked_c1(grp.f)),
-    "c1bar": Checker(1, lambda grp, q: inequalities.stacked_c1bar(grp.f)),
-    "cij": Checker(2, lambda grp, q: inequalities.stacked_cij(grp.leave.pairs)),
-    "condition4": Checker(2, lambda grp, q: inequalities.stacked_condition4(*grp.fgh)),
-    "corollary_fgh": Checker(2, lambda grp, q: inequalities.stacked_corollary_fgh(*grp.fgh)),
-    "uk_nonneg": Checker(2, lambda grp, q: _theorem(grp.uk.u)),
+    "c1": Checker(1, "f", lambda grp, q: inequalities.stacked_c1(grp.f)),
+    "c1bar": Checker(1, "f", lambda grp, q: inequalities.stacked_c1bar(grp.f)),
+    "cij": Checker(2, "leave", lambda grp, q: inequalities.stacked_cij(grp.leave.pairs)),
+    "condition4": Checker(2, "fgh", lambda grp, q: inequalities.stacked_condition4(*grp.fgh)),
+    "corollary_fgh": Checker(
+        2, "fgh", lambda grp, q: inequalities.stacked_corollary_fgh(*grp.fgh)
+    ),
+    "uk_nonneg": Checker(2, "fgh", lambda grp, q: _theorem(grp.uk.u)),
     "entropy_concavity": Checker(
-        1, lambda grp, q: _theorem(-calculus.stacked_entropy_curvature(*grp.fgh)[:, None])
+        1, "fgh", lambda grp, q: _theorem(-calculus.stacked_entropy_curvature(*grp.fgh)[:, None])
     ),
-    "hessian_psd": Checker(1, _hessian_psd),
-    "renyi_concavity": Checker(1, _q_kernel("renyi")),
-    "tsallis_concavity": Checker(1, _q_kernel("tsallis")),
+    "hessian_psd": Checker(1, "f", _hessian_psd),
+    "renyi_concavity": Checker(1, "fgh", _q_kernel("renyi")),
+    "tsallis_concavity": Checker(1, "fgh", _q_kernel("tsallis")),
 }
 
 CHECKER_IDS = tuple(CHECKERS)
@@ -223,11 +232,30 @@ OVERESTIMATE_CAVEAT = (
 )
 
 
+def _real(name: str, value):
+    """value if it is a real number; a bool, a string or None is refused."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return value
+
+
 def _integer(name: str, value) -> int:
-    """value as an int; a float that is not integral is refused, where int() would truncate it."""
-    if isinstance(value, float) and not value.is_integer():
+    """value as an int; a non-integral number is refused, where int() would truncate it."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if not isinstance(value, numbers.Integral) and not float(value).is_integer():
         raise ValueError(f"{name} must be integral, got {value!r}")
     return int(value)
+
+
+def _sequence(name: str, value, what: str) -> tuple:
+    """value as a tuple; a string, a mapping or a scalar is refused, where tuple() would split it."""
+    if isinstance(value, (str, bytes, dict)):
+        raise ValueError(f"{name} must be {what}, got {value!r}")
+    try:
+        return tuple(value)
+    except TypeError:
+        raise ValueError(f"{name} must be {what}, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -245,18 +273,20 @@ class ScanConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "seed", _integer("seed", self.seed) & _MASK64)
-        try:
-            n_lo, n_hi = self.n_range
-        except (TypeError, ValueError):
-            raise ValueError(f"n_range must be two integers, got {self.n_range!r}") from None
-        object.__setattr__(self, "n_range", (_integer("n_range", n_lo), _integer("n_range", n_hi)))
+        n_range = _sequence("n_range", self.n_range, "two integers")
+        if len(n_range) != 2:
+            raise ValueError(f"n_range must be two integers, got {self.n_range!r}")
+        object.__setattr__(self, "n_range", tuple(_integer("n_range", n) for n in n_range))
         object.__setattr__(self, "instance_count", _integer("instance_count", self.instance_count))
-        object.__setattr__(self, "inequality_set", tuple(self.inequality_set))
+        object.__setattr__(self, "inequality_set",
+                           _sequence("inequality_set", self.inequality_set, "a list of checker ids"))
         if self.q_grid is not None:
-            object.__setattr__(self, "q_grid", tuple(qentropy._checked_q(q) for q in self.q_grid))
+            grid = _sequence("q_grid", self.q_grid, "a list of q values")
+            object.__setattr__(self, "q_grid",
+                               tuple(qentropy._checked_q(_real("q_grid entry", q)) for q in grid))
         if self.instance_count < 1:
             raise ValueError("instance_count must be at least 1")
-        if not 0.0 <= self.interior_margin < 0.5:
+        if not 0.0 <= _real("interior_margin", self.interior_margin) < 0.5:
             raise ValueError("interior_margin must lie in [0, 0.5)")
         if not 1 <= self.n_range[0] <= self.n_range[1]:
             raise ValueError("n_range must satisfy 1 <= min <= max")
@@ -418,32 +448,36 @@ def _recheck(group: Group, cuts) -> list[_Cut]:
     """Each key's cut rows of one group, their margins evaluated again from the stored tuples.
 
     cuts lists (checker id, q, rows, k, margin), the last three arrays over
-    that key's cut rows. The cut rows are rebuilt from their p and slopes as
-    tuples of floats, as one group, on which each key's kernel runs once. A
-    row has the same bits in any stack, so each margin comes back with the
-    bits it was cut with; a pair further apart than a certificate allows
-    raises ConsistencyError with the certificate's message.
+    that key's cut rows, rows ascending. The cut rows are rebuilt from their
+    p and slopes as tuples of floats, as one group of their own (the union of
+    the keys' rows when more than one key cut), on which each key's kernel
+    runs once. A row has the same bits in any stack, so each margin comes
+    back with the bits it was cut with; a pair further apart than a
+    certificate allows raises ConsistencyError with the certificate's message.
     """
     if not cuts:
         return []
-    rows = np.unique(np.concatenate([c[2] for c in cuts]))
+    one_key = len(cuts) == 1
+    rows = cuts[0][2] if one_key else np.unique(np.concatenate([c[2] for c in cuts]))
     stored = Group(np.array(group.p[rows].tolist()), np.array(group.slopes[rows].tolist()),
                    group.index[rows], group.t[rows])
     again = {}
     records = []
     for cid, q, cut, k, margin in cuts:
         if (cid, q) not in again:
-            values = CHECKERS[cid].kernel(stored, q).values
-            again[cid, q] = values[np.arange(len(values)), inequalities._first_mins(values)]
-        at = np.searchsorted(rows, cut)
-        reeval = again[cid, q][at]
+            again[cid, q] = inequalities._first_mins(CHECKERS[cid].kernel(stored, q).values)[1]
+        if one_key:
+            reeval, rows_at = again[cid, q], stored
+        else:
+            at = np.searchsorted(rows, cut)
+            reeval = again[cid, q][at]
+            rows_at = Group(stored.p[at], stored.slopes[at], stored.index[at], stored.t[at])
         bad = np.flatnonzero(np.abs(margin - reeval) > 1e-12)
         if bad.size:
             raise ConsistencyError(
                 f"certificate does not reproduce: {margin[bad[0]].item()!r} vs "
                 f"{reeval[bad[0]].item()!r}"
             )
-        rows_at = Group(stored.p[at], stored.slopes[at], stored.index[at], stored.t[at])
         records.append(_Cut(cid, q, rows_at, k, margin, reeval))
     return records
 
@@ -516,7 +550,7 @@ def _groups(config: ScanConfig) -> Iterator[Group]:
     for n in np.unique(sizes).tolist():
         indices = np.flatnonzero(sizes == n)
         rows = 8 * (n + 1) if "hessian_psd" in config.inequality_set else 32
-        if "cij" in config.inequality_set:
+        if any(CHECKERS[cid].reads == "leave" for cid in config.inequality_set):
             rows = 1 + n + n * (n - 1) // 2
         chunk = max(1, _GROUP_BYTES // (8 * (n + 1) * rows))
         for lo in range(0, indices.size, chunk):
@@ -545,12 +579,15 @@ class _Minimum:
         """Fold in a group's row minima; its rows are in index order."""
         if self.first is None or index[0] < self.first[0]:
             self.first = (int(index[0]), worst[0].item(), int(ks[0]))
-        live = np.flatnonzero(~np.isnan(worst))
-        if live.size:
+        r = worst.argmin()
+        if math.isnan(worst[r]):  # argmin lands on the first NaN; the least is among the others
+            live = np.flatnonzero(~np.isnan(worst))
+            if not live.size:
+                return
             r = live[worst[live].argmin()]
-            row = (worst[r].item(), int(index[r]), int(ks[r]))
-            if self.least is None or row[:2] < self.least[:2]:
-                self.least = row
+        row = (worst[r].item(), int(index[r]), int(ks[r]))
+        if self.least is None or row[:2] < self.least[:2]:
+            self.least = row
 
     def entry(self) -> dict:
         index, margin, k = self.first
@@ -559,26 +596,36 @@ class _Minimum:
         return {"margin": margin, "instance_index": index, "k": k}
 
 
-def _scan(config: ScanConfig, groups, rows_of: dict | None = None):
-    """The scan loop: (worst margins by report key, cut records) of the config's checkers.
-
-    Each checker's kernel runs once per group, once per q of the grid for
-    the q-dependent ones. A row's worst margin and its k come from _first_min
-    and are merged in instance-index order, so a tie goes to the lowest index.
-    A row is cut only when its worst margin falls below ten times the checker
-    tolerance, and every cut margin is evaluated again from its stored tuple
-    (_recheck). Only run_scan makes certificates of the cuts. With rows_of,
-    every margin row is appended under its instance index, for CSV dumps.
-    """
-    keys = [
+def _keys(config: ScanConfig) -> list[tuple[str, float | None, str]]:
+    """(checker id, q, report key) of every configured checker, for each q of the grid."""
+    return [
         (cid, q, cid if q is None else f"{cid}[q={q!r}]")
         for cid in config.inequality_set
         for q in (config.q_grid if cid in _Q_CHECKERS else (None,))
     ]
+
+
+def _scan(keys, groups, rows_of: dict | None = None):
+    """The scan loop: (worst margins by report key, cut records) of the keys' checkers.
+
+    keys lists (checker id, q, report key); q is None for the checkers that
+    take none. Each key's kernel runs once per group. When a checker that
+    reads f, g and h applies to a group, the group builds them first, so its
+    f is never convolved on its own. A row's worst margin and its k come
+    from _first_mins and are merged in instance-index order, so a tie goes to
+    the lowest index. A row is cut only when its worst margin falls below ten
+    times the checker tolerance, and every cut margin is evaluated again from
+    its stored tuple (_recheck). Only run_scan makes certificates of the
+    cuts. With rows_of, every margin row is appended under its instance
+    index, for CSV dumps.
+    """
+    fgh_from = min((CHECKERS[cid].min_n for cid, _, _ in keys if CHECKERS[cid].reads == "fgh"),
+                   default=None)
     minima: dict[str, _Minimum] = {}
     cuts: list[_Cut] = []
     for group in groups:
-        rows = np.arange(group.index.size)
+        if fgh_from is not None and group.n >= fgh_from:
+            group.fgh  # built first, so Group.f takes fgh's f and p is convolved once
         group_cuts = []
         for cid, q, key in keys:
             if group.n < CHECKERS[cid].min_n:
@@ -592,8 +639,7 @@ def _scan(config: ScanConfig, groups, rows_of: dict | None = None):
                     rows_of.setdefault(i, []).extend((i, key, k, m) for k, m in zip(k_list, v))
             if not values.shape[1]:
                 continue
-            pos = inequalities._first_mins(values)
-            worst = values[rows, pos]
+            pos, worst = inequalities._first_mins(values)
             minima.setdefault(key, _Minimum()).add(group.index, worst, ks[pos])
             cut = np.flatnonzero(_cuts_certificate(worst, margins.tolerance))
             if cut.size:
@@ -611,7 +657,7 @@ def run_scan(config: ScanConfig, collect_margins: bool = False) -> ScanReport:
     full per-instance margin rows are kept for CSV dumps, in instance order.
     """
     rows_of = {} if collect_margins else None
-    worst_margins, cuts = _scan(config, _groups(config), rows_of)
+    worst_margins, cuts = _scan(_keys(config), _groups(config), rows_of)
     config_hash = config.config_hash()
     caveat = OVERESTIMATE_CAVEAT if any(c in _Q_CHECKERS for c in config.inequality_set) else None
     return ScanReport(
@@ -639,23 +685,27 @@ def estimate_critical_q(
     the family on the kind's curvature checker cuts a row, and -1 where it
     cuts none. Every cut margin is evaluated again, but no certificate is
     made and no config hashed. The family's groups, chunked for the one
-    checker, and their f, g and h are built once per root, on the probe's
-    first call. The violation predicate is assumed monotone in q, per the
-    shape of the conjecture; that assumption is recorded in the caveat, not
-    enforced. The Shannon kind never produces violations, so it surfaces
-    the constant predicate error.
+    checker, and their f, g and h are built once per root from one config,
+    on the probe's first call; each step then passes the scan loop its one
+    key, (checker id, q), and builds no config. The violation predicate is
+    assumed monotone in q, per the shape of the conjecture; that assumption
+    is recorded in the caveat, not enforced. The Shannon kind never produces
+    violations, so it surfaces the constant predicate error.
     """
     if kind not in ("shannon", "renyi", "tsallis"):
         raise ValueError(f"unknown entropy kind {kind!r}")
-    base = replace(config, family=family)
     cid = "entropy_concavity" if kind == "shannon" else f"{kind}_concavity"
     groups: list[Group] = []
 
     def probe(q: float) -> float:
-        scan = replace(base, inequality_set=(cid,), q_grid=None if kind == "shannon" else (q,))
+        if kind == "shannon":
+            q = None
         if not groups:
+            scan = replace(config, family=family, inequality_set=(cid,),
+                           q_grid=None if q is None else (q,))
             groups.extend(_groups(scan))
-        return 1.0 if _scan(scan, groups)[1] else -1.0
+        # EntropySpec checks q in the kernel with ScanConfig's rule and message.
+        return 1.0 if _scan([(cid, q, cid)], groups)[1] else -1.0
 
     result = qentropy.find_critical_q(f"{family}:{kind}", bracket, probe, tol)
     return replace(result, caveat=OVERESTIMATE_CAVEAT)

@@ -138,13 +138,15 @@ def _first_min(values: np.ndarray) -> int | None:
     return pos
 
 
-def _first_mins(values: np.ndarray) -> np.ndarray:
-    """_first_min of every row of values (m, K), K >= 1."""
+def _first_mins(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_first_min of every row of values (m, K), K >= 1, and the margin there, as (pos, worst)."""
     pos = values.argmin(axis=-1)
+    worst = values[np.arange(len(values)), pos]
     if values.shape[-1] > 1:  # argmin lands on a row's first NaN; those rows go through _first_min
-        for r in np.flatnonzero(np.isnan(values.min(axis=-1))):
+        for r in np.flatnonzero(np.isnan(worst)):
             pos[r] = _first_min(values[r])
-    return pos
+            worst[r] = values[r, pos[r]]
+    return pos, worst
 
 
 class Margins(NamedTuple):

@@ -130,7 +130,7 @@ def _convolve_bernoullis(probs: np.ndarray) -> np.ndarray:
         up = buf[: t + 1] * p
         buf[: t + 2] *= 1.0 - p
         buf[1 : t + 2] += up
-    return np.moveaxis(buf, 0, -1)
+    return buf.transpose((*range(1, buf.ndim), 0))  # k last
 
 
 def _masses(f) -> np.ndarray:

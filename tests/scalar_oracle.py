@@ -431,6 +431,21 @@ def scan_step_certificates(config, kind: str, q: float):
     return run_scan(scan).certificates
 
 
+def min_position(values) -> int:
+    """Position of the entry Python's min() returns: the first, replaced by every later smaller one.
+
+    So a leading NaN is kept, a later NaN never wins, and a tie keeps the
+    earlier entry. This is the rule of a scan's worst margin, over one row's
+    margins and over the rows in instance-index order.
+    """
+    values = list(values)
+    pick = 0
+    for j, v in enumerate(values):
+        if v < values[pick]:
+            pick = j
+    return pick
+
+
 def reevaluate_certificate(cert) -> float:
     """A certificate's worst margin recomputed from its stored tuple alone, as a one-row group."""
     from entropath.explorer import evaluate_checker

@@ -213,6 +213,20 @@ class TestCriticalQ:
         assert err == "error: violation predicate is constant over the bracket\n"
 
 
+    @pytest.mark.parametrize("family, kind, bracket, message", [
+        # Both ends cut nothing, so the bisection never reaches the midpoint q = 1.
+        ("bernoulli", "renyi", "0.5,1.5", "violation predicate is constant over the bracket"),
+        ("binomial2", "tsallis", "0.5,1", "q = 1 is the Shannon point; use kind='shannon'"),
+    ])
+    def test_scan_estimator_bracket_reaching_q_one(self, capsys, family, kind, bracket, message):
+        code, out, err = run_cli(
+            capsys,
+            "critical-q", "--family", family, "--kind", kind, "--bracket", bracket,
+            "--estimator", "scan", "--seed", "0", "--format", "json",
+        )
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 class TestHessian:
     def test_one_dimensional(self, capsys):
         code, out, _ = run_cli(capsys, "hessian", "--p", "0.5", "--format", "json")
@@ -279,6 +293,26 @@ class TestInvalidInputsNameTheInput:
         code, out, err = run_cli(capsys, "scan", "--config", str(path))
         assert (code, out) == (2, "")
         assert err.startswith(f"error: {field} must be")
+
+    @pytest.mark.parametrize("config, message", [
+        ('{"seed": 1, "interior_margin": "0.1"}',
+         "interior_margin must be a real number, got '0.1'"),
+        ('{"seed": 1, "inequality_set": 5}', "inequality_set must be a list of checker ids, got 5"),
+        ('{"seed": 1, "inequality_set": "log_concavity"}',
+         "inequality_set must be a list of checker ids, got 'log_concavity'"),
+        ('{"seed": 1, "q_grid": 5}', "q_grid must be a list of q values, got 5"),
+        ('{"seed": 1, "q_grid": "4"}', "q_grid must be a list of q values, got '4'"),
+        ('{"seed": 1, "q_grid": [null]}', "q_grid entry must be a real number, got None"),
+        ('{"seed": 1, "instance_count": null}', "instance_count must be an integer, got None"),
+        ('{"seed": 1, "n_range": "25"}', "n_range must be two integers, got '25'"),
+        ('{"seed": true}', "seed must be an integer, got True"),
+        ("[1, 2]", "a config must map field names to values, got [1, 2]"),
+    ])
+    def test_config_file_fields_of_the_wrong_type(self, capsys, tmp_path, config, message):
+        path = tmp_path / "scan.json"
+        path.write_text(config)
+        code, out, err = run_cli(capsys, "scan", "--config", str(path))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     def test_integral_floats_stay_valid(self, capsys, tmp_path):
         path = tmp_path / "scan.json"

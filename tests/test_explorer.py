@@ -169,6 +169,14 @@ class TestScanConfig:
         with pytest.raises(ValueError):
             ScanConfig(seed=1, inequality_set=("renyi_concavity",))
 
+    def test_numpy_scalars_stay_valid(self):
+        plain = ScanConfig(seed=3, n_range=(2, 4), instance_count=9, interior_margin=0.01,
+                           q_grid=(2.5,))
+        numpy = ScanConfig(seed=np.uint64(3), n_range=np.array([2, 4]),
+                           instance_count=np.int32(9), interior_margin=np.float64(0.01),
+                           q_grid=np.array([2.5]))
+        assert numpy.config_hash() == plain.config_hash()
+
     def test_bad_interior_margin(self):
         with pytest.raises(ValueError):
             ScanConfig(seed=1, interior_margin=0.6)
@@ -450,7 +458,8 @@ class TestEstimatorMatchesScanBisection:
         groups = list(explorer._groups(base))
         for q, certificates in steps:
             scan = replace(base, inequality_set=(f"{kind}_concavity",), q_grid=(q,))
-            got = explorer._certificates(scan.config_hash(), explorer._scan(scan, groups)[1])
+            cuts = explorer._scan(explorer._keys(scan), groups)[1]
+            got = explorer._certificates(scan.config_hash(), cuts)
             assert [c.to_dict() for c in got] == [c.to_dict() for c in certificates], q
 
     @pytest.mark.parametrize(
@@ -630,8 +639,9 @@ class TestRowMinima:
         rng = np.random.default_rng(12)
         values = rng.choice([-1.0, 0.5, 2.0, np.nan], (400, 5))
         values[:, 0] = np.where(rng.random(400) < 0.5, np.nan, values[:, 0])
-        pos = inequalities._first_mins(values)
+        pos, worst = inequalities._first_mins(values)
         assert pos.tolist() == [inequalities._first_min(row) for row in values]
+        assert worst.tobytes() == values[np.arange(len(values)), pos].tobytes()
         assert any(np.isnan(v).any() and not np.isnan(v[p]) for v, p in zip(values, pos))
 
     def test_a_cut_ladder_margin_is_evaluated_again(self):
@@ -639,7 +649,7 @@ class TestRowMinima:
                          inequality_set=("condition4",))
         group = oracle.stack(oracle.family_instances(cfg))
         margins = CHECKERS["condition4"].kernel(group, None).values
-        pos = inequalities._first_mins(margins)
+        pos = inequalities._first_mins(margins)[0]
         rows = np.arange(len(margins))[::-1]
         worst = margins[rows, pos[rows]]
         cuts = explorer._recheck(group, [("condition4", None, rows, pos[rows], worst)])
@@ -675,3 +685,94 @@ class TestWorstMarginMerge:
             assert got["instance_index"] == want[0], (worst, groups)
             assert got["k"] == 10 * want[0]
             assert np.array_equal(got["margin"], want[1], equal_nan=True)
+
+
+# Rows of margins that exercise the row-minimum rule: K = 1 rows with NaNs,
+# all-NaN rows and ties, -0.0 against 0.0 included.
+ROW_MINIMUM_CASES = {
+    "one_margin_rows_with_nans": [[np.nan], [-1.0], [np.nan], [2.0], [-1.0]],
+    "all_nan_rows": [[np.nan, np.nan, np.nan], [np.nan, np.nan, np.nan]],
+    "ties": [[0.5, -1.0, -1.0], [-0.0, 0.0, -0.0], [0.0, -0.0, 3.0], [2.0, 2.0, 2.0]],
+    "nan_rows_among_ties": [[np.nan, -1.0, -1.0], [-1.0, np.nan, -1.0], [-1.0, -1.0, np.nan]],
+}
+
+
+class TestRowMinimaMatchTheScalarOracle:
+    @pytest.mark.parametrize("case", ROW_MINIMUM_CASES)
+    def test_first_mins(self, case):
+        values = np.array(ROW_MINIMUM_CASES[case])
+        pos, worst = inequalities._first_mins(values)
+        want = [oracle.min_position(row) for row in values.tolist()]
+        assert pos.tolist() == want
+        assert worst.tobytes() == np.array([row[p] for row, p in zip(values, want)]).tobytes()
+
+    @pytest.mark.parametrize("case", ROW_MINIMUM_CASES)
+    @pytest.mark.parametrize("column", (0, -1))
+    def test_minimum_folds_groups_as_the_sequential_scan(self, case, column):
+        # Each row's worst margin is one column of the case, folded in groups of two
+        # rows, last group first: the merged pick is the scan's in index order.
+        worst = np.array(ROW_MINIMUM_CASES[case])[:, column]
+        index = np.arange(len(worst))
+        minimum = explorer._Minimum()
+        for rows in reversed(np.array_split(index, (len(worst) + 1) // 2)):
+            minimum.add(rows, worst[rows], 10 * rows)
+        got = minimum.entry()
+        want = oracle.min_position(worst.tolist())
+        assert (got["instance_index"], got["k"]) == (want, 10 * want)
+        assert np.array(got["margin"]).tobytes() == worst[want].tobytes()
+
+    def test_an_all_nan_group_keeps_the_least_of_the_others(self):
+        minimum = explorer._Minimum()
+        minimum.add(np.array([3, 4]), np.array([np.nan, np.nan]), np.array([0, 1]))
+        minimum.add(np.array([0, 1, 2]), np.array([0.5, -2.0, -2.0]), np.array([5, 6, 7]))
+        assert minimum.entry() == {"margin": -2.0, "instance_index": 1, "k": 6}
+
+
+class TestFOncePerGroup:
+    """A group checked by an f/g/h kernel takes its f from f, g and h and convolves p never."""
+
+    def test_pmf_only_checker_first(self, monkeypatch):
+        calls = []
+        convolve = pmf._convolve_bernoullis
+
+        def counting(p):
+            calls.append(p.shape)
+            return convolve(p)
+
+        cfg = ScanConfig(seed=5, n_range=(1, 6), instance_count=40,
+                         inequality_set=("log_concavity", "hessian_psd", "condition4"))
+        want = run_scan(replace(cfg, inequality_set=cfg.inequality_set[::-1])).worst_margins
+        monkeypatch.setattr(pmf, "_convolve_bernoullis", counting)
+        report = run_scan(cfg)
+        assert report.worst_margins == want
+        # condition4 starts at n = 2, so the n = 1 group alone convolves its p.
+        assert [shape[1] for shape in calls] == [1]
+        calls.clear()
+        run_scan(replace(cfg, inequality_set=("log_concavity",)))
+        assert sorted({shape[1] for shape in calls}) == [1, 2, 3, 4, 5, 6]
+
+    def test_checker_table_names_what_each_kernel_reads(self):
+        assert {cid: c.reads for cid, c in CHECKERS.items() if c.reads != "fgh"} == {
+            "log_concavity": "f", "two_fold_log_concavity": "f", "c1": "f", "c1bar": "f",
+            "cij": "leave", "hessian_psd": "f",
+        }
+
+
+class TestEstimatorBuildsOneConfigPerRoot:
+    @pytest.mark.parametrize("family,kind,bracket", [
+        ("bernoulli", "renyi", (1.5, 2.5)),
+        ("binomial2", "tsallis", (3.5, 3.8)),
+    ])
+    def test_one_scan_config_per_root(self, monkeypatch, family, kind, bracket):
+        cfg = ScanConfig(seed=0, n_range=(1, 2), instance_count=49)
+        built = []
+        post_init = ScanConfig.__post_init__
+
+        def counting(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(ScanConfig, "__post_init__", counting)
+        result = estimate_critical_q(cfg, family, kind, bracket)
+        assert len(result.sign_trace) > 20
+        assert [(c.family, c.inequality_set) for c in built] == [(family, (f"{kind}_concavity",))]

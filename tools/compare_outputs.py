@@ -126,6 +126,34 @@ def commands(config_dir: Path) -> list[list[str]]:
              "--beta", "0.5", "--gamma", "1", "--format", fmt],
         ]
 
+    # Config files of the wrong shape or with fields of the wrong type.
+    malformed = [
+        {"seed": 1, "interior_margin": "0.1"},
+        {"seed": 1, "inequality_set": 5},
+        {"seed": 1, "inequality_set": "log_concavity"},
+        {"seed": 1, "q_grid": 5},
+        {"seed": 1, "q_grid": "4"},
+        {"seed": 1, "q_grid": [None]},
+        {"seed": 1, "instance_count": None},
+        {"seed": 1, "n_range": "25"},
+        {"seed": True},
+        [1, 2],
+    ]
+    for i, config in enumerate(malformed):
+        path = config_dir / f"malformed{i}.json"
+        path.write_text(json.dumps(config))
+        cmds.append(["scan", "--config", str(path), "--format", "json"])
+
+    # Scan-estimator brackets whose bisection would reach q = 1: constant over
+    # the bracket, and an upper end at q = 1.
+    cmds += [
+        ["critical-q", "--family", family, "--kind", kind, "--bracket", bracket,
+         "--estimator", "scan", "--seed", "0", "--format", "json"]
+        for family, kind, bracket in (("bernoulli", "renyi", "0.5,1.5"),
+                                      ("random_affine", "renyi", "0.5,1.5"),
+                                      ("binomial2", "tsallis", "0.5,1"))
+    ]
+
     # Inputs that end in an error: the internal-consistency failure at
     # n = 200 and the underflowed masses at n = 400.
     cmds += [
