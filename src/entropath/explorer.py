@@ -448,37 +448,27 @@ def _recheck(group: Group, cuts) -> list[_Cut]:
     """Each key's cut rows of one group, their margins evaluated again from the stored tuples.
 
     cuts lists (checker id, q, rows, k, margin), the last three arrays over
-    that key's cut rows, rows ascending. The cut rows are rebuilt from their
-    p and slopes as tuples of floats, as one group of their own (the union of
-    the keys' rows when more than one key cut), on which each key's kernel
-    runs once. A row has the same bits in any stack, so each margin comes
+    that key's cut rows. Each key's cut rows are rebuilt from their p and
+    slopes as tuples of floats, as one group of their own, on which the key's
+    kernel runs. A row has the same bits in any stack, so each margin comes
     back with the bits it was cut with; a pair further apart than a
     certificate allows raises ConsistencyError with the certificate's message.
+    A record keeps only the rebuilt rows' arrays, not the caches the kernel
+    built on them.
     """
-    if not cuts:
-        return []
-    one_key = len(cuts) == 1
-    rows = cuts[0][2] if one_key else np.unique(np.concatenate([c[2] for c in cuts]))
-    stored = Group(np.array(group.p[rows].tolist()), np.array(group.slopes[rows].tolist()),
-                   group.index[rows], group.t[rows])
-    again = {}
     records = []
-    for cid, q, cut, k, margin in cuts:
-        if (cid, q) not in again:
-            again[cid, q] = inequalities._first_mins(CHECKERS[cid].kernel(stored, q).values)[1]
-        if one_key:
-            reeval, rows_at = again[cid, q], stored
-        else:
-            at = np.searchsorted(rows, cut)
-            reeval = again[cid, q][at]
-            rows_at = Group(stored.p[at], stored.slopes[at], stored.index[at], stored.t[at])
+    for cid, q, rows, k, margin in cuts:
+        stored = Group(np.array(group.p[rows].tolist()), np.array(group.slopes[rows].tolist()),
+                       group.index[rows], group.t[rows])
+        reeval = inequalities._first_mins(CHECKERS[cid].kernel(stored, q).values)[1]
         bad = np.flatnonzero(np.abs(margin - reeval) > 1e-12)
         if bad.size:
             raise ConsistencyError(
                 f"certificate does not reproduce: {margin[bad[0]].item()!r} vs "
                 f"{reeval[bad[0]].item()!r}"
             )
-        records.append(_Cut(cid, q, rows_at, k, margin, reeval))
+        records.append(_Cut(cid, q, Group(stored.p, stored.slopes, stored.index, stored.t),
+                            k, margin, reeval))
     return records
 
 

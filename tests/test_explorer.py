@@ -655,11 +655,29 @@ class TestRowMinima:
         cuts = explorer._recheck(group, [("condition4", None, rows, pos[rows], worst)])
         assert cuts[0].reeval.tolist() == worst.tolist()
         assert cuts[0].rows.index.tolist() == group.index[rows].tolist()
+        assert not {"f", "fgh", "uk", "leave"} & cuts[0].rows.__dict__.keys()
         certificates = explorer._certificates(cfg.config_hash(), cuts)
         assert [c.instance_index for c in certificates] == sorted(group.index.tolist())
         assert [c.reeval_margin for c in certificates] == [
             oracle.reevaluate_certificate(c) for c in certificates
         ]
+
+    def test_keys_cutting_different_rows_of_one_group(self):
+        cfg = ScanConfig(seed=5, n_range=(6, 6), instance_count=5,
+                         inequality_set=("condition4", "cij"))
+        group = oracle.stack(oracle.family_instances(cfg))
+        picks = {"condition4": np.array([3, 0, 4]), "cij": np.array([1, 3])}
+        cuts = []
+        for cid, rows in picks.items():
+            margins = CHECKERS[cid].kernel(group, None).values
+            pos = inequalities._first_mins(margins)[0]
+            cuts.append((cid, None, rows, pos[rows], margins[rows, pos[rows]]))
+        records = explorer._recheck(group, cuts)
+        assert [r.cid for r in records] == list(picks)
+        for record, (cid, _, rows, k, worst) in zip(records, cuts):
+            assert record.reeval.tobytes() == worst.tobytes()
+            assert record.rows.index.tolist() == group.index[rows].tolist()
+            assert record.k.tolist() == k.tolist()
 
 
 class TestWorstMarginMerge:
