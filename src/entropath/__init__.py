@@ -37,18 +37,10 @@ from .inequalities import (
     UkTerm,
     X_LOG_X,
     c1_product_identity_residual,
-    check_c1,
-    check_c1bar,
-    check_cij_nonpositive,
-    check_condition4,
-    check_corollary_fgh,
     check_functional_lemma,
-    check_log_concavity,
     check_monotone_worst_case,
     check_quadratic_decomposition_n2,
-    check_two_fold_log_concavity,
     compute_cij,
-    compute_uk,
 )
 from .pmf import ParamVector, Pmf, compute_pmf
 from .qentropy import (

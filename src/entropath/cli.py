@@ -94,8 +94,9 @@ def cmd_verify(args) -> int:
     slopes = _check_slopes(params, slopes)
     point = params.p + args.t * slopes
     params = ParamVector(point)
-    # One group for the whole suite: its u_k decomposition feeds both uk_nonneg and the payload.
-    group = explorer.Group.row(params, slopes)
+    # One group for the whole suite: its f, g and h and its u_k decomposition feed every
+    # checker and the payload.
+    group = explorer.Group.row(params, slopes).prepare(explorer.SHANNON_SUITE)
     by_id = {cid: explorer.group_report(cid, group) for cid in explorer.SHANNON_SUITE}
     reports = [r for r in by_id.values() if r is not None]
     holds = all(r.holds for r in reports)

@@ -89,10 +89,10 @@ def _cuts_certificate(margin, tolerance):
     return margin < -10.0 * tolerance
 
 
-# Bytes of kernel buffers one group may take. An instance takes at most 32 rows of n + 1
-# floats for f, g and h, 8 (n + 1) rows for the Hessian, or all of cij's leave-out buffer
-# (measured at n = 12 and 60). A scan holds one group at a time, so its memory does not grow
-# with instance_count; the leave-out builder ran fastest with 0.1-0.6 MB (n = 6..30, 2 vCPUs).
+# Bytes of kernel buffers one group may take, each instance counted at the largest
+# Checker.row_bytes(n) of the configured checkers. A scan holds one group at a time, so its
+# memory does not grow with instance_count; the leave-out builder ran fastest with 0.1-0.6 MB
+# (n = 6..30, 2 vCPUs).
 _GROUP_BYTES = 1 << 19
 
 
@@ -138,6 +138,15 @@ class Group:
     def uk(self) -> inequalities.UkDecomposition:
         return inequalities.stacked_uk(*self.fgh)
 
+    def prepare(self, cids) -> "Group":
+        """The group, with f, g and h built first when a checker of cids applies and reads them.
+
+        Group.f then takes fgh's f, so p is never convolved on its own.
+        """
+        if any(CHECKERS[cid].reads == "fgh" and self.n >= CHECKERS[cid].min_n for cid in cids):
+            self.fgh
+        return self
+
 
 def _theorem(values: np.ndarray) -> inequalities.Margins:
     """Theorem-level margins (m, K) under the fixed tolerance."""
@@ -158,50 +167,64 @@ def _q_kernel(kind: str):
 
 
 class Checker(NamedTuple):
-    """The smallest n a checker applies to, what it reads and its kernel (group, q) -> Margins.
+    """One row of the checker table.
 
-    reads names the group structure the kernel builds on: "f" (the pmf rows),
-    "fgh" (f, g and h, or the u_k decomposition made of them) or "leave" (the
-    leave-out structures).
+    name is the checker's report name, min_n the smallest n it applies to and
+    kernel its group kernel (group, q) -> Margins. reads names the group
+    structure the kernel builds on: "f" (the pmf rows), "fgh" (f, g and h, or
+    the u_k decomposition made of them) or "leave" (the leave-out
+    structures). takes_q says that a scan runs the checker once for each q of
+    its grid. row_bytes(n) is the bytes of kernel buffer one instance of n
+    components takes (row counts measured at n = 12 and 60); the f/g/h
+    kernels take at most 32 rows of n + 1 floats.
     """
 
+    name: str
     min_n: int
     reads: str
     kernel: Callable
+    takes_q: bool = False
+    row_bytes: Callable[[int], int] = lambda n: 8 * 32 * (n + 1)
 
 
 # Checker id -> Checker. Every kernel looks its function up on the module at
 # call time, so a rebound module attribute (a tracer's wrapper, a test's
 # monkeypatch) is the one called.
 CHECKERS = {
-    "log_concavity": Checker(1, "f", lambda grp, q: inequalities.stacked_log_concavity(grp.f)),
+    "log_concavity": Checker(
+        "log_concavity", 1, "f", lambda grp, q: inequalities.stacked_log_concavity(grp.f)
+    ),
     "two_fold_log_concavity": Checker(
-        1, "f", lambda grp, q: inequalities.stacked_two_fold_log_concavity(grp.f)
+        "two_fold_log_concavity", 1, "f",
+        lambda grp, q: inequalities.stacked_two_fold_log_concavity(grp.f),
     ),
-    "c1": Checker(1, "f", lambda grp, q: inequalities.stacked_c1(grp.f)),
-    "c1bar": Checker(1, "f", lambda grp, q: inequalities.stacked_c1bar(grp.f)),
-    "cij": Checker(2, "leave", lambda grp, q: inequalities.stacked_cij(grp.leave.pairs)),
-    "condition4": Checker(2, "fgh", lambda grp, q: inequalities.stacked_condition4(*grp.fgh)),
+    "c1": Checker("c1", 1, "f", lambda grp, q: inequalities.stacked_c1(grp.f)),
+    "c1bar": Checker("c1bar", 1, "f", lambda grp, q: inequalities.stacked_c1bar(grp.f)),
+    "cij": Checker(
+        "cij_nonpositive", 2, "leave", lambda grp, q: inequalities.stacked_cij(grp.leave.pairs),
+        row_bytes=lambda n: 8 * (1 + n + n * (n - 1) // 2) * (n + 1),
+    ),
+    "condition4": Checker(
+        "condition4", 2, "fgh", lambda grp, q: inequalities.stacked_condition4(*grp.fgh)
+    ),
     "corollary_fgh": Checker(
-        2, "fgh", lambda grp, q: inequalities.stacked_corollary_fgh(*grp.fgh)
+        "corollary_fgh", 2, "fgh", lambda grp, q: inequalities.stacked_corollary_fgh(*grp.fgh)
     ),
-    "uk_nonneg": Checker(2, "fgh", lambda grp, q: _theorem(grp.uk.u)),
+    "uk_nonneg": Checker("uk_nonneg", 2, "fgh", lambda grp, q: _theorem(grp.uk.u)),
     "entropy_concavity": Checker(
-        1, "fgh", lambda grp, q: _theorem(-calculus.stacked_entropy_curvature(*grp.fgh)[:, None])
+        "entropy_concavity", 1, "fgh",
+        lambda grp, q: _theorem(-calculus.stacked_entropy_curvature(*grp.fgh)[:, None]),
     ),
-    "hessian_psd": Checker(1, "f", _hessian_psd),
-    "renyi_concavity": Checker(1, "fgh", _q_kernel("renyi")),
-    "tsallis_concavity": Checker(1, "fgh", _q_kernel("tsallis")),
+    "hessian_psd": Checker(
+        "hessian_psd", 1, "f", _hessian_psd, row_bytes=lambda n: 8 * 8 * (n + 1) * (n + 1)
+    ),
+    "renyi_concavity": Checker("renyi_concavity", 1, "fgh", _q_kernel("renyi"), takes_q=True),
+    "tsallis_concavity": Checker("tsallis_concavity", 1, "fgh", _q_kernel("tsallis"), takes_q=True),
 }
 
 CHECKER_IDS = tuple(CHECKERS)
 
-_Q_CHECKERS = ("renyi_concavity", "tsallis_concavity")
-
-SHANNON_SUITE = tuple(cid for cid in CHECKER_IDS if cid not in _Q_CHECKERS)
-
-# Report names that differ from the checker id.
-_REPORT_NAMES = {"cij": "cij_nonpositive"}
+SHANNON_SUITE = tuple(cid for cid, checker in CHECKERS.items() if not checker.takes_q)
 
 
 def group_report(cid: str, group: Group, q: float | None = None):
@@ -211,7 +234,7 @@ def group_report(cid: str, group: Group, q: float | None = None):
     checker = CHECKERS[cid]
     if group.n < checker.min_n:
         return None
-    return checker.kernel(group, q).report(_REPORT_NAMES.get(cid, cid))
+    return checker.kernel(group, q).report(checker.name)
 
 
 def evaluate_checker(cid: str, params: ParamVector, slopes: np.ndarray, q: float | None = None):
@@ -288,6 +311,7 @@ class ScanConfig:
             raise ValueError("instance_count must be at least 1")
         if not 0.0 <= _real("interior_margin", self.interior_margin) < 0.5:
             raise ValueError("interior_margin must lie in [0, 0.5)")
+        object.__setattr__(self, "interior_margin", float(self.interior_margin))
         if not 1 <= self.n_range[0] <= self.n_range[1]:
             raise ValueError("n_range must satisfy 1 <= min <= max")
         if self.n_range[1] >= 1 << 63:
@@ -299,7 +323,7 @@ class ScanConfig:
         for cid in self.inequality_set:
             if cid not in CHECKER_IDS:
                 raise ValueError(f"unknown checker id {cid!r}")
-        if any(cid in _Q_CHECKERS for cid in self.inequality_set) and not self.q_grid:
+        if any(CHECKERS[cid].takes_q for cid in self.inequality_set) and not self.q_grid:
             raise ValueError("q-dependent checkers need a q_grid")
 
     def to_dict(self) -> dict:
@@ -529,8 +553,9 @@ class ScanReport:
 def _groups(config: ScanConfig) -> Iterator[Group]:
     """The configured family's instances grouped by n, ascending, and chunked.
 
-    A chunk holds at most _GROUP_BYTES of the buffers the configured
-    checkers build and keeps the index order of its instances. Only one
+    A chunk holds at most _GROUP_BYTES of kernel buffer, each instance
+    counted at the largest row_bytes(n) of the configured checkers, and keeps
+    the index order of its instances. Only one
     chunk's instances are sampled at a time.
     """
     sizes = _family_sizes(config)
@@ -539,10 +564,8 @@ def _groups(config: ScanConfig) -> Iterator[Group]:
     ts = np.geomspace(1e-6, 0.5, count) if bernoulli else np.linspace(0.02, 0.98, count)
     for n in np.unique(sizes).tolist():
         indices = np.flatnonzero(sizes == n)
-        rows = 8 * (n + 1) if "hessian_psd" in config.inequality_set else 32
-        if any(CHECKERS[cid].reads == "leave" for cid in config.inequality_set):
-            rows = 1 + n + n * (n - 1) // 2
-        chunk = max(1, _GROUP_BYTES // (8 * (n + 1) * rows))
+        chunk = max(1, _GROUP_BYTES // max(CHECKERS[cid].row_bytes(n)
+                                           for cid in config.inequality_set))
         for lo in range(0, indices.size, chunk):
             index = indices[lo : lo + chunk]
             if config.family == "random_affine":
@@ -591,7 +614,7 @@ def _keys(config: ScanConfig) -> list[tuple[str, float | None, str]]:
     return [
         (cid, q, cid if q is None else f"{cid}[q={q!r}]")
         for cid in config.inequality_set
-        for q in (config.q_grid if cid in _Q_CHECKERS else (None,))
+        for q in (config.q_grid if CHECKERS[cid].takes_q else (None,))
     ]
 
 
@@ -599,9 +622,8 @@ def _scan(keys, groups, rows_of: dict | None = None):
     """The scan loop: (worst margins by report key, cut records) of the keys' checkers.
 
     keys lists (checker id, q, report key); q is None for the checkers that
-    take none. Each key's kernel runs once per group. When a checker that
-    reads f, g and h applies to a group, the group builds them first, so its
-    f is never convolved on its own. A row's worst margin and its k come
+    take none. Each key's kernel runs once per group, after Group.prepare has
+    built what the keys' checkers share. A row's worst margin and its k come
     from _first_mins and are merged in instance-index order, so a tie goes to
     the lowest index. A row is cut only when its worst margin falls below ten
     times the checker tolerance, and every cut margin is evaluated again from
@@ -609,13 +631,11 @@ def _scan(keys, groups, rows_of: dict | None = None):
     cuts. With rows_of, every margin row is appended under its instance
     index, for CSV dumps.
     """
-    fgh_from = min((CHECKERS[cid].min_n for cid, _, _ in keys if CHECKERS[cid].reads == "fgh"),
-                   default=None)
+    cids = [cid for cid, _, _ in keys]
     minima: dict[str, _Minimum] = {}
     cuts: list[_Cut] = []
     for group in groups:
-        if fgh_from is not None and group.n >= fgh_from:
-            group.fgh  # built first, so Group.f takes fgh's f and p is convolved once
+        group.prepare(cids)
         group_cuts = []
         for cid, q, key in keys:
             if group.n < CHECKERS[cid].min_n:
@@ -649,7 +669,7 @@ def run_scan(config: ScanConfig, collect_margins: bool = False) -> ScanReport:
     rows_of = {} if collect_margins else None
     worst_margins, cuts = _scan(_keys(config), _groups(config), rows_of)
     config_hash = config.config_hash()
-    caveat = OVERESTIMATE_CAVEAT if any(c in _Q_CHECKERS for c in config.inequality_set) else None
+    takes_q = any(CHECKERS[cid].takes_q for cid in config.inequality_set)
     return ScanReport(
         config=config,
         config_hash=config_hash,
@@ -658,7 +678,7 @@ def run_scan(config: ScanConfig, collect_margins: bool = False) -> ScanReport:
         margin_rows=tuple(r for i in sorted(rows_of) for r in rows_of[i])
         if collect_margins
         else None,
-        caveat=caveat,
+        caveat=OVERESTIMATE_CAVEAT if takes_q else None,
     )
 
 

@@ -19,9 +19,9 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .calculus import _check_slopes, _fgh, _fgh_rows, _require_interior
+from .calculus import _check_slopes, _fgh
 from .errors import BoundaryError, ConsistencyError, LemmaHypothesisError
-from .pmf import ParamVector, _check_pair, _masses
+from .pmf import ParamVector, _check_pair, _convolve_bernoullis, _masses
 
 __all__ = [
     "ABS_FLOOR",
@@ -34,18 +34,10 @@ __all__ = [
     "UkTerm",
     "X_LOG_X",
     "c1_product_identity_residual",
-    "check_c1",
-    "check_c1bar",
-    "check_cij_nonpositive",
-    "check_condition4",
-    "check_corollary_fgh",
     "check_functional_lemma",
-    "check_log_concavity",
     "check_monotone_worst_case",
     "check_quadratic_decomposition_n2",
-    "check_two_fold_log_concavity",
     "compute_cij",
-    "compute_uk",
     "margin_rows",
     "rows_to_csv",
     "stacked_c1",
@@ -154,7 +146,8 @@ class Margins(NamedTuple):
 
     values (m, K) holds each row's margins at the indices ks (K,), which
     default to 0..K-1, and tolerance (m,) each row's tolerance. Every
-    stacked_* checker returns one; its check_* function is a one-row call.
+    stacked_* checker returns one. explorer.CHECKERS lists the kernels a scan
+    runs, and explorer.group_report turns a group's row 0 into a MarginReport.
     """
 
     values: np.ndarray
@@ -200,11 +193,6 @@ def stacked_log_concavity(f: np.ndarray) -> Margins:
     sq = f[..., 1:-1] * f[..., 1:-1]
     pr = f[..., :-2] * f[..., 2:]
     return Margins(sq - pr, _tolerance(_scale(sq, pr)))
-
-
-def check_log_concavity(f) -> MarginReport:
-    """Newton margins f_{k+1}^2 - f_k f_{k+2} over the support."""
-    return stacked_log_concavity(_masses(f)[None]).report("log_concavity")
 
 
 def _two_fold(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -269,11 +257,6 @@ def stacked_two_fold_log_concavity(f: np.ndarray) -> Margins:
     return Margins(margin, _tolerance(_scale(scale)))
 
 
-def check_two_fold_log_concavity(f) -> MarginReport:
-    """Cubic margins saying the Newton gaps D_k are themselves log-concave."""
-    return stacked_two_fold_log_concavity(_masses(f)[None]).report("two_fold_log_concavity")
-
-
 def _c1(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Margins f_{k-1} D_k - D_{k-1} f_{k+1} for k = 0..m+1, and each row's monomial scale."""
     (fm2, fm1, f0, f1, _), (d_lo, d_mid, _) = _gaps(v)
@@ -287,11 +270,6 @@ def stacked_c1(f: np.ndarray) -> Margins:
     return Margins(margin, _tolerance(scale))
 
 
-def check_c1(f) -> MarginReport:
-    """Cubic margins f_{k-1} D_k - D_{k-1} f_{k+1} (lower-neighbor form)."""
-    return stacked_c1(_masses(f)[None]).report("c1")
-
-
 def stacked_c1bar(f: np.ndarray) -> Margins:
     """Mirrored cubic margins f_{k+1} D_k - D_{k+1} f_{k-1} of every row of f.
 
@@ -302,11 +280,6 @@ def stacked_c1bar(f: np.ndarray) -> Margins:
     reversed_margin, scale = _c1(f[..., ::-1])
     top = np.zeros(f.shape[:-1] + (1,))
     return Margins(np.concatenate((reversed_margin[..., -2::-1], top), axis=-1), _tolerance(scale))
-
-
-def check_c1bar(f) -> MarginReport:
-    """Mirrored cubic margins f_{k+1} D_k - D_{k+1} f_{k-1}."""
-    return stacked_c1bar(_masses(f)[None]).report("c1bar")
 
 
 def c1_product_identity_residual(f) -> float:
@@ -346,14 +319,6 @@ def stacked_condition4(f: np.ndarray, g: np.ndarray, h: np.ndarray) -> Margins:
     return Margins(margins, _tolerance(scale))
 
 
-def check_condition4(params: ParamVector, slopes) -> MarginReport:
-    """Margins of the strong upper bound on h_k against the g/f quadratic."""
-    slopes = _check_slopes(params, slopes)
-    if params.n < 2:
-        raise ValueError("condition4 needs at least two components")
-    return stacked_condition4(*_fgh_rows(params, slopes)).report("condition4")
-
-
 def stacked_corollary_fgh(f: np.ndarray, g: np.ndarray, h: np.ndarray) -> Margins:
     """Margins g_k^2 - h_k f_k and g_{k+1}^2 - h_k f_{k+2} of every row; two entries per k."""
     lo_sq, hi_sq = g[..., :-1] * g[..., :-1], g[..., 1:] * g[..., 1:]
@@ -363,14 +328,6 @@ def stacked_corollary_fgh(f: np.ndarray, g: np.ndarray, h: np.ndarray) -> Margin
     scale = _scale(lo_sq, hi_sq, abs_h * f[..., :-2], abs_h * f[..., 2:])
     ks = np.repeat(np.arange(h.shape[-1]), 2)
     return Margins(margins.reshape(h.shape[:-1] + (-1,)), _tolerance(scale), ks)
-
-
-def check_corollary_fgh(params: ParamVector, slopes) -> MarginReport:
-    """Margins g_k^2 - h_k f_k and g_{k+1}^2 - h_k f_{k+2}; two entries per k."""
-    slopes = _check_slopes(params, slopes)
-    if params.n < 2:
-        raise ValueError("corollary margins need at least two components")
-    return stacked_corollary_fgh(*_fgh_rows(params, slopes)).report("corollary_fgh")
 
 
 class UkBranch(str, enum.Enum):
@@ -504,15 +461,6 @@ def stacked_uk(f: np.ndarray, g: np.ndarray, h: np.ndarray) -> UkDecomposition:
     return UkDecomposition(u, h, branch, a_val, b_val, c_val, alpha, beta, gamma)
 
 
-def compute_uk(params: ParamVector, slopes, interior_margin: float = 0.0) -> UkDecomposition:
-    """Per-index curvature bound u_k with its transform data: a one-row stacked_uk."""
-    slopes = _check_slopes(params, slopes)
-    if params.n < 2:
-        raise ValueError("the decomposition needs at least two components")
-    _require_interior(params, interior_margin)
-    return stacked_uk(*_fgh_rows(params, slopes)).row(0)
-
-
 @dataclass(frozen=True)
 class SmoothFunction:
     """Scalar map on (0, inf) with three derivatives, vectorized over numpy arrays."""
@@ -604,11 +552,12 @@ def check_functional_lemma(
 def compute_cij(params: ParamVector, i: int, j: int, k: int) -> float:
     """Cross coefficient of the slope quadratic for the pair (i, j) at index k.
 
-    Equals the negated two-fold margin of the leave-two-out pmf, hence never
-    positive; the sign is re-checked on every call.
+    Equals the negated two-fold margin of the leave-two-out pmf, the
+    sequential convolution of the kept components, hence never positive; the
+    sign is re-checked on every call.
     """
     _check_pair(params.n, i, j)
-    margin, scale = _two_fold(params.leave.pair(i, j))
+    margin, scale = _two_fold(_convolve_bernoullis(np.delete(params.p, (i, j))))
     if not 0 <= k < margin.size:
         return -0.0  # every monomial vanishes this far outside the support
     # The same kernel as the two-fold margin, so the negation is bit-exact.
@@ -629,13 +578,6 @@ def stacked_cij(pairs: np.ndarray) -> Margins:
     tolerance = _tolerance(_scale(scale.reshape(m, -1)))
     del scale  # free the stacked temporary before the caller goes on
     return Margins(margin.reshape(m, -1), tolerance)
-
-
-def check_cij_nonpositive(params: ParamVector) -> MarginReport:
-    """Margins -c_{i,j}(k) >= 0 swept over all pairs and indices."""
-    if params.n < 2:
-        raise ValueError("pair coefficients need at least two components")
-    return stacked_cij(params.leave.pairs[None]).report("cij_nonpositive")
 
 
 def check_quadratic_decomposition_n2(params: ParamVector, k: int) -> MarginReport:

@@ -43,8 +43,7 @@ def _as_prob_array(p, ndim: int = 1) -> np.ndarray:
 class ParamVector:
     """Success probabilities of independent Bernoulli components.
 
-    The mass function and the leave-out structures are built on first use
-    and cached, so every checker evaluated on one vector shares them.
+    The mass function is built on first use and cached.
     """
 
     p: np.ndarray
@@ -62,12 +61,6 @@ class ParamVector:
     def pmf(self) -> "Pmf":
         """Mass function of the sum, built on first use."""
         return compute_pmf(self)
-
-    @cached_property
-    def leave(self) -> "LeaveStructures":
-        """Leave-one-out and leave-two-out structures, built on first use as a one-row stack."""
-        ls = leave_structures(self.p[None])
-        return LeaveStructures(ls.f[0], ls.singles[0], ls.pairs[0])
 
 
 @dataclass(frozen=True, eq=False)

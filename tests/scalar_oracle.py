@@ -646,7 +646,7 @@ def stack(instances):
 def scan_by_instance(config, collect_margins: bool = False):
     """The ScanReport of config, one instance at a time."""
     from entropath.explorer import (
-        _Q_CHECKERS,
+        CHECKERS,
         OVERESTIMATE_CAVEAT,
         CounterexampleCertificate,
         ScanReport,
@@ -662,7 +662,7 @@ def scan_by_instance(config, collect_margins: bool = False):
         params = ParamVector(np.array(inst.p))
         slopes = np.array(inst.slopes)
         for cid in config.inequality_set:
-            for q in config.q_grid if cid in _Q_CHECKERS else (None,):
+            for q in config.q_grid if CHECKERS[cid].takes_q else (None,):
                 report = evaluate_checker(cid, params, slopes, q)
                 if report is None:
                     continue
@@ -687,12 +687,12 @@ def scan_by_instance(config, collect_margins: bool = False):
                         margin=report.worst, reeval_margin=again.worst,
                     ))
     certificates.sort(key=lambda c: (c.instance_index, c.inequality, c.q or 0.0))
-    caveat = OVERESTIMATE_CAVEAT if any(c in _Q_CHECKERS for c in config.inequality_set) else None
+    takes_q = any(CHECKERS[cid].takes_q for cid in config.inequality_set)
     return ScanReport(
         config=config,
         config_hash=cfg_hash,
         worst_margins=worst,
         certificates=tuple(certificates),
         margin_rows=tuple(rows) if collect_margins else None,
-        caveat=caveat,
+        caveat=OVERESTIMATE_CAVEAT if takes_q else None,
     )

@@ -19,20 +19,12 @@ from entropath.calculus import (
     shannon_entropy,
 )
 from entropath.errors import LemmaHypothesisError
-from entropath.explorer import ScanConfig, run_scan, sample_instance
+from entropath.explorer import Group, ScanConfig, group_report, run_scan, sample_instance
 from entropath.inequalities import (
     X_LOG_X,
     c1_product_identity_residual,
-    check_c1,
-    check_c1bar,
-    check_cij_nonpositive,
-    check_condition4,
-    check_corollary_fgh,
     check_functional_lemma,
-    check_log_concavity,
     check_monotone_worst_case,
-    check_two_fold_log_concavity,
-    compute_uk,
 )
 from entropath.numdiff import central_first, central_second
 from entropath.pmf import ParamVector, compute_pmf
@@ -48,6 +40,8 @@ from entropath.qentropy import (
 ACCEPTANCE_SEED = 20260808
 INSTANCE_COUNT = 10_000
 Q_STAR = 3.65986
+LADDER = ("log_concavity", "two_fold_log_concavity", "c1", "c1bar", "condition4",
+          "corollary_fgh", "cij")
 
 
 def _verdict(ok: bool, label: str, detail: str) -> None:
@@ -82,7 +76,7 @@ def test_criterion_1_theorem_reproduction(theorem_instances):
         params = ParamVector(np.array(inst.p))
         slopes = np.array(inst.slopes)
         if params.n >= 2:
-            dec = compute_uk(params, slopes)
+            dec = Group.row(params, slopes).uk.row(0)
             if dec.terms:
                 worst_u = min(worst_u, min(t.u for t in dec.terms))
         worst_curvature = max(worst_curvature, entropy_curvature(params, slopes))
@@ -111,17 +105,9 @@ def test_criterion_2_inequality_ladder(theorem_instances):
         params = ParamVector(np.array(inst.p))
         slopes = np.array(inst.slopes)
         f = compute_pmf(params)
-        reports = [
-            check_log_concavity(f),
-            check_two_fold_log_concavity(f),
-            check_c1(f),
-            check_c1bar(f),
-        ]
-        if params.n >= 2:
-            reports.append(check_condition4(params, slopes))
-            reports.append(check_corollary_fgh(params, slopes))
-            reports.append(check_cij_nonpositive(params))
-        for rep in reports:
+        group = Group.row(params, slopes)
+        reports = [group_report(cid, group) for cid in LADDER]
+        for rep in filter(None, reports):  # the pair checkers skip n = 1
             all_hold = all_hold and rep.holds
             if rep.margins:
                 worst_margin = min(worst_margin, rep.worst)

@@ -24,6 +24,9 @@ from entropath.explorer import (
 )
 from entropath.pmf import ParamVector
 
+LADDER_CHECKS = ("log_concavity", "two_fold_log_concavity", "c1", "c1bar", "cij", "condition4",
+                 "corollary_fgh")
+
 
 class TestSplitMix64:
     def test_reference_stream_for_seed_zero(self):
@@ -181,6 +184,19 @@ class TestScanConfig:
         with pytest.raises(ValueError):
             ScanConfig(seed=1, interior_margin=0.6)
 
+    def test_interior_margin_is_a_float(self, capsys, tmp_path):
+        configs = [ScanConfig(seed=1, interior_margin=m) for m in (0, 0.0, np.float64(0.0))]
+        assert {type(c.interior_margin) for c in configs} == {float}
+        assert len({c.config_hash() for c in configs}) == 1
+        hashes = []
+        for margin in (0, 0.0):
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps({"seed": 1, "n_range": [2, 3], "instance_count": 4,
+                                        "interior_margin": margin}))
+            assert cli.main(["scan", "--config", str(path), "--format", "json"]) == 0
+            hashes.append(json.loads(capsys.readouterr().out)["config_hash"])
+        assert hashes[0] == hashes[1]
+
     def test_round_trip(self):
         cfg = ScanConfig(seed=7, n_range=(1, 4), instance_count=10, q_grid=(2.0,),
                          inequality_set=("renyi_concavity",))
@@ -218,6 +234,59 @@ class TestCheckerTable:
             "hessian_psd",
         )
 
+    def test_report_names_follow_the_table(self, capsys):
+        assert {cid: c.name for cid, c in CHECKERS.items() if c.name != cid} == {
+            "cij": "cij_nonpositive"
+        }
+        assert cli.main(["verify", "--p", "0.2,0.5,0.7", "--format", "json"]) == 0
+        names = [c["name"] for c in json.loads(capsys.readouterr().out)["checks"]]
+        assert names == [CHECKERS[cid].name for cid in SHANNON_SUITE]
+
+    def test_a_renamed_row_renames_its_reports(self, monkeypatch):
+        monkeypatch.setitem(CHECKERS, "c1", CHECKERS["c1"]._replace(name="lower_cubic"))
+        params, slopes = ParamVector(np.array([0.3, 0.6])), np.array([1.0, -0.5])
+        assert evaluate_checker("c1", params, slopes).name == "lower_cubic"
+        # A scan keys its worst margins by checker id, not by report name.
+        assert set(run_scan(ScanConfig(seed=0, instance_count=3,
+                                       inequality_set=("c1",))).worst_margins) == {"c1"}
+
+    def test_takes_q_drives_the_keys_the_grid_rule_and_the_caveat(self, monkeypatch):
+        assert [cid for cid, c in CHECKERS.items() if c.takes_q] == [
+            "renyi_concavity", "tsallis_concavity"
+        ]
+        cfg = ScanConfig(seed=0, n_range=(2, 3), instance_count=4,
+                         inequality_set=("log_concavity",), q_grid=(2.5, 4.0))
+        report = run_scan(cfg)
+        assert (set(report.worst_margins), report.caveat) == ({"log_concavity"}, None)
+        monkeypatch.setitem(CHECKERS, "log_concavity",
+                            CHECKERS["log_concavity"]._replace(takes_q=True))
+        with pytest.raises(ValueError, match="need a q_grid"):
+            ScanConfig(seed=0, inequality_set=("log_concavity",))
+        report = run_scan(cfg)
+        assert set(report.worst_margins) == {"log_concavity[q=2.5]", "log_concavity[q=4.0]"}
+        assert report.caveat == explorer.OVERESTIMATE_CAVEAT
+
+    @pytest.mark.parametrize("checks, n, chunk", [
+        (LADDER_CHECKS, 12, 63),
+        (("uk_nonneg", "entropy_concavity", "hessian_psd"), 12, 48),
+        (SHANNON_SUITE, 8, 101),
+        (SHANNON_SUITE, 20, 14),
+        (("log_concavity", "two_fold_log_concavity"), 200, 10),
+    ])
+    def test_group_chunks_follow_the_largest_row_bytes(self, checks, n, chunk):
+        cfg = ScanConfig(seed=0, n_range=(n, n), instance_count=2 * chunk + 1,
+                         inequality_set=checks)
+        assert [g.index.tolist() for g in explorer._groups(cfg)] == [
+            list(range(chunk)), list(range(chunk, 2 * chunk)), [2 * chunk]
+        ]
+        assert chunk == explorer._GROUP_BYTES // max(CHECKERS[c].row_bytes(n) for c in checks)
+
+    def test_row_bytes(self):
+        floats = {cid: c.row_bytes(12) // 8 for cid, c in CHECKERS.items()}
+        assert floats == {cid: 32 * 13 for cid in CHECKERS} | {
+            "hessian_psd": 8 * 13 * 13, "cij": (1 + 12 + 66) * 13
+        }
+
     def test_pair_checkers_skip_n_one(self):
         params, slopes = ParamVector(np.array([0.3])), np.array([0.7])
         skipped = {cid for cid in CHECKER_IDS if evaluate_checker(cid, params, slopes, 2.5) is None}
@@ -228,12 +297,12 @@ class TestCheckerTable:
             evaluate_checker("not_a_checker", ParamVector(np.array([0.3])), np.zeros(1))
 
     @pytest.mark.parametrize("cid", [c for c in CHECKER_IDS if c != "cij"] + [
-        "entropy_hessian", "compute_uk", "path_derivatives", "check_monotone_worst_case",
+        "entropy_hessian", "path_derivatives", "check_monotone_worst_case", "compute_cij",
         "estimate_critical_q",
     ])
     def test_pmf_only_checker_never_builds_leave_structures(self, cid, monkeypatch):
         # Only cij reads leave-two-out pmfs; everything else runs on f, g, h and the
-        # Hessian's adjoint pass.
+        # Hessian's adjoint pass, and compute_cij convolves its one pair's kept components.
         def refuse(p):
             raise AssertionError(f"leave-out structures built for {cid}")
 
@@ -242,16 +311,17 @@ class TestCheckerTable:
         if cid in CHECKERS:
             report = evaluate_checker(cid, params, slopes, 2.5)
             if cid in ("log_concavity", "two_fold_log_concavity", "c1", "c1bar"):
-                want = getattr(inequalities, f"check_{cid}")(pmf.compute_pmf(params))
-                assert report.values.tobytes() == want.values.tobytes()
+                f = pmf.compute_pmf(params).values[None]
+                want = getattr(inequalities, f"stacked_{cid}")(f).values[0]
+                assert report.values.tobytes() == want.tobytes()
         elif cid == "entropy_hessian":
             assert calculus.entropy_hessian(params).max_eigenvalue < 0.0
-        elif cid == "compute_uk":
-            assert (inequalities.compute_uk(params, slopes).u >= 0.0).all()
         elif cid == "path_derivatives":
             assert calculus.path_derivatives(params, slopes).h.shape == (2,)
         elif cid == "check_monotone_worst_case":
             assert inequalities.check_monotone_worst_case(params, np.abs(slopes)).holds
+        elif cid == "compute_cij":
+            assert inequalities.compute_cij(params, 2, 0, 1) <= 0.0
         else:
             cfg = ScanConfig(seed=0, n_range=(1, 2), instance_count=9)
             result = estimate_critical_q(cfg, "binomial2", "tsallis", (3.5, 3.8))
@@ -768,6 +838,30 @@ class TestFOncePerGroup:
         calls.clear()
         run_scan(replace(cfg, inequality_set=("log_concavity",)))
         assert sorted({shape[1] for shape in calls}) == [1, 2, 3, 4, 5, 6]
+
+    @pytest.mark.parametrize("argv", [
+        ["--p", "0.2,0.5,0.7", "--slopes", "1,-0.5,0.3"],
+        ["--p", "0.3"],
+        ["--p", "0.1,0.4,0.6,0.9", "--slopes", "1,1,-1,0.25", "--t", "0.05"],
+    ])
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_verify_never_convolves(self, monkeypatch, capsys, argv, fmt):
+        calls = []
+        convolve = pmf._convolve_bernoullis
+
+        def counting(p):
+            calls.append(p.shape)
+            return convolve(p)
+
+        monkeypatch.setattr(pmf, "_convolve_bernoullis", counting)
+        assert cli.main(["verify", *argv, "--format", fmt]) == 0
+        shared = capsys.readouterr().out
+        assert calls == []
+        # Without Group.prepare each checker that reads f convolves p; the bytes are the same.
+        monkeypatch.setattr(explorer.Group, "prepare", lambda group, cids: group)
+        assert cli.main(["verify", *argv, "--format", fmt]) == 0
+        assert capsys.readouterr().out == shared
+        assert calls
 
     def test_checker_table_names_what_each_kernel_reads(self):
         assert {cid: c.reads for cid, c in CHECKERS.items() if c.reads != "fgh"} == {

@@ -9,27 +9,24 @@ import pytest
 from conftest import random_instance
 from entropath.calculus import entropy_curvature, path_derivatives
 from entropath.errors import BoundaryError, LemmaHypothesisError
+from entropath.explorer import Group, evaluate_checker
 from entropath.inequalities import (
     MarginReport,
     UkBranch,
     X_LOG_X,
     c1_product_identity_residual,
-    check_c1,
-    check_c1bar,
-    check_cij_nonpositive,
-    check_condition4,
-    check_corollary_fgh,
     check_functional_lemma,
-    check_log_concavity,
     check_monotone_worst_case,
     check_quadratic_decomposition_n2,
-    check_two_fold_log_concavity,
     compute_cij,
-    compute_uk,
     margin_rows,
     rows_to_csv,
+    stacked_c1,
+    stacked_c1bar,
+    stacked_log_concavity,
+    stacked_two_fold_log_concavity,
 )
-from entropath.pmf import ParamVector, Pmf, compute_pmf, pair_indices
+from entropath.pmf import ParamVector, Pmf, _masses, compute_pmf, leave_structures, pair_indices
 
 BINOMIAL2 = Pmf(np.array([0.25, 0.5, 0.25]))
 BINOMIAL4 = Pmf(np.array([1, 4, 6, 4, 1]) / 16.0)
@@ -39,6 +36,16 @@ POINT = Pmf(np.array([1.0]))
 def random_pmf(rng, n_max=12):
     n = int(rng.integers(1, n_max + 1))
     return compute_pmf(ParamVector(rng.random(n)))
+
+
+def row0(kernel, f, name="x") -> MarginReport:
+    """A pmf-only stacked kernel run on the masses of one pmf, as a MarginReport."""
+    return kernel(_masses(f)[None]).report(name)
+
+
+def uk(params, slopes):
+    """The u_k decomposition of one instance, as a one-row group builds it."""
+    return Group.row(params, slopes).uk.row(0)
 
 
 class TestMarginReport:
@@ -107,11 +114,11 @@ class TestMarginReport:
         # The (k, margin) pairs of the hand cases, as plain ints and floats.
         pv = ParamVector(np.array([0.5, 0.5]))
         cases = [
-            (check_log_concavity(BINOMIAL2), [(0, 0.25 - 0.0625)]),
-            (check_log_concavity(POINT), []),
-            (check_two_fold_log_concavity(POINT), [(0, 1.0), (1, 0.0)]),
-            (check_condition4(pv, [1.0, -1.0]), [(0, 0.375)]),
-            (check_corollary_fgh(pv, [1.0, 1.0]), [(0, 0.5), (0, 0.5)]),
+            (row0(stacked_log_concavity, BINOMIAL2), [(0, 0.25 - 0.0625)]),
+            (row0(stacked_log_concavity, POINT), []),
+            (row0(stacked_two_fold_log_concavity, POINT), [(0, 1.0), (1, 0.0)]),
+            (evaluate_checker("condition4", pv, [1.0, -1.0]), [(0, 0.375)]),
+            (evaluate_checker("corollary_fgh", pv, [1.0, 1.0]), [(0, 0.5), (0, 0.5)]),
             (check_monotone_worst_case(pv, [1.0, 1.0]), [(0, 0.0)]),
             (MarginReport.from_array("ineq", np.array([0.5, 0.25]), 1e-10, [0, 2]),
              [(0, 0.5), (2, 0.25)]),
@@ -137,11 +144,10 @@ class TestMarginReport:
 
     def test_cij_report_retains_only_its_arrays(self):
         pv = ParamVector(np.random.default_rng(60).uniform(0.05, 0.95, 60))
-        pv.leave  # the vector's cached leave-out structures are not the report's
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            rep = check_cij_nonpositive(pv)
+            rep = evaluate_checker("cij", pv, np.zeros(60))
             retained = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
@@ -151,25 +157,25 @@ class TestMarginReport:
 
 class TestLogConcavity:
     def test_binomial2_hand_value(self):
-        rep = check_log_concavity(BINOMIAL2)
+        rep = row0(stacked_log_concavity, BINOMIAL2)
         assert rep.margins == ((0, 0.25 - 0.0625),)
         assert rep.holds
 
     def test_point_mass_empty(self):
-        rep = check_log_concavity(POINT)
+        rep = row0(stacked_log_concavity, POINT)
         assert rep.margins == ()
         assert rep.holds
 
     def test_bernoulli_sum_sweep(self, rng):
         f = compute_pmf(ParamVector(np.array([0.2, 0.4, 0.9])))
-        assert check_log_concavity(f).holds
+        assert row0(stacked_log_concavity, f).holds
         for _ in range(100):
-            assert check_log_concavity(random_pmf(rng)).holds
+            assert row0(stacked_log_concavity, random_pmf(rng)).holds
 
 
 class TestTwoFold:
     def test_binomial4_hand_fractions(self):
-        rep = check_two_fold_log_concavity(BINOMIAL4)
+        rep = row0(stacked_two_fold_log_concavity, BINOMIAL4)
         # cubic margin at k=2 is 50/4096; the gap form D_2^2 - D_1 D_3 is
         # 300/65536 = pi_2 * 50/4096 with D = [1, 10, 20, 10, 1]/256
         assert rep.margins[2] == (2, pytest.approx(50.0 / 4096.0, rel=1e-14))
@@ -180,28 +186,28 @@ class TestTwoFold:
 
     def test_point_mass(self):
         # Every product vanishes except the lone cube at the atom itself.
-        rep = check_two_fold_log_concavity(POINT)
+        rep = row0(stacked_two_fold_log_concavity, POINT)
         assert dict(rep.margins) == {0: 1.0, 1: 0.0}
         assert rep.holds
 
     def test_covers_support_plus_one(self):
-        rep = check_two_fold_log_concavity(BINOMIAL2)
+        rep = row0(stacked_two_fold_log_concavity, BINOMIAL2)
         assert [k for k, _ in rep.margins] == [0, 1, 2, 3]
 
     def test_property_sweep(self, rng):
         for _ in range(150):
-            assert check_two_fold_log_concavity(random_pmf(rng)).holds
+            assert row0(stacked_two_fold_log_concavity, random_pmf(rng)).holds
 
 
 class TestCubicC1:
     def test_binomial2_hand_value(self):
-        rep = check_c1(BINOMIAL2)
+        rep = row0(stacked_c1, BINOMIAL2)
         margins = dict(rep.margins)
         assert margins[1] == pytest.approx(0.03125, abs=1e-15)
-        assert check_c1bar(BINOMIAL2).holds
+        assert row0(stacked_c1bar, BINOMIAL2).holds
 
     def test_point_mass_zero(self):
-        for rep in (check_c1(POINT), check_c1bar(POINT)):
+        for rep in (row0(stacked_c1, POINT), row0(stacked_c1bar, POINT)):
             assert all(m == 0.0 for _, m in rep.margins)
 
     def test_product_identity(self, rng):
@@ -212,46 +218,42 @@ class TestCubicC1:
     def test_property_sweep(self, rng):
         for _ in range(150):
             f = random_pmf(rng)
-            assert check_c1(f).holds
-            assert check_c1bar(f).holds
+            assert row0(stacked_c1, f).holds
+            assert row0(stacked_c1bar, f).holds
 
 
 class TestCondition4:
     def test_hand_values(self):
         pv = ParamVector(np.array([0.5, 0.5]))
-        assert check_condition4(pv, [1.0, 1.0]).margins == ((0, 0.125),)
-        assert check_condition4(pv, [1.0, -1.0]).margins == ((0, 0.375),)
-        assert check_condition4(pv, [0.0, 0.0]).margins == ((0, 0.0),)
-
-    def test_needs_two_components(self):
-        with pytest.raises(ValueError):
-            check_condition4(ParamVector(np.array([0.5])), [1.0])
+        assert evaluate_checker("condition4", pv, [1.0, 1.0]).margins == ((0, 0.125),)
+        assert evaluate_checker("condition4", pv, [1.0, -1.0]).margins == ((0, 0.375),)
+        assert evaluate_checker("condition4", pv, [0.0, 0.0]).margins == ((0, 0.0),)
 
     def test_property_sweep(self, rng):
         for _ in range(200):
             p, s = random_instance(rng, n_min=2, n_max=10)
-            assert check_condition4(ParamVector(p), s).holds
+            assert evaluate_checker("condition4", ParamVector(p), s).holds
 
 
 class TestCorollary:
     def test_hand_value(self):
-        rep = check_corollary_fgh(ParamVector(np.array([0.5, 0.5])), [1.0, 1.0])
+        rep = evaluate_checker("corollary_fgh", ParamVector(np.array([0.5, 0.5])), [1.0, 1.0])
         assert rep.margins == ((0, 0.5), (0, 0.5))
 
     def test_zero_slopes(self):
-        rep = check_corollary_fgh(ParamVector(np.array([0.3, 0.8])), [0.0, 0.0])
+        rep = evaluate_checker("corollary_fgh", ParamVector(np.array([0.3, 0.8])), [0.0, 0.0])
         assert all(m == 0.0 for _, m in rep.margins)
 
     def test_property_sweep(self, rng):
         for _ in range(200):
             p, s = random_instance(rng, n_min=2, n_max=10, signed=False)
-            rep = check_corollary_fgh(ParamVector(p), s)
+            rep = evaluate_checker("corollary_fgh", ParamVector(p), s)
             assert rep.worst >= -1e-12
 
     def test_signed_sweep(self, rng):
         for _ in range(200):
             p, s = random_instance(rng, n_min=2, n_max=10)
-            assert check_corollary_fgh(ParamVector(p), s).holds
+            assert evaluate_checker("corollary_fgh", ParamVector(p), s).holds
 
     def test_corollary_algebraic_identity(self, rng):
         # (gain) f_k - (newton gap) g_k^2 collapses to -(f_{k+1} g_k - f_k g_{k+1})^2
@@ -273,9 +275,9 @@ class TestCorollary:
                 assert abs(lhs - rhs) / scale < 1e-10 or abs(lhs - rhs) < 1e-15
 
 
-class TestComputeUk:
+class TestUkDecomposition:
     def test_transform_branch_hand_values(self):
-        dec = compute_uk(ParamVector(np.array([0.5, 0.5])), [1.0, 1.0])
+        dec = uk(ParamVector(np.array([0.5, 0.5])), [1.0, 1.0])
         term = dec.terms[0]
         assert term.u == pytest.approx(4.0 + 2.0 * math.log(0.25), rel=1e-12)
         assert term.branch is UkBranch.TRANSFORM
@@ -284,7 +286,7 @@ class TestComputeUk:
         assert (term.alpha, term.beta, term.gamma) == (4.0, 2.0, 4.0)
 
     def test_h_nonpositive_branch(self):
-        dec = compute_uk(ParamVector(np.array([0.5, 0.5])), [1.0, -1.0])
+        dec = uk(ParamVector(np.array([0.5, 0.5])), [1.0, -1.0])
         term = dec.terms[0]
         assert term.branch is UkBranch.H_NONPOSITIVE
         assert term.u == pytest.approx(-2.0 * math.log(0.25), rel=1e-12)
@@ -294,7 +296,7 @@ class TestComputeUk:
         # mixed slopes on asymmetric parameters; craft g_k = 0 directly.
         pv = ParamVector(np.array([0.5, 0.5, 0.5]))
         # slopes (1, -1, 0): g_k = f^{(0)}_k - f^{(1)}_k = 0 identically, h != 0
-        dec = compute_uk(pv, [1.0, -1.0, 0.0])
+        dec = uk(pv, [1.0, -1.0, 0.0])
         assert any(t.branch is UkBranch.DEGENERATE for t in dec.terms) or all(
             t.h <= 0.0 for t in dec.terms
         )
@@ -302,14 +304,14 @@ class TestComputeUk:
     def test_nonnegativity_sweep(self, rng):
         for _ in range(300):
             p, s = random_instance(rng, n_min=2, n_max=12)
-            dec = compute_uk(ParamVector(p), s)
+            dec = uk(ParamVector(p), s)
             assert all(t.u >= -1e-9 for t in dec.terms)
 
     def test_transform_constraints_sweep(self, rng):
         seen_transform = False
         for _ in range(200):
             p, s = random_instance(rng, n_min=2, n_max=10)
-            for t in compute_uk(ParamVector(p), s).terms:
+            for t in uk(ParamVector(p), s).terms:
                 if t.branch is UkBranch.TRANSFORM:
                     seen_transform = True
                     assert t.A >= -1e-12 and t.C >= -1e-12
@@ -324,7 +326,7 @@ class TestComputeUk:
             p, s = random_instance(rng, n_min=2, n_max=12)
             pv = ParamVector(p)
             curv = entropy_curvature(pv, s)
-            dec = compute_uk(pv, s)
+            dec = uk(pv, s)
             total = float(dec.u.sum())
             assert curv <= -total + 1e-9
             f = compute_pmf(pv).values
@@ -334,16 +336,12 @@ class TestComputeUk:
 
     def test_boundary_mass_rejected(self):
         with pytest.raises(BoundaryError):
-            compute_uk(ParamVector(np.array([0.0, 0.5])), [1.0, 1.0])
-
-    def test_interior_margin_enforced(self):
-        with pytest.raises(BoundaryError):
-            compute_uk(ParamVector(np.array([0.0005, 0.5])), [1.0, 1.0], interior_margin=1e-3)
+            uk(ParamVector(np.array([0.0, 0.5])), [1.0, 1.0])
 
     def test_json_round_trip(self):
         import json
 
-        dec = compute_uk(ParamVector(np.array([0.5, 0.5])), [1.0, 1.0])
+        dec = uk(ParamVector(np.array([0.5, 0.5])), [1.0, 1.0])
         data = json.loads(dec.to_json())
         assert data["terms"][0]["branch"] == "transform"
 
@@ -410,25 +408,26 @@ class TestCij:
             p, _ = random_instance(rng, n_min=2, n_max=8)
             pv = ParamVector(p)
             i, j = sorted(rng.choice(p.size, size=2, replace=False))
-            rep = check_two_fold_log_concavity(pv.leave.pair(int(i), int(j)))
+            pair = leave_structures(p[None]).pair(int(i), int(j))
+            rep = row0(stacked_two_fold_log_concavity, pair[0])
             for k, margin in rep.margins:
                 assert compute_cij(pv, int(i), int(j), k) == -margin
 
     def test_equals_negated_sweep_margin(self, rng):
         # compute_cij and the sweep run one kernel on one pmf, so the negation is exact.
         for _ in range(60):
-            p, _ = random_instance(rng, n_min=2, n_max=11)
+            p, s = random_instance(rng, n_min=2, n_max=11)
             pv = ParamVector(p)
             rows, cols = pair_indices(pv.n)
-            values = check_cij_nonpositive(pv).values.reshape(rows.size, -1)
+            values = evaluate_checker("cij", pv, s).values.reshape(rows.size, -1)
             for row, (i, j) in enumerate(zip(rows.tolist(), cols.tolist())):
                 for k in range(values.shape[1]):
                     assert compute_cij(pv, i, j, k) == -values[row, k]
 
     def test_sweep_nonpositive(self, rng):
         for _ in range(150):
-            p, _ = random_instance(rng, n_min=2, n_max=10)
-            assert check_cij_nonpositive(ParamVector(p)).holds
+            p, s = random_instance(rng, n_min=2, n_max=10)
+            assert evaluate_checker("cij", ParamVector(p), s).holds
 
     def test_invalid_pair(self):
         with pytest.raises(ValueError):

@@ -17,18 +17,13 @@ from entropath.calculus import (
     stacked_entropy_hessian,
 )
 from entropath.errors import BoundaryError, ConsistencyError
+from entropath.explorer import Group, evaluate_checker
 from entropath.inequalities import (
     ABS_FLOOR,
     REL_TOL,
     MarginReport,
-    check_c1,
-    check_c1bar,
-    check_cij_nonpositive,
-    check_condition4,
-    check_corollary_fgh,
-    check_log_concavity,
-    check_two_fold_log_concavity,
-    compute_uk,
+    stacked_c1bar,
+    stacked_two_fold_log_concavity,
     stacked_uk,
 )
 from entropath.pmf import ParamVector, compute_pmf, leave_structures
@@ -78,11 +73,12 @@ def _assert_matches(report: MarginReport, expected):
 
 @pytest.mark.parametrize("p", INSTANCES, ids=lambda p: f"n{p.size}")
 def test_pmf_checkers_match_scalar_oracle(p):
-    v = compute_pmf(ParamVector(p)).values
-    _assert_matches(check_log_concavity(v), oracle.log_concavity(v))
-    _assert_matches(check_two_fold_log_concavity(v), oracle.two_fold(v))
-    _assert_matches(check_c1(v), oracle.c1(v))
-    _assert_matches(check_c1bar(v), oracle.c1bar(v))
+    params, slopes = ParamVector(p), np.zeros(p.size)
+    v = compute_pmf(params).values
+    for cid, margins in (("log_concavity", oracle.log_concavity),
+                         ("two_fold_log_concavity", oracle.two_fold),
+                         ("c1", oracle.c1), ("c1bar", oracle.c1bar)):
+        _assert_matches(evaluate_checker(cid, params, slopes), margins(v))
 
 
 @pytest.mark.parametrize("p", [p for p in INSTANCES if p.size >= 2], ids=lambda p: f"n{p.size}")
@@ -91,11 +87,13 @@ def test_slope_checkers_match_scalar_oracle(p):
     params = ParamVector(p)
     slopes = rng.uniform(-1.0, 1.0, p.size)
     d = path_derivatives(params, slopes)
-    f = params.leave.f
-    _assert_matches(check_condition4(params, slopes), oracle.condition4(f, d.g, d.h))
-    _assert_matches(check_corollary_fgh(params, slopes), oracle.corollary_fgh(f, d.g, d.h))
+    ls = leave_structures(p[None])
+    f = ls.f[0]
+    _assert_matches(evaluate_checker("condition4", params, slopes), oracle.condition4(f, d.g, d.h))
+    _assert_matches(evaluate_checker("corollary_fgh", params, slopes),
+                    oracle.corollary_fgh(f, d.g, d.h))
     if p.size <= 24 or p.size == 60:  # the scalar sweep is O(n^3) Python calls
-        _assert_matches(check_cij_nonpositive(params), oracle.cij(params.leave.pairs))
+        _assert_matches(evaluate_checker("cij", params, slopes), oracle.cij(ls.pairs[0]))
 
 
 @pytest.mark.parametrize("p", [p for p in INSTANCES if p.size <= 30], ids=lambda p: f"n{p.size}")
@@ -105,9 +103,11 @@ def test_mixture_sequences_match_term_by_term_sums(p):
     slopes = rng.uniform(-1.0, 1.0, p.size)
     slopes[rng.integers(p.size)] = 0.0
     d = path_derivatives(params, slopes)
-    g, h = oracle.mixture_sequences(params.leave.singles, params.leave.pairs, slopes)
-    scale_g = float(np.abs(params.leave.singles).sum(axis=0).max())
-    scale_h = 2.0 * float(np.abs(params.leave.pairs).sum(axis=0).max(initial=0.0))
+    ls = leave_structures(p[None])
+    singles, pairs = ls.singles[0], ls.pairs[0]
+    g, h = oracle.mixture_sequences(singles, pairs, slopes)
+    scale_g = float(np.abs(singles).sum(axis=0).max())
+    scale_h = 2.0 * float(np.abs(pairs).sum(axis=0).max(initial=0.0))
     assert np.all(np.abs(d.g - g) <= ULPS * EPS * scale_g)
     assert np.all(np.abs(d.h - h) <= ULPS * EPS * scale_h)
 
@@ -117,7 +117,7 @@ def test_c1bar_is_bit_equal_to_mirrored_formula():
     for n in list(range(1, 40)) + [80, 150]:
         v = compute_pmf(ParamVector(rng.random(n))).values
         pairs, scale = oracle.c1bar(v)
-        report = check_c1bar(v)
+        report = stacked_c1bar(v[None]).report("c1bar")
         assert report.margins == tuple(pairs)
         assert report.tolerance == max(ABS_FLOOR, REL_TOL * scale)
 
@@ -127,7 +127,7 @@ def test_binomial_200_two_fold_identity_fault_persists():
     # identity check still trips on it; its bound is an open item.
     v = compute_pmf(ParamVector(np.full(200, 0.02))).values
     with pytest.raises(ConsistencyError, match=r"at k=50:"):
-        check_two_fold_log_concavity(v)
+        stacked_two_fold_log_concavity(v[None])
 
 
 def _hessian_instances():
@@ -148,13 +148,12 @@ def test_hessian_top_eigenvalue_matches_jacobi(p):
     assert abs(report.max_eigenvalue - top) <= 1e-12 * norm
 
 
-def test_cached_leave_structures_are_read_only():
+def test_pmf_and_leave_structures_are_read_only():
     params = ParamVector(np.array([0.2, 0.5, 0.7, 0.9]))
-    ls = params.leave
-    assert params.leave is ls
+    ls = leave_structures(params.p[None])
     assert params.pmf is params.pmf
-    assert ls.singles.shape == (4, 4)
-    assert ls.pairs.shape == (6, 3)
+    assert ls.singles.shape == (1, 4, 4)
+    assert ls.pairs.shape == (1, 6, 3)
     for arr in (params.pmf.values, ls.f, ls.singles, ls.pairs):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
@@ -315,6 +314,6 @@ def test_uk_decomposition_equals_the_scalar_loop():
             want = oracle.uk_terms(f[row], g[row], h[row])
             got = _uk_rows(stacked.row(row))
             assert got == want
-            assert _uk_rows(compute_uk(params, slopes)) == got
+            assert _uk_rows(Group.row(params, slopes).uk.row(0)) == got
             branches.update(t[2] for t in got)
     assert branches == {"h_nonpositive", "transform"}

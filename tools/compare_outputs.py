@@ -144,6 +144,15 @@ def commands(config_dir: Path) -> list[list[str]]:
         path.write_text(json.dumps(config))
         cmds.append(["scan", "--config", str(path), "--format", "json"])
 
+    # One config with an integer and with a float interior margin. A default-suite
+    # scan whose n = 8 instances span several chunks.
+    for i, margin in enumerate((0, 0.0)):
+        path = config_dir / f"margin{i}.json"
+        path.write_text(json.dumps({"seed": 1, "interior_margin": margin}))
+        cmds.append(["scan", "--config", str(path), "--format", "json"])
+    cmds.append(["scan", "--seed", "2", "--n-range", "8,8", "--instances", "400",
+                 "--format", "json"])
+
     # Scan-estimator brackets whose bisection would reach q = 1: constant over
     # the bracket, and an upper end at q = 1.
     cmds += [
