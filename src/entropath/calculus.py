@@ -146,22 +146,21 @@ def stacked_fgh(p: np.ndarray, slopes: np.ndarray):
     return out[0], out[1, ..., :n], 2.0 * out[2, ..., : max(n - 1, 0)]  # doubling is exact
 
 
-def _fgh(params: ParamVector, slopes: np.ndarray):
-    """f, g and h of one vector; g and h take the leading axes of slopes (..., n), f is one row."""
-    f, g, h = stacked_fgh(np.broadcast_to(params.p, slopes.shape), slopes)
-    return f.reshape(-1, params.n + 1)[0], g, h
+def _fgh(params: ParamVector, slopes):
+    """f, g and h of one vector as stacks in the stacked kernels' shape, one row per slope row.
 
-
-def _fgh_rows(params: ParamVector, slopes):
-    """f, g and h of one slope vector, checked, as one-row stacks: the stacked kernels' shape."""
-    return stacked_fgh(params.p[None], _check_slopes(params, slopes)[None])
+    slopes is one slope vector (n,), checked here, or a stack (m, n) the caller built.
+    """
+    slopes = np.asarray(slopes, dtype=np.float64)
+    if slopes.ndim == 1:
+        slopes = _check_slopes(params, slopes)[None]
+    return stacked_fgh(np.broadcast_to(params.p, slopes.shape), slopes)
 
 
 def path_derivatives(params: ParamVector, slopes) -> PathDerivatives:
     """g_k = sum_i p_i' f^(i)_k and h_k = sum_{i != j} p_i' p_j' f^(i,j)_k."""
-    slopes = _check_slopes(params, slopes)
     _, g, h = _fgh(params, slopes)
-    return PathDerivatives(g=g, h=h)
+    return PathDerivatives(g=g[0], h=h[0])
 
 
 def compute_g(params: ParamVector, slopes) -> np.ndarray:
@@ -195,14 +194,14 @@ def pmf_time_derivative(path: AffinePath, t: float) -> np.ndarray:
     """d f_k / dt along the path, length n+1; telescopes to zero."""
     params = path_at(path, t)
     _, g, _ = _fgh(params, path.slopes)
-    return _shift_diff1(g, params.n)
+    return _shift_diff1(g[0], params.n)
 
 
 def pmf_second_time_derivative(path: AffinePath, t: float) -> np.ndarray:
     """d^2 f_k / dt^2 along the path, length n+1; telescopes to zero."""
     params = path_at(path, t)
     _, _, h = _fgh(params, path.slopes)
-    return _shift_diff2(h, params.n)
+    return _shift_diff2(h[0], params.n)
 
 
 def shannon_entropy(f) -> float:
@@ -250,7 +249,7 @@ def entropy_curvature(params: ParamVector, slopes, interior_margin: float = 0.0)
     """
     slopes = _check_slopes(params, slopes)
     _require_interior(params, interior_margin)
-    return float(stacked_entropy_curvature(*_fgh_rows(params, slopes))[0])
+    return float(stacked_entropy_curvature(*_fgh(params, slopes[None]))[0])
 
 
 def entropy_second_derivative_analytic(

@@ -91,8 +91,8 @@ def _cuts_certificate(margin, tolerance):
 
 # Bytes of kernel buffers one group may take, each instance counted at the largest
 # Checker.row_bytes(n) of the configured checkers. A scan holds one group at a time, so its
-# memory does not grow with instance_count; the leave-out builder ran fastest with 0.1-0.6 MB
-# (n = 6..30, 2 vCPUs).
+# memory does not grow with instance_count; cij's leave-two-out builder ran fastest with
+# 0.1-0.6 MB (n = 6..30, 2 vCPUs).
 _GROUP_BYTES = 1 << 19
 
 
@@ -101,10 +101,10 @@ class Group:
     """Instances of one n, stacked row by row for the checkers' group kernels.
 
     p and slopes are (m, n); index holds each row's instance index and t its
-    family parameter (0 for random_affine). f, fgh (calculus.stacked_fgh), the
-    u_k decomposition and the leave-out structures are built on first use and
-    shared by every kernel run on the group; once fgh is built, f is its f,
-    which has the convolution's bits. Only cij reads the leave-out structures.
+    family parameter (0 for random_affine). f, fgh (calculus.stacked_fgh) and
+    the u_k decomposition are built on first use and shared by every kernel
+    run on the group; once fgh is built, f is its f, which has the
+    convolution's bits.
     """
 
     p: np.ndarray
@@ -121,10 +121,6 @@ class Group:
     @property
     def n(self) -> int:
         return self.p.shape[1]
-
-    @cached_property
-    def leave(self) -> pmf.LeaveStructures:
-        return pmf.leave_structures(self.p)
 
     @cached_property
     def f(self) -> np.ndarray:
@@ -172,11 +168,11 @@ class Checker(NamedTuple):
     name is the checker's report name, min_n the smallest n it applies to and
     kernel its group kernel (group, q) -> Margins. reads names the group
     structure the kernel builds on: "f" (the pmf rows), "fgh" (f, g and h, or
-    the u_k decomposition made of them) or "leave" (the leave-out
-    structures). takes_q says that a scan runs the checker once for each q of
-    its grid. row_bytes(n) is the bytes of kernel buffer one instance of n
-    components takes (row counts measured at n = 12 and 60); the f/g/h
-    kernels take at most 32 rows of n + 1 floats.
+    the u_k decomposition made of them) or "p" (the parameter rows alone).
+    takes_q says that a scan runs the checker once for each q of its grid.
+    row_bytes(n) is the bytes of kernel buffer one instance of n components
+    takes (row counts measured at n = 12 and 60); the f/g/h kernels take at
+    most 32 rows of n + 1 floats.
     """
 
     name: str
@@ -201,7 +197,7 @@ CHECKERS = {
     "c1": Checker("c1", 1, "f", lambda grp, q: inequalities.stacked_c1(grp.f)),
     "c1bar": Checker("c1bar", 1, "f", lambda grp, q: inequalities.stacked_c1bar(grp.f)),
     "cij": Checker(
-        "cij_nonpositive", 2, "leave", lambda grp, q: inequalities.stacked_cij(grp.leave.pairs),
+        "cij_nonpositive", 2, "p", lambda grp, q: inequalities.stacked_cij(grp.p),
         row_bytes=lambda n: 8 * (1 + n + n * (n - 1) // 2) * (n + 1),
     ),
     "condition4": Checker(

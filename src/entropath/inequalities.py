@@ -21,7 +21,7 @@ import numpy as np
 
 from .calculus import _check_slopes, _fgh
 from .errors import BoundaryError, ConsistencyError, LemmaHypothesisError
-from .pmf import ParamVector, _check_pair, _convolve_bernoullis, _masses
+from .pmf import ParamVector, _check_pair, _convolve_bernoullis, _leave_two_out, _masses
 
 __all__ = [
     "ABS_FLOOR",
@@ -567,14 +567,14 @@ def compute_cij(params: ParamVector, i: int, j: int, k: int) -> float:
     return value
 
 
-def stacked_cij(pairs: np.ndarray) -> Margins:
-    """Margins -c_{i,j}(k) >= 0 of every row of a leave-two-out stack (m, n(n-1)/2, n-1).
+def stacked_cij(p) -> Margins:
+    """Margins -c_{i,j}(k) >= 0 of every row of p (m, n), one per pair i < j and index k.
 
     Margin indices enumerate (pair, k) rows with pairs in lexicographic order
     and k running over the leave-two-out support plus one step past each end.
     """
-    margin, scale = _two_fold(pairs)
-    m = pairs.shape[0]
+    margin, scale = _two_fold(_leave_two_out(p))
+    m = margin.shape[0]
     tolerance = _tolerance(_scale(scale.reshape(m, -1)))
     del scale  # free the stacked temporary before the caller goes on
     return Margins(margin.reshape(m, -1), tolerance)

@@ -1,4 +1,4 @@
-"""Poisson binomial mass functions and their leave-one-out / leave-two-out variants.
+"""Poisson binomial mass functions, and the leave-two-out pmfs the cij checker reads.
 
 Everything here is plain binary64 arithmetic. Mass functions are built by
 sequential Bernoulli convolution and never renormalized, so any accumulation
@@ -14,12 +14,9 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 __all__ = [
-    "LeaveStructures",
     "ParamVector",
     "Pmf",
     "compute_pmf",
-    "leave_structures",
-    "pair_indices",
 ]
 
 _SUM_TOL = 1e-12
@@ -146,73 +143,43 @@ def _check_pair(n: int, i: int, j: int) -> None:
 
 
 @lru_cache(maxsize=16)
-def pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column of every pair i < j, in lexicographic order (read-only, cached)."""
-    rows, cols = np.triu_indices(n, 1)
+def _pair_rows(n: int) -> np.ndarray:
+    """_leave_two_out's buffer row of every pair i < j, in lexicographic order (cached)."""
+    i, j = np.triu_indices(n, 1)
+    rows = n + j * (j - 1) // 2 + i
     rows.setflags(write=False)
-    cols.setflags(write=False)
-    return rows, cols
+    return rows
 
 
-@dataclass(frozen=True, eq=False)
-class LeaveStructures:
-    """Full pmf plus every leave-one-out and leave-two-out pmf.
+def _leave_two_out(p) -> np.ndarray:
+    """Every leave-two-out pmf of each row of p (m, n), as (m, n(n-1)/2, n-1).
 
-    For one parameter vector, singles has shape (n, n), row i being the pmf
-    without component i, and pairs has shape (n(n-1)/2, n-1), one row per
-    pair i < j in lexicographic order. A stack of m vectors puts a leading
-    axis of size m on all three. The arrays are read-only.
-    """
-
-    f: np.ndarray
-    singles: np.ndarray
-    pairs: np.ndarray
-
-    def single(self, i: int) -> np.ndarray:
-        return self.singles[..., i, :]
-
-    def pair(self, i: int, j: int) -> np.ndarray:
-        if i > j:
-            i, j = j, i
-        n = self.singles.shape[-1]
-        if not 0 <= i < j < n:
-            raise KeyError((i, j))
-        return self.pairs[..., i * (2 * n - i - 1) // 2 + (j - i - 1), :]
-
-
-def leave_structures(p) -> LeaveStructures:
-    """f, every leave-one-out and every leave-two-out pmf of each row of p (m, n).
-
-    One masked two-tap Bernoulli recurrence over a k-major buffer
-    buf[k, instance, row]: row 0 is f, row 1 + i is single i, and the pairs
-    follow in colex order (by j, then i). Step t applies component t to
-    every row that keeps it, over k = 0..t+1 only. Single t skips it: its
-    state is put back after the step. Pair (i, j) is born at step j as a
-    copy of single i, outside that step's rows, so it skips j too. Every
-    row is thus the sequential convolution of its kept components, with the
-    bits of compute_pmf on them, and the same bits in any stack.
+    One row per pair i < j, in lexicographic order. One masked two-tap
+    Bernoulli recurrence over a k-major buffer buf[k, instance, row]: row i
+    is the pmf without component i, and the pairs follow in colex order (by
+    j, then i). Step t applies component t to every row that keeps it, over
+    k = 0..t+1 only. Row t skips it: its state is put back after the step.
+    Pair (i, j) is born at step j as a copy of row i, outside that step's
+    rows, so it skips j too. Every pair is thus the sequential convolution
+    of its kept components, with the bits of compute_pmf on them, and the
+    same bits in any stack.
     """
     p = _as_prob_array(p, ndim=2)
     m, n = p.shape
-    born = [1 + n + t * (t - 1) // 2 for t in range(n + 1)]  # first pair row (i, t)
+    born = [n + t * (t - 1) // 2 for t in range(n + 1)]  # first pair row (i, t)
     buf = np.zeros((n + 1, m, born[n]))
-    buf[0, :, : 1 + n] = 1.0
+    buf[0, :, :n] = 1.0
     q = 1.0 - p
     for t in range(n):
-        buf[: t + 1, :, born[t] : born[t + 1]] = buf[: t + 1, :, 1 : 1 + t]
+        buf[: t + 1, :, born[t] : born[t + 1]] = buf[: t + 1, :, :t]
         live = buf[: t + 2, :, : born[t]]
-        skipped = live[:, :, 1 + t].copy()
+        skipped = live[:, :, t].copy()
         up = live[:-1] * p[:, t, None]
         live *= q[:, t, None]
         live[1:] += up
-        live[:, :, 1 + t] = skipped
-    i, j = pair_indices(n)
-    colex = 1 + n + j * (j - 1) // 2 + i  # buffer row of each pair, in lexicographic order
-    f = np.ascontiguousarray(buf[:, :, 0].T)
-    singles = np.ascontiguousarray(buf[:n, :, 1 : 1 + n].transpose(1, 2, 0))
-    pairs = np.empty((m, i.size, max(n - 1, 0)))
+        live[:, :, t] = skipped
+    rows = _pair_rows(n)
+    pairs = np.empty((m, rows.size, max(n - 1, 0)))
     for k in range(n - 1):  # one k at a time, so the gather needs no second buffer
-        pairs[:, :, k] = buf[k][:, colex]
-    for arr in (f, singles, pairs):
-        arr.setflags(write=False)
-    return LeaveStructures(f=f, singles=singles, pairs=pairs)
+        pairs[:, :, k] = buf[k][:, rows]
+    return pairs

@@ -19,7 +19,7 @@ import numpy as np
 
 from .calculus import (
     AffinePath,
-    _fgh_rows,
+    _fgh,
     _shift_diff1,
     _shift_diff2,
     path_at,
@@ -55,7 +55,10 @@ _KINDS = ("shannon", "renyi", "tsallis")
 
 def _checked_q(q) -> float:
     """q as a float: finite, nonnegative and away from the Shannon point q = 1."""
-    q = float(q)
+    try:
+        q = float(q)
+    except OverflowError:  # an integer past the float range
+        q = math.inf
     if not math.isfinite(q) or q < 0.0:
         raise ValueError("q must be a finite nonnegative real")
     if q == 1.0:
@@ -132,7 +135,7 @@ def stacked_power_sums(f: np.ndarray, g: np.ndarray, h: np.ndarray, q: float):
 
 def power_sum_derivatives(params: ParamVector, slopes, q: float) -> tuple[float, float, float]:
     """T = sum_k f_k^q with its first two t-derivatives along the affine direction."""
-    t0, t1, t2 = stacked_power_sums(*_fgh_rows(params, slopes), q)
+    t0, t1, t2 = stacked_power_sums(*_fgh(params, slopes), q)
     return float(t0[0]), float(t1[0]), float(t2[0])
 
 
@@ -158,7 +161,7 @@ def stacked_tsallis_uk(f: np.ndarray, g: np.ndarray, h: np.ndarray, q: float) ->
 
 def tsallis_uk(params: ParamVector, slopes, q: float) -> np.ndarray:
     """Per-index Tsallis analogue of the Shannon curvature decomposition, k = 0..n-2."""
-    return stacked_tsallis_uk(*_fgh_rows(params, slopes), q)[0]
+    return stacked_tsallis_uk(*_fgh(params, slopes), q)[0]
 
 
 def stacked_q_curvature(
@@ -188,7 +191,7 @@ def stacked_q_curvature(
 
 def q_curvature(params: ParamVector, slopes, spec: EntropySpec) -> float:
     """Second t-derivative of the chosen entropy at the point (p, p'): a one-row stack."""
-    return float(stacked_q_curvature(*_fgh_rows(params, slopes), spec)[0])
+    return float(stacked_q_curvature(*_fgh(params, slopes), spec)[0])
 
 
 def q_entropy_second_derivative(
@@ -267,7 +270,7 @@ def tsallis_uk_tilde(path: AffinePath, t: float, q: float) -> TsallisUkReport:
     if q in (1.0, 2.0):
         raise ValueError("the rewriting is undefined at q = 1 and q = 2")
     params = path_at(path, t)
-    f, g, h = _fgh_rows(params, path.slopes)
+    f, g, h = _fgh(params, path.slopes)
     if (f <= 0.0).any():
         raise BoundaryError("the decomposition needs strictly positive masses")
     h_part, g_part, fq2 = (row[0] for row in _tsallis_terms(f, g, h, q))
@@ -333,7 +336,7 @@ def binomial2_tsallis_curvature(q: float) -> float:
 def _probe_point(p: tuple[float, ...], slopes: tuple[float, ...]):
     """The one-row f, g, h of a fixed probe point, built once per point and read-only."""
     params = ParamVector(np.array(p))
-    rows = _fgh_rows(params, slopes)
+    rows = _fgh(params, slopes)
     for row in rows:
         row.flags.writeable = False
     return rows

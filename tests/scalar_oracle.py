@@ -9,7 +9,7 @@ pairs plus the monomial scale the checker's tolerance is built from.
 The cyclic Jacobi eigensolver is here too; it pins the LAPACK eigenvalue of
 the entropy Hessian. So are the leave-out mass functions built one removal
 at a time and the 2^n enumeration of the pmf, which pin the library's
-stacked leave-out builder; the SplitMix64 generator with one object per
+leave-two-out builder, the mixture sequences and the Hessian; the SplitMix64 generator with one object per
 instance, which pins the scan's array draw; the scan as a loop over
 instances, which pins the grouped scan; the finite-difference probe of
 the two-coin Tsallis curvature, which pins the critical-q probe's root; and
@@ -19,11 +19,12 @@ probe points.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 
-from entropath.pmf import ParamVector, Pmf, _check_pair, compute_pmf
+from entropath.pmf import ParamVector, Pmf, _check_pair, _convolve_bernoullis, compute_pmf
 
 
 # Enumerating 2^n outcomes is the test oracle; past this it stops being cheap.
@@ -51,6 +52,19 @@ def leave_two_out(params: ParamVector, i: int, j: int) -> Pmf:
     if rest.size == 0:
         return Pmf(np.array([1.0]))
     return compute_pmf(ParamVector(rest))
+
+
+def kept_convolutions(p: np.ndarray, drop: int) -> np.ndarray:
+    """The pmf of p without each set of `drop` components, lexicographic, one row per set.
+
+    Each row convolves its kept components in index order, as compute_pmf
+    does; the rows are stacked only to keep the sweep up to n = 60 fast.
+    """
+    n = p.size
+    keep = [np.delete(np.arange(n), list(out)) for out in itertools.combinations(range(n), drop)]
+    if not keep:
+        return np.zeros((0, 0))
+    return _convolve_bernoullis(p[np.array(keep)])
 
 
 def brute_force_pmf(params: ParamVector) -> Pmf:

@@ -314,6 +314,13 @@ class TestInvalidInputsNameTheInput:
         code, out, err = run_cli(capsys, "scan", "--config", str(path))
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
+    def test_config_q_past_the_float_range_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "scan.json"
+        path.write_text('{"seed": 1, "inequality_set": ["renyi_concavity"], "q_grid": [1'
+                        + "0" * 400 + "]}")
+        code, out, err = run_cli(capsys, "scan", "--config", str(path))
+        assert (code, out, err) == (2, "", "error: q must be a finite nonnegative real\n")
+
     def test_integral_floats_stay_valid(self, capsys, tmp_path):
         path = tmp_path / "scan.json"
         outs = []

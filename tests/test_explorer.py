@@ -159,6 +159,11 @@ class TestScanConfig:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             qentropy.EntropySpec("renyi", q)
 
+    def test_an_integer_q_past_the_float_range_is_refused(self):
+        # float() of it overflows; the grid rule refuses it as it refuses inf.
+        with pytest.raises(ValueError, match="^q must be a finite nonnegative real$"):
+            ScanConfig(seed=1, inequality_set=("renyi_concavity",), q_grid=(2.5, 10**400))
+
     def test_estimator_errors_for_a_rejected_q_keep_their_message(self):
         cfg = ScanConfig(seed=0, n_range=(1, 2), instance_count=5)
         with pytest.raises(ValueError, match="^q = 1 is the Shannon point; use kind='shannon'$"):
@@ -216,6 +221,15 @@ class TestScanConfig:
         )
         report = run_scan(cfg)
         assert len(report.worst_margins) == len(CHECKER_IDS)
+
+
+def _refuse_leave_two_out(monkeypatch, what: str) -> None:
+    """Make the leave-two-out builder raise wherever the package binds it."""
+    def refuse(p):
+        raise AssertionError(f"leave-two-out rows built for {what}")
+
+    for module in (pmf, inequalities):
+        monkeypatch.setattr(module, "_leave_two_out", refuse)
 
 
 class TestCheckerTable:
@@ -303,10 +317,7 @@ class TestCheckerTable:
     def test_pmf_only_checker_never_builds_leave_structures(self, cid, monkeypatch):
         # Only cij reads leave-two-out pmfs; everything else runs on f, g, h and the
         # Hessian's adjoint pass, and compute_cij convolves its one pair's kept components.
-        def refuse(p):
-            raise AssertionError(f"leave-out structures built for {cid}")
-
-        monkeypatch.setattr(pmf, "leave_structures", refuse)
+        _refuse_leave_two_out(monkeypatch, cid)
         params, slopes = ParamVector(np.array([0.3, 0.6, 0.45])), np.array([1.0, -0.5, 0.2])
         if cid in CHECKERS:
             report = evaluate_checker(cid, params, slopes, 2.5)
@@ -326,6 +337,11 @@ class TestCheckerTable:
             cfg = ScanConfig(seed=0, n_range=(1, 2), instance_count=9)
             result = estimate_critical_q(cfg, "binomial2", "tsallis", (3.5, 3.8))
             assert 3.5 < result.root < 3.8
+
+    def test_cij_builds_its_rows_through_the_refused_builder(self, monkeypatch):
+        _refuse_leave_two_out(monkeypatch, "cij")
+        with pytest.raises(AssertionError, match="built for cij"):
+            evaluate_checker("cij", ParamVector(np.array([0.3, 0.6])), np.ones(2))
 
     def test_functions_looked_up_at_call_time(self, monkeypatch):
         # A tracer rebinds module attributes; the table must call the rebound kernels.
@@ -558,10 +574,7 @@ class TestEstimatorMatchesScanBisection:
         # it holds grows with the instance count only by each instance's rows: its p,
         # slopes, f, g and h and the curvature kernel's temporaries, which _groups
         # budgets as 32 rows of n + 1 floats.
-        def refuse(p):
-            raise AssertionError("leave-out structures built for a critical-q root")
-
-        monkeypatch.setattr(pmf, "leave_structures", refuse)
+        _refuse_leave_two_out(monkeypatch, "a critical-q root")
 
         def peak(count: int) -> int:
             cfg = ScanConfig(seed=0, n_range=(1, 60), instance_count=count)
@@ -663,10 +676,7 @@ class TestGroupedScanMatchesInstanceLoop:
 
 class TestGroupMemory:
     def test_pmf_only_scan_never_builds_leave_structures(self, monkeypatch):
-        def refuse(p):
-            raise AssertionError("leave-out structures built for pmf-only checkers")
-
-        monkeypatch.setattr(pmf, "leave_structures", refuse)
+        _refuse_leave_two_out(monkeypatch, "pmf-only checkers")
         cfg = ScanConfig(seed=0, n_range=(200, 200), instance_count=5, family="binomial_n",
                          inequality_set=("log_concavity", "c1", "c1bar"))
         assert set(run_scan(cfg).worst_margins) == {"log_concavity", "c1", "c1bar"}
@@ -725,7 +735,7 @@ class TestRowMinima:
         cuts = explorer._recheck(group, [("condition4", None, rows, pos[rows], worst)])
         assert cuts[0].reeval.tolist() == worst.tolist()
         assert cuts[0].rows.index.tolist() == group.index[rows].tolist()
-        assert not {"f", "fgh", "uk", "leave"} & cuts[0].rows.__dict__.keys()
+        assert not {"f", "fgh", "uk"} & cuts[0].rows.__dict__.keys()
         certificates = explorer._certificates(cfg.config_hash(), cuts)
         assert [c.instance_index for c in certificates] == sorted(group.index.tolist())
         assert [c.reeval_margin for c in certificates] == [
@@ -866,7 +876,7 @@ class TestFOncePerGroup:
     def test_checker_table_names_what_each_kernel_reads(self):
         assert {cid: c.reads for cid, c in CHECKERS.items() if c.reads != "fgh"} == {
             "log_concavity": "f", "two_fold_log_concavity": "f", "c1": "f", "c1bar": "f",
-            "cij": "leave", "hessian_psd": "f",
+            "cij": "p", "hessian_psd": "f",
         }
 
 

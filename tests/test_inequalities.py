@@ -1,5 +1,6 @@
 """The inequality ladder: hand-checked margins, algebraic identities, property sweeps."""
 
+import itertools
 import math
 import tracemalloc
 
@@ -11,6 +12,8 @@ from entropath.calculus import entropy_curvature, path_derivatives
 from entropath.errors import BoundaryError, LemmaHypothesisError
 from entropath.explorer import Group, evaluate_checker
 from entropath.inequalities import (
+    ABS_FLOOR,
+    REL_TOL,
     MarginReport,
     UkBranch,
     X_LOG_X,
@@ -23,10 +26,13 @@ from entropath.inequalities import (
     rows_to_csv,
     stacked_c1,
     stacked_c1bar,
+    stacked_cij,
     stacked_log_concavity,
     stacked_two_fold_log_concavity,
 )
-from entropath.pmf import ParamVector, Pmf, _masses, compute_pmf, leave_structures, pair_indices
+from entropath.inequalities import _two_fold
+from entropath.pmf import ParamVector, Pmf, _masses, compute_pmf
+from scalar_oracle import leave_two_out
 
 BINOMIAL2 = Pmf(np.array([0.25, 0.5, 0.25]))
 BINOMIAL4 = Pmf(np.array([1, 4, 6, 4, 1]) / 16.0)
@@ -408,8 +414,7 @@ class TestCij:
             p, _ = random_instance(rng, n_min=2, n_max=8)
             pv = ParamVector(p)
             i, j = sorted(rng.choice(p.size, size=2, replace=False))
-            pair = leave_structures(p[None]).pair(int(i), int(j))
-            rep = row0(stacked_two_fold_log_concavity, pair[0])
+            rep = row0(stacked_two_fold_log_concavity, leave_two_out(pv, int(i), int(j)))
             for k, margin in rep.margins:
                 assert compute_cij(pv, int(i), int(j), k) == -margin
 
@@ -418,7 +423,7 @@ class TestCij:
         for _ in range(60):
             p, s = random_instance(rng, n_min=2, n_max=11)
             pv = ParamVector(p)
-            rows, cols = pair_indices(pv.n)
+            rows, cols = np.triu_indices(pv.n, 1)
             values = evaluate_checker("cij", pv, s).values.reshape(rows.size, -1)
             for row, (i, j) in enumerate(zip(rows.tolist(), cols.tolist())):
                 for k in range(values.shape[1]):
@@ -434,6 +439,53 @@ class TestCij:
             compute_cij(ParamVector(np.array([0.5, 0.5])), 1, 1, 0)
         with pytest.raises(IndexError):
             compute_cij(ParamVector(np.array([0.5, 0.5])), 0, 2, 0)
+
+
+def _bits(x) -> bytes:
+    return np.ascontiguousarray(x, dtype=np.float64).tobytes()
+
+
+class TestStackedCij:
+    """stacked_cij builds its own leave-two-out rows; each has the bits of the oracle's pmf."""
+
+    @pytest.mark.parametrize("degenerate", (False, True), ids=("interior", "zeros_and_ones"))
+    def test_equals_two_fold_of_each_oracle_pair_bit_for_bit(self, degenerate):
+        rng = np.random.default_rng(70 + degenerate)
+        for n in range(2, 13):
+            for m in (1, 4, 15):
+                # Off the 2^-53 grid of rng.random, where 1 - (1 - p) == p would hide a slip.
+                p = rng.uniform(1e-3, 1.0 - 1e-3, (m, n))
+                if degenerate:  # about a third of the entries exactly 0 or 1
+                    hit = rng.random((m, n)) < 0.3
+                    p[hit] = rng.integers(0, 2, int(hit.sum()))
+                got = stacked_cij(p)
+                for row in range(m):
+                    pv = ParamVector(p[row])
+                    pairs = np.array([leave_two_out(pv, i, j).values
+                                      for i, j in itertools.combinations(range(n), 2)])
+                    margin, scale = _two_fold(pairs)
+                    assert _bits(got.values[row]) == _bits(margin), (n, m, row)
+                    want = max(ABS_FLOOR, REL_TOL * float(scale.max()))
+                    assert float(got.tolerance[row]) == want, (n, m, row)
+
+    @pytest.mark.parametrize("n", (30, 50))
+    def test_stack_rows_equal_one_row_calls(self, n):
+        p = np.random.default_rng(n).uniform(1e-3, 1.0 - 1e-3, (3, n))
+        p[1, ::7] = 0.0
+        p[2, ::5] = 1.0
+        stacked = stacked_cij(p)
+        for row in range(3):
+            alone = stacked_cij(p[row : row + 1])
+            assert _bits(stacked.values[row]) == _bits(alone.values[0]), row
+            assert float(stacked.tolerance[row]) == float(alone.tolerance[0]), row
+
+    def test_rejects_invalid_stacks(self):
+        with pytest.raises(ValueError):
+            stacked_cij(np.array([0.3, 0.5]))
+        with pytest.raises(ValueError):
+            stacked_cij(np.array([[0.3, 1.5]]))
+        with pytest.raises(ValueError):
+            stacked_cij(np.zeros((2, 0)))
 
 
 class TestQuadraticDecomposition:

@@ -13,7 +13,7 @@ import pytest
 import scalar_oracle as oracle
 from conftest import random_instance
 from entropath.calculus import stacked_entropy_hessian, stacked_fgh
-from entropath.pmf import leave_structures
+from entropath.pmf import _convolve_bernoullis
 
 EPS = np.finfo(np.float64).eps
 DIGITS = 60
@@ -112,9 +112,10 @@ def test_adjoint_hessian_matches_mpmath_leave_two_out_sums(p):
     # as much absolutely, and every sum over k at most n + 1 roundings of its
     # absolute terms: 4(n + 1) ulps of oracle.hessian_scale bounds each entry.
     n = p.size
-    ls = leave_structures(p[None])
-    got = stacked_entropy_hessian(p[None], ls.f)[0][0]
-    bound = 4.0 * (n + 1) * EPS * oracle.hessian_scale(ls.f[0], ls.singles[0], ls.pairs[0])
+    f = _convolve_bernoullis(p)
+    got = stacked_entropy_hessian(p[None], f[None])[0][0]
+    scale = oracle.hessian_scale(f, oracle.kept_convolutions(p, 1), oracle.kept_convolutions(p, 2))
+    bound = 4.0 * (n + 1) * EPS * scale
     with mpmath.workdps(DIGITS):
         want = _mp_hessian(p)
         err = np.array([[float(abs(mpmath.mpf(got[i, j]) - want[i][j])) for j in range(n)]

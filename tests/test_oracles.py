@@ -26,7 +26,7 @@ from entropath.inequalities import (
     stacked_two_fold_log_concavity,
     stacked_uk,
 )
-from entropath.pmf import ParamVector, compute_pmf, leave_structures
+from entropath.pmf import ParamVector, _convolve_bernoullis, compute_pmf
 from entropath.qentropy import (
     EntropySpec,
     power_sum_derivatives,
@@ -87,13 +87,13 @@ def test_slope_checkers_match_scalar_oracle(p):
     params = ParamVector(p)
     slopes = rng.uniform(-1.0, 1.0, p.size)
     d = path_derivatives(params, slopes)
-    ls = leave_structures(p[None])
-    f = ls.f[0]
+    f = compute_pmf(params).values
     _assert_matches(evaluate_checker("condition4", params, slopes), oracle.condition4(f, d.g, d.h))
     _assert_matches(evaluate_checker("corollary_fgh", params, slopes),
                     oracle.corollary_fgh(f, d.g, d.h))
     if p.size <= 24 or p.size == 60:  # the scalar sweep is O(n^3) Python calls
-        _assert_matches(evaluate_checker("cij", params, slopes), oracle.cij(ls.pairs[0]))
+        _assert_matches(evaluate_checker("cij", params, slopes),
+                        oracle.cij(oracle.kept_convolutions(p, 2)))
 
 
 @pytest.mark.parametrize("p", [p for p in INSTANCES if p.size <= 30], ids=lambda p: f"n{p.size}")
@@ -103,8 +103,7 @@ def test_mixture_sequences_match_term_by_term_sums(p):
     slopes = rng.uniform(-1.0, 1.0, p.size)
     slopes[rng.integers(p.size)] = 0.0
     d = path_derivatives(params, slopes)
-    ls = leave_structures(p[None])
-    singles, pairs = ls.singles[0], ls.pairs[0]
+    singles, pairs = oracle.kept_convolutions(p, 1), oracle.kept_convolutions(p, 2)
     g, h = oracle.mixture_sequences(singles, pairs, slopes)
     scale_g = float(np.abs(singles).sum(axis=0).max())
     scale_h = 2.0 * float(np.abs(pairs).sum(axis=0).max(initial=0.0))
@@ -148,16 +147,12 @@ def test_hessian_top_eigenvalue_matches_jacobi(p):
     assert abs(report.max_eigenvalue - top) <= 1e-12 * norm
 
 
-def test_pmf_and_leave_structures_are_read_only():
+def test_cached_pmf_is_read_only():
     params = ParamVector(np.array([0.2, 0.5, 0.7, 0.9]))
-    ls = leave_structures(params.p[None])
     assert params.pmf is params.pmf
-    assert ls.singles.shape == (1, 4, 4)
-    assert ls.pairs.shape == (1, 6, 3)
-    for arr in (params.pmf.values, ls.f, ls.singles, ls.pairs):
-        assert not arr.flags.writeable
-        with pytest.raises(ValueError):
-            arr[0] = 0.0
+    assert not params.pmf.values.flags.writeable
+    with pytest.raises(ValueError):
+        params.pmf.values[0] = 0.0
 
 
 @pytest.mark.parametrize("n", (1, 2, 3, 5, 12, 30, 50))
@@ -166,11 +161,13 @@ def test_hessian_stack_rows_equal_two_dimensional_products(n):
     # entry of either is within 4(n + 1) ulps of oracle.hessian_scale of the
     # exact value (tests/test_mp_kernels.py), so they differ by at most twice that.
     p = np.random.default_rng(n).uniform(0.05, 0.95, (6, n))
-    ls = leave_structures(p)
-    matrices, top = stacked_entropy_hessian(p, ls.f)
+    f = _convolve_bernoullis(p)
+    matrices, top = stacked_entropy_hessian(p, f)
     for row in range(6):
-        want = oracle.hessian_matrix(ls.f[row], ls.singles[row], ls.pairs[row])
-        scale = oracle.hessian_scale(ls.f[row], ls.singles[row], ls.pairs[row])
+        leave_out = (f[row], oracle.kept_convolutions(p[row], 1),
+                     oracle.kept_convolutions(p[row], 2))
+        want = oracle.hessian_matrix(*leave_out)
+        scale = oracle.hessian_scale(*leave_out)
         assert (np.abs(matrices[row] - want) <= 8.0 * (n + 1) * EPS * scale).all()
         report = entropy_hessian(ParamVector(p[row]))
         assert report.matrix.tobytes() == matrices[row].tobytes()
@@ -199,7 +196,7 @@ def _kernel_stacks():
                 s[:] = 0.0
             cases.append((ParamVector(p), s))
         rows = [_fgh(params, s) for params, s in cases]
-        out.append((cases, *(np.stack([r[a] for r in rows]) for a in range(3))))
+        out.append((cases, *(np.concatenate([r[a] for r in rows]) for a in range(3))))
     return out
 
 
@@ -234,9 +231,9 @@ def test_fgh_of_a_slope_stack_equals_one_vector_calls_bit_for_bit():
             f, g, h = _fgh(params, stack)
             assert g.shape == (8, params.n) and h.shape == (8, params.n - 1)
             for row, slopes in enumerate(stack):
-                one = _fgh(params, slopes)
-                assert _bits(f) == _bits(one[0])
-                assert _bits(g[row]) == _bits(one[1]) and _bits(h[row]) == _bits(one[2])
+                one_f, one_g, one_h = _fgh(params, slopes)
+                assert _bits(f[row]) == _bits(one_f)
+                assert _bits(g[row]) == _bits(one_g) and _bits(h[row]) == _bits(one_h)
 
 
 @pytest.mark.parametrize("q", [q for q in KERNEL_QS if q != 2.0])
@@ -284,7 +281,7 @@ def test_stacked_kernels_raise_boundary_error_as_one_row_calls_do(spec):
         if n == 2:
             mates.append(interior)
         rows = [_fgh(ParamVector(pp), ss) for pp, ss in mates]
-        f, g, h = (np.stack([r[a] for r in rows]) for a in range(3))
+        f, g, h = (np.concatenate([r[a] for r in rows]) for a in range(3))
         try:
             one = q_curvature(ParamVector(p), s, spec)
         except BoundaryError as exc:
@@ -307,7 +304,7 @@ def test_uk_decomposition_equals_the_scalar_loop():
     # g vanishes identically here; by the corollary g_k^2 >= h_k f_k, h_k <= 0 then.
     crafted = (ParamVector(np.array([0.5, 0.5, 0.5])), np.array([1.0, -1.0, 0.0]))
     branches = set()
-    stacks = KERNEL_STACKS[1:] + [([crafted], *(a[None] for a in _fgh(*crafted)))]
+    stacks = KERNEL_STACKS[1:] + [([crafted], *_fgh(*crafted))]
     for cases, f, g, h in stacks:
         stacked = stacked_uk(f, g, h)
         for row, (params, slopes) in enumerate(cases):

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entropath.pmf import ParamVector, Pmf, _convolve_bernoullis, compute_pmf, leave_structures
-from scalar_oracle import brute_force_pmf, leave_one_out, leave_two_out
+from entropath.pmf import ParamVector, Pmf, _convolve_bernoullis, _leave_two_out, compute_pmf
+from scalar_oracle import brute_force_pmf, kept_convolutions, leave_one_out, leave_two_out
 
 prob_lists = st.lists(
     st.floats(min_value=0.0, max_value=1.0, allow_nan=False), min_size=1, max_size=8
@@ -139,36 +139,16 @@ class TestLeaveOut:
         for _ in range(25):
             n = int(rng.integers(2, 10))
             pv = ParamVector(rng.random(n))
-            ls = leave_structures(pv.p[None])
-            np.testing.assert_allclose(ls.f[0], compute_pmf(pv).values, atol=1e-14)
-            for i in range(n):
-                np.testing.assert_allclose(
-                    ls.single(i)[0], leave_one_out(pv, i).values, atol=1e-14
-                )
-                for j in range(i + 1, n):
-                    np.testing.assert_allclose(
-                        ls.pair(j, i)[0], leave_two_out(pv, i, j).values, atol=1e-14
-                    )
-
-
-def kept_convolutions(p: np.ndarray, drop: int) -> np.ndarray:
-    """The pmf of p without each set of `drop` components, lexicographic, one row per set.
-
-    Each row convolves its kept components in index order, as compute_pmf
-    does; the rows are stacked only to keep the sweep up to n = 60 fast.
-    """
-    n = p.size
-    keep = [np.delete(np.arange(n), list(out)) for out in itertools.combinations(range(n), drop)]
-    if not keep:
-        return np.zeros((0, 0))
-    return _convolve_bernoullis(p[np.array(keep)])
+            pairs = _leave_two_out(pv.p[None])[0]
+            for row, (i, j) in enumerate(itertools.combinations(range(n), 2)):
+                np.testing.assert_allclose(pairs[row], leave_two_out(pv, j, i).values, atol=1e-14)
 
 
 def _bits(a) -> bytes:
     return np.ascontiguousarray(a).tobytes()
 
 
-class TestLeaveStructuresBuilder:
+class TestLeaveTwoOutBuilder:
     """The masked recurrence against one-removal-at-a-time oracles, bit for bit."""
 
     def test_stacked_convolution_equals_compute_pmf(self, rng):
@@ -185,40 +165,22 @@ class TestLeaveStructuresBuilder:
             # Every stack size up to n = 24. Above that the stacks stay small:
             # a 49-row stack at n = 60 alone takes most of a second to build.
             m = (1, 4, 15, 49)[n % 4] if n <= 24 else (1, 4)[n % 2]
-            p = rng.random((m, n))
+            # Off the 2^-53 grid of rng.random, where 1 - (1 - p) == p would hide a slip.
+            p = rng.uniform(1e-3, 1.0 - 1e-3, (m, n))
             if degenerate:  # about a third of the entries exactly 0 or 1
                 hit = rng.random((m, n)) < 0.3
                 p[hit] = rng.integers(0, 2, int(hit.sum()))
-            ls = leave_structures(p)
-            assert ls.f.shape == (m, n + 1)
-            assert ls.singles.shape == (m, n, n)
-            assert ls.pairs.shape == (m, n * (n - 1) // 2, max(n - 1, 0))
-            for arr in (ls.f, ls.singles, ls.pairs):
-                assert not arr.flags.writeable
+            pairs = _leave_two_out(p)
+            assert pairs.shape == (m, n * (n - 1) // 2, max(n - 1, 0))
             for row in range(m):
-                one = leave_structures(p[row : row + 1])
-                for name in ("f", "singles", "pairs"):
-                    stacked, alone = getattr(ls, name)[row], getattr(one, name)[0]
-                    assert _bits(stacked) == _bits(alone), (name, n, m, row)
+                alone = _leave_two_out(p[row : row + 1])[0]
+                assert _bits(pairs[row]) == _bits(alone), (n, m, row)
             for row in {0, m - 1}:
                 pv = ParamVector(p[row])
-                assert _bits(ls.f[row]) == _bits(compute_pmf(pv).values)
-                assert _bits(ls.singles[row]) == _bits(kept_convolutions(p[row], 1)), (n, row)
-                assert _bits(ls.pairs[row]) == _bits(kept_convolutions(p[row], 2)), (n, row)
+                assert _bits(pairs[row]) == _bits(kept_convolutions(p[row], 2)), (n, row)
                 if n <= 8:
-                    for i in range(n):
-                        assert _bits(ls.single(i)[row]) == _bits(leave_one_out(pv, i).values)
-                        for j in range(i + 1, n):
-                            want = leave_two_out(pv, i, j).values
-                            assert _bits(ls.pair(j, i)[row]) == _bits(want)
-
-    def test_rejects_invalid_stacks(self):
-        with pytest.raises(ValueError):
-            leave_structures(np.array([0.3, 0.5]))
-        with pytest.raises(ValueError):
-            leave_structures(np.array([[0.3, 1.5]]))
-        with pytest.raises(ValueError):
-            leave_structures(np.zeros((2, 0)))
+                    for r, (i, j) in enumerate(itertools.combinations(range(n), 2)):
+                        assert _bits(pairs[row, r]) == _bits(leave_two_out(pv, j, i).values)
 
 
 class TestBruteForce:

@@ -153,6 +153,15 @@ def commands(config_dir: Path) -> list[list[str]]:
     cmds.append(["scan", "--seed", "2", "--n-range", "8,8", "--instances", "400",
                  "--format", "json"])
 
+    # cij at n = 100, where its leave-two-out buffer is large. A config whose q_grid
+    # holds an integer past the float range, which exits 2 naming the q rule.
+    cmds += [["scan", "--seed", "0", "--n-range", "100,100", "--instances", "1",
+              "--checks", "cij", "--format", fmt] for fmt in ("json", "csv")]
+    path = config_dir / "huge_q.json"
+    path.write_text('{"seed": 1, "inequality_set": ["renyi_concavity"], "q_grid": [1'
+                    + "0" * 400 + "]}")
+    cmds.append(["scan", "--config", str(path), "--format", "json"])
+
     # Scan-estimator brackets whose bisection would reach q = 1: constant over
     # the bracket, and an upper end at q = 1.
     cmds += [
