@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import pmf
 from .errors import BoundaryError
 from .pmf import ParamVector, _masses
 
@@ -47,6 +48,21 @@ def _check_slopes(params: ParamVector, slopes) -> np.ndarray:
     return arr
 
 
+def _inside(p: np.ndarray, slopes: np.ndarray, t: float) -> bool:
+    """Whether p + t * slopes lies in the parameter cube."""
+    x = p + t * slopes
+    return bool(np.all((x >= 0.0) & (x <= 1.0)))
+
+
+def _nudge_inside(p: np.ndarray, slopes: np.ndarray, t: float, toward: float) -> float:
+    """t moved up to 8 ulps toward toward, back inside the cube that division rounding left."""
+    for _ in range(8):
+        if not math.isfinite(t) or _inside(p, slopes, t):
+            break
+        t = math.nextafter(t, toward)
+    return t
+
+
 def _max_feasible_domain(p: np.ndarray, slopes: np.ndarray) -> tuple[float, float]:
     lo, hi = -math.inf, math.inf
     for pi, si in zip(p, slopes):
@@ -56,18 +72,8 @@ def _max_feasible_domain(p: np.ndarray, slopes: np.ndarray) -> tuple[float, floa
         elif si < 0.0:
             lo = max(lo, (1.0 - pi) / si)
             hi = min(hi, -pi / si)
-    # Division rounding can push a finite endpoint a few ulps outside the cube.
-    if math.isfinite(hi):
-        for _ in range(8):
-            if np.all((p + hi * slopes >= 0.0) & (p + hi * slopes <= 1.0)):
-                break
-            hi = math.nextafter(hi, lo)
-    if math.isfinite(lo):
-        for _ in range(8):
-            if np.all((p + lo * slopes >= 0.0) & (p + lo * slopes <= 1.0)):
-                break
-            lo = math.nextafter(lo, hi)
-    return lo, hi
+    hi = _nudge_inside(p, slopes, hi, lo)
+    return _nudge_inside(p, slopes, lo, hi), hi
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,12 +97,8 @@ class AffinePath:
         lo, hi = float(dom[0]), float(dom[1])
         if not lo <= hi:
             raise ValueError("t_domain is empty")
-        for t in (lo, hi):
-            if math.isinf(t):
-                continue
-            q = self.p0.p + t * slopes
-            if np.any(q < 0.0) or np.any(q > 1.0):
-                raise ValueError("t_domain leaves the parameter cube")
+        if not all(math.isinf(t) or _inside(self.p0.p, slopes, t) for t in (lo, hi)):
+            raise ValueError("t_domain leaves the parameter cube")
         object.__setattr__(self, "t_domain", (lo, hi))
 
 
@@ -127,19 +129,18 @@ def stacked_fgh(p: np.ndarray, slopes: np.ndarray):
     With a the slopes and c_t = q_t + p_t x, step t maps F <- c_t F,
     G <- c_t G + a_t F and H <- c_t H + 2 a_t G (old F and G on the right), so
     g_k = sum_i a_i f^(i)_k and h_k = sum_{i != j} a_i a_j f^(i,j)_k come
-    without a leave-out pmf. F, G and H / 2 share one k-major buffer, and
-    every step is elementwise across rows, as in pmf._convolve_bernoullis:
-    f has its bits, and a row has the same bits in any stack.
+    without a leave-out pmf. F, G and H / 2 share one k-major buffer, the
+    factor c_t is pmf._step on all three and the carry is added after it:
+    f has the bits of pmf._convolve_bernoullis, and a row has the same bits
+    in any stack.
     """
     n = p.shape[-1]
     buf = np.zeros((n + 1, 3) + p.shape[:-1])
     buf[0, 0] = 1.0
     q = 1.0 - p
     for t in range(n):
-        up = buf[: t + 1] * p[..., t]
         carry = buf[: t + 1, :2] * slopes[..., t]
-        buf[: t + 2] *= q[..., t]
-        buf[1 : t + 2] += up
+        pmf._step(buf[: t + 2], p[..., t], q[..., t])
         buf[: t + 1, 1:] += carry
     # k last, and each row contiguous in k, as the kernels' sums need.
     out = buf.transpose((*range(1, buf.ndim), 0)).copy()
@@ -307,10 +308,7 @@ def stacked_entropy_hessian(p: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, n
     for j in range(n):
         np.add.reduce(rows[:j] * adj[j, :j, :, None], axis=0, out=cross[:, j])
         born = rows[: j + 1, :, n].copy()
-        live = rows[: j + 2]
-        up = live[:-1] * pc[j]
-        live *= qc[j]
-        live[1:] += up
+        pmf._step(rows[: j + 2], pc[j], qc[j])
         rows[: j + 1, :, j] = born
     d = _shift_diff1(rows[:n, :, :n].transpose(1, 2, 0), n)
     h = -np.matmul(d * (1.0 / f)[:, None, :], d.transpose(0, 2, 1))

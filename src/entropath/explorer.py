@@ -412,6 +412,16 @@ def _family_sizes(config: ScanConfig) -> np.ndarray:
     return np.full(count, n)
 
 
+def _require_reproduced(margin: np.ndarray, reeval: np.ndarray) -> None:
+    """Raise ConsistencyError at the first margin further than 1e-12 from its re-evaluation."""
+    bad = np.flatnonzero(np.abs(margin - reeval) > 1e-12)
+    if bad.size:
+        raise ConsistencyError(
+            f"certificate does not reproduce: {margin[bad[0]].item()!r} vs "
+            f"{reeval[bad[0]].item()!r}"
+        )
+
+
 @dataclass(frozen=True)
 class CounterexampleCertificate:
     """A reproducible violation: the full tuple plus its re-evaluated margin."""
@@ -428,10 +438,7 @@ class CounterexampleCertificate:
     reeval_margin: float
 
     def __post_init__(self):
-        if abs(self.margin - self.reeval_margin) > 1e-12:
-            raise ConsistencyError(
-                f"certificate does not reproduce: {self.margin!r} vs {self.reeval_margin!r}"
-            )
+        _require_reproduced(np.array([self.margin]), np.array([self.reeval_margin]))
 
     def to_dict(self) -> dict:
         return {
@@ -471,8 +478,8 @@ def _recheck(group: Group, cuts) -> list[_Cut]:
     that key's cut rows. Each key's cut rows are rebuilt from their p and
     slopes as tuples of floats, as one group of their own, on which the key's
     kernel runs. A row has the same bits in any stack, so each margin comes
-    back with the bits it was cut with; a pair further apart than a
-    certificate allows raises ConsistencyError with the certificate's message.
+    back with the bits it was cut with; _require_reproduced checks each pair
+    as it checks a certificate's.
     A record keeps only the rebuilt rows' arrays, not the caches the kernel
     built on them.
     """
@@ -481,12 +488,7 @@ def _recheck(group: Group, cuts) -> list[_Cut]:
         stored = Group(np.array(group.p[rows].tolist()), np.array(group.slopes[rows].tolist()),
                        group.index[rows], group.t[rows])
         reeval = inequalities._first_mins(CHECKERS[cid].kernel(stored, q).values)[1]
-        bad = np.flatnonzero(np.abs(margin - reeval) > 1e-12)
-        if bad.size:
-            raise ConsistencyError(
-                f"certificate does not reproduce: {margin[bad[0]].item()!r} vs "
-                f"{reeval[bad[0]].item()!r}"
-            )
+        _require_reproduced(margin, reeval)
         records.append(_Cut(cid, q, Group(stored.p, stored.slopes, stored.index, stored.t),
                             k, margin, reeval))
     return records

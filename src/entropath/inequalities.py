@@ -90,7 +90,7 @@ class MarginReport:
         ks = _read_only(np.arange(values.size) if ks is None else ks, np.int64)
         if values.ndim != 1 or ks.shape != values.shape:
             raise ValueError("margins and their indices must be one-dimensional and of one size")
-        pos = _first_min(values)
+        pos = int(_first_mins(values[None])[0][0]) if values.size else None
         worst = math.inf if pos is None else values.item(pos)
         tolerance = float(tolerance)
         return cls(name, ks, values, tolerance, worst, worst >= -tolerance, pos)
@@ -120,24 +120,18 @@ def _read_only(a, dtype) -> np.ndarray:
     return view
 
 
-def _first_min(values: np.ndarray) -> int | None:
-    """Position that Python's min() would pick: the first minimum, a NaN only when it leads."""
-    if values.size < 2:  # one margin is its own minimum, even a NaN
-        return 0 if values.size else None
-    pos = int(values.argmin())
-    if math.isnan(values[pos]):
-        pos = 0 if math.isnan(values[0]) else int(np.nanargmin(values))
-    return pos
-
-
 def _first_mins(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """_first_min of every row of values (m, K), K >= 1, and the margin there, as (pos, worst)."""
-    pos = values.argmin(axis=-1)
+    """Where min() lands in each row of values (m, K), K >= 1, and the margin there: (pos, worst).
+
+    That is the row's first minimum, and a NaN only when the row starts with one.
+    """
+    pos = values.argmin(axis=-1)  # a row's first NaN, if it has one
     worst = values[np.arange(len(values)), pos]
-    if values.shape[-1] > 1:  # argmin lands on a row's first NaN; those rows go through _first_min
-        for r in np.flatnonzero(np.isnan(worst)):
-            pos[r] = _first_min(values[r])
-            worst[r] = values[r, pos[r]]
+    if values.shape[-1] > 1:  # a lone margin is its own minimum, even a NaN
+        late = np.flatnonzero(np.isnan(worst) & (pos > 0))  # min() skips a NaN that does not lead
+        if late.size:
+            pos[late] = np.nanargmin(values[late], axis=-1)
+            worst[late] = values[late, pos[late]]
     return pos, worst
 
 

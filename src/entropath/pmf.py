@@ -105,21 +105,28 @@ class Pmf:
         return cls(np.asarray(json.loads(text), dtype=np.float64))
 
 
+def _step(live: np.ndarray, p, q) -> None:
+    """Apply the Bernoulli factor q + p x in place: live[k] <- live[k] q + live[k-1] p, k-major.
+
+    Every recurrence of the package takes this step, so its rounding order fixes
+    the bits of every mass, and a row has the same bits in any stack.
+    """
+    up = live[:-1] * p
+    live *= q
+    live[1:] += up
+
+
 def _convolve_bernoullis(probs: np.ndarray) -> np.ndarray:
     """Sequential Bernoulli convolution of every row of probs (..., n), as rows (..., n + 1).
 
-    Step t maps the masses to f_k (1 - p_t) + f_{k-1} p_t over k = 0..t+1,
-    the only entries it can reach. The buffer is k-major and every step is
-    elementwise across rows, so a row has the same bits in any stack.
+    Step t applies component t over k = 0..t+1, the only entries it can
+    reach. The buffer is k-major and every step is elementwise across rows.
     """
     n = probs.shape[-1]
     buf = np.zeros((n + 1,) + probs.shape[:-1])
     buf[0] = 1.0
     for t in range(n):
-        p = probs[..., t]
-        up = buf[: t + 1] * p
-        buf[: t + 2] *= 1.0 - p
-        buf[1 : t + 2] += up
+        _step(buf[: t + 2], probs[..., t], 1.0 - probs[..., t])
     return buf.transpose((*range(1, buf.ndim), 0))  # k last
 
 
@@ -154,7 +161,7 @@ def _pair_rows(n: int) -> np.ndarray:
 def _leave_two_out(p) -> np.ndarray:
     """Every leave-two-out pmf of each row of p (m, n), as (m, n(n-1)/2, n-1).
 
-    One row per pair i < j, in lexicographic order. One masked two-tap
+    One row per pair i < j, in lexicographic order. One masked _step
     Bernoulli recurrence over a k-major buffer buf[k, instance, row]: row i
     is the pmf without component i, and the pairs follow in colex order (by
     j, then i). Step t applies component t to every row that keeps it, over
@@ -174,9 +181,7 @@ def _leave_two_out(p) -> np.ndarray:
         buf[: t + 1, :, born[t] : born[t + 1]] = buf[: t + 1, :, :t]
         live = buf[: t + 2, :, : born[t]]
         skipped = live[:, :, t].copy()
-        up = live[:-1] * p[:, t, None]
-        live *= q[:, t, None]
-        live[1:] += up
+        _step(live, p[:, t, None], q[:, t, None])
         live[:, :, t] = skipped
     rows = _pair_rows(n)
     pairs = np.empty((m, rows.size, max(n - 1, 0)))

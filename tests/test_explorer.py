@@ -504,6 +504,14 @@ class TestPlantedFaultsAreCaught:
         with pytest.raises(ConsistencyError, match="^certificate does not reproduce"):
             run_scan(cfg)
 
+    def test_a_certificate_checks_its_margin_as_the_recheck_does(self):
+        fields = dict(config_hash="0" * 64, instance_index=0, inequality="condition4", p=(0.5,),
+                      slopes=(1.0,), t=0.0, q=None, k=0)
+        explorer.CounterexampleCertificate(**fields, margin=-1.0, reeval_margin=-1.0 + 1e-13)
+        with pytest.raises(ConsistencyError) as caught:
+            explorer.CounterexampleCertificate(**fields, margin=-1.0, reeval_margin=-0.5)
+        assert str(caught.value) == "certificate does not reproduce: -1.0 vs -0.5"
+
 
 def _outcome(fn, *args):
     """(root, sign trace) of a bisection, or the type and message of what it raised."""
@@ -720,7 +728,7 @@ class TestRowMinima:
         values = rng.choice([-1.0, 0.5, 2.0, np.nan], (400, 5))
         values[:, 0] = np.where(rng.random(400) < 0.5, np.nan, values[:, 0])
         pos, worst = inequalities._first_mins(values)
-        assert pos.tolist() == [inequalities._first_min(row) for row in values]
+        assert pos.tolist() == [oracle.min_position(row) for row in values.tolist()]
         assert worst.tobytes() == values[np.arange(len(values)), pos].tobytes()
         assert any(np.isnan(v).any() and not np.isnan(v[p]) for v, p in zip(values, pos))
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from entropath import calculus, pmf
 from entropath.pmf import ParamVector, Pmf, _convolve_bernoullis, _leave_two_out, compute_pmf
 from scalar_oracle import brute_force_pmf, kept_convolutions, leave_one_out, leave_two_out
 
@@ -181,6 +182,37 @@ class TestLeaveTwoOutBuilder:
                 if n <= 8:
                     for r, (i, j) in enumerate(itertools.combinations(range(n), 2)):
                         assert _bits(pairs[row, r]) == _bits(leave_two_out(pv, j, i).values)
+
+
+class TestOneBernoulliStep:
+    """Every recurrence applies its Bernoulli factors through pmf._step."""
+
+    def test_a_fault_planted_in_the_step_reaches_every_recurrence(self, monkeypatch):
+        rng = np.random.default_rng(18)
+        p = rng.uniform(0.1, 0.9, (3, 5))
+        slopes = rng.uniform(-1.0, 1.0, (3, 5))
+        f = _convolve_bernoullis(p).copy()  # the Hessian's pmfs stay sound
+
+        def outputs():
+            fgh = calculus.stacked_fgh(p, slopes)
+            return {
+                "convolve": _convolve_bernoullis(p),
+                "f": fgh[0],
+                "g": fgh[1],
+                "h": fgh[2],
+                "leave_two_out": _leave_two_out(p),
+                "hessian": calculus.stacked_entropy_hessian(p, f)[0],
+            }
+
+        def up_before_q(live, p, q):
+            up = live[:-1] * p
+            live[1:] += up
+            live *= q
+
+        sound = outputs()
+        monkeypatch.setattr(pmf, "_step", up_before_q)
+        faulty = outputs()
+        assert [key for key in sound if np.array_equal(sound[key], faulty[key])] == []
 
 
 class TestBruteForce:

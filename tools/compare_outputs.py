@@ -55,6 +55,11 @@ def _scan(seed: int, n_range: str, instances: int, checks: str | None, fmt: str)
     return argv + ["--checks", checks] if checks else argv
 
 
+def _spread(n: int) -> str:
+    """n parameters spread over (0, 1), as a --p argument."""
+    return ",".join(f"{(2 * i + 1) / (2 * n) * 0.9 + 0.05:.6g}" for i in range(n))
+
+
 def commands(config_dir: Path) -> list[list[str]]:
     """The fixed command list; config files it needs are written into config_dir."""
     cmds = []
@@ -125,6 +130,12 @@ def commands(config_dir: Path) -> list[list[str]]:
             ["lemma-check", "--A", "0.5", "--B", "0.4", "--C", "0.6", "--alpha", "1",
              "--beta", "0.5", "--gamma", "1", "--format", fmt],
         ]
+        # The full Hessian matrix from one up to many steps of its forward pass,
+        # and verify at a size where every recurrence takes many steps.
+        cmds += [["hessian", "--p", _spread(n), "--format", fmt] for n in (1, 12, 20)]
+        cmds.append(["verify", "--p", _spread(12), "--slopes",
+                     ",".join(f"{(-1) ** i * (1 - i / 12):g}" for i in range(12)),
+                     "--format", fmt])
 
     # Config files of the wrong shape or with fields of the wrong type.
     malformed = [
