@@ -198,7 +198,7 @@ CHECKERS = {
     "c1bar": Checker("c1bar", 1, "f", lambda grp, q: inequalities.stacked_c1bar(grp.f)),
     "cij": Checker(
         "cij_nonpositive", 2, "p", lambda grp, q: inequalities.stacked_cij(grp.p),
-        row_bytes=lambda n: 8 * (1 + n + n * (n - 1) // 2) * (n + 1),
+        row_bytes=lambda n: 8 * (1 + n + n * (n - 1) // 2) * (n + 2),
     ),
     "condition4": Checker(
         "condition4", 2, "fgh", lambda grp, q: inequalities.stacked_condition4(*grp.fgh)
@@ -413,8 +413,8 @@ def _family_sizes(config: ScanConfig) -> np.ndarray:
 
 
 def _require_reproduced(margin: np.ndarray, reeval: np.ndarray) -> None:
-    """Raise ConsistencyError at the first margin further than 1e-12 from its re-evaluation."""
-    bad = np.flatnonzero(np.abs(margin - reeval) > 1e-12)
+    """Raise ConsistencyError at the first margin not within 1e-12 of its re-evaluation, or NaN."""
+    bad = np.flatnonzero(~(np.abs(margin - reeval) <= 1e-12))
     if bad.size:
         raise ConsistencyError(
             f"certificate does not reproduce: {margin[bad[0]].item()!r} vs "

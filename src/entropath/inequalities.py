@@ -21,7 +21,7 @@ import numpy as np
 
 from .calculus import _check_slopes, _fgh
 from .errors import BoundaryError, ConsistencyError, LemmaHypothesisError
-from .pmf import ParamVector, _check_pair, _convolve_bernoullis, _leave_two_out, _masses
+from .pmf import ParamVector, _check_pair, _convolve_bernoullis, _leave_two_out, _masses, _pair_rows
 
 __all__ = [
     "ABS_FLOOR",
@@ -190,7 +190,12 @@ def stacked_log_concavity(f: np.ndarray) -> Margins:
 
 
 def _two_fold(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cubic two-fold margins and their monomial scale, for k = 0..m+1 along the last axis.
+    """Cubic two-fold margins and their monomial scale, for k = 0..m+1 along the last axis."""
+    return _two_fold_terms(*_window(v, -2, 2))
+
+
+def _two_fold_terms(fm2, fm1, f0, f1, f2) -> tuple[np.ndarray, np.ndarray]:
+    """Cubic two-fold margins and monomial scale at each k, from the shifted masses f_{k-2..k+2}.
 
     The margin is f_{k-2} f_{k+1}^2 + f_k^3 + f_{k-1}^2 f_{k+2}
     - f_{k-2} f_k f_{k+2} - 2 f_{k-1} f_k f_{k+1}, summed in that order; the
@@ -198,7 +203,6 @@ def _two_fold(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     stacked rows alike. It accumulates in place, so a stack of pairs costs a
     few arrays of its size rather than one per monomial.
     """
-    fm2, fm1, f0, f1, f2 = _window(v, -2, 2)
     margin = np.zeros(f0.shape)
     scale = np.zeros(f0.shape)
     term = np.empty(f0.shape)
@@ -207,11 +211,12 @@ def _two_fold(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         (np.add, f0, f0, f0),
         (np.add, fm1, fm1, f2),
         (np.subtract, fm2, f0, f2),
-        (np.subtract, 2.0 * fm1, f0, f1),
+        (np.subtract, fm1, 2.0, f0, f1),
     )
-    for accumulate, x, y, z in monomials:
+    for accumulate, x, y, *zs in monomials:
         np.multiply(x, y, out=term)
-        term *= z
+        for z in zs:
+            term *= z
         accumulate(margin, term, out=margin)
         np.maximum(scale, term, out=scale)
     return margin, scale
@@ -566,12 +571,19 @@ def stacked_cij(p) -> Margins:
 
     Margin indices enumerate (pair, k) rows with pairs in lexicographic order
     and k running over the leave-two-out support plus one step past each end.
+    f_{k-2}..f_{k+2} are slices of the builder's flattened pair block: each pair
+    row ends in three zero columns, the last leave-one-out row's two zero columns
+    precede the block and the zero row closes it, so they read a pair's masses or 0.
     """
-    margin, scale = _two_fold(_leave_two_out(p))
-    m = margin.shape[0]
-    tolerance = _tolerance(_scale(scale.reshape(m, -1)))
-    del scale  # free the stacked temporary before the caller goes on
-    return Margins(margin.reshape(m, -1), tolerance)
+    buf = _leave_two_out(p)
+    rows, width, m = buf.shape
+    n = width - 2
+    flat = buf.reshape(-1, m)
+    lo, size = n * width, (rows - n - 1) * width  # the pair block, flattened
+    margin, scale = _two_fold_terms(*(flat[lo + j : lo + j + size] for j in range(-2, 3)))
+    tolerance = _tolerance(_scale(scale.T))  # columns past a pair's margins add zero monomials
+    values = margin.reshape(-1, width, m)[_pair_rows(n) - n, :n]
+    return Margins(values.transpose(2, 0, 1).reshape(m, -1), tolerance)
 
 
 def check_quadratic_decomposition_n2(params: ParamVector, k: int) -> MarginReport:

@@ -2,7 +2,8 @@
 
 Everything here is plain binary64 arithmetic. Mass functions are built by
 sequential Bernoulli convolution and never renormalized, so any accumulation
-bug stays visible to the tests instead of being washed out.
+bug stays visible to the tests instead of being washed out. The leave-two-out
+pmfs are zero-padded rows of one row-major buffer, stepped as contiguous memory.
 """
 
 from __future__ import annotations
@@ -159,32 +160,29 @@ def _pair_rows(n: int) -> np.ndarray:
 
 
 def _leave_two_out(p) -> np.ndarray:
-    """Every leave-two-out pmf of each row of p (m, n), as (m, n(n-1)/2, n-1).
+    """Every leave-one-out and leave-two-out pmf of each row of p (m, n), as buf[row, k, instance].
 
-    One row per pair i < j, in lexicographic order. One masked _step
-    Bernoulli recurrence over a k-major buffer buf[k, instance, row]: row i
-    is the pmf without component i, and the pairs follow in colex order (by
-    j, then i). Step t applies component t to every row that keeps it, over
-    k = 0..t+1 only. Row t skips it: its state is put back after the step.
-    Pair (i, j) is born at step j as a copy of row i, outside that step's
-    rows, so it skips j too. Every pair is thus the sequential convolution
-    of its kept components, with the bits of compute_pmf on them, and the
-    same bits in any stack.
+    The buffer has n + n(n-1)/2 + 1 rows of n + 2 columns: row i is the pmf
+    without component i, the pairs follow in colex order (by j, then i;
+    _pair_rows maps them), and the last row stays zero. Step t applies
+    component t to every row that keeps it, as one _step over the contiguous
+    prefix of rows with (row, k) flattened: no row holds a mass in its last
+    two columns, so the carry into the next row is +0.0. Row t skips it: its
+    state is put back after the step. Pair (i, j) is born at step j as a copy
+    of row i, outside that step's rows, so it skips j too. Every pair is thus
+    the sequential convolution of its kept components, with the bits of
+    compute_pmf on them and zeros in columns n-1..n+1, and the same bits in
+    any stack.
     """
     p = _as_prob_array(p, ndim=2)
     m, n = p.shape
     born = [n + t * (t - 1) // 2 for t in range(n + 1)]  # first pair row (i, t)
-    buf = np.zeros((n + 1, m, born[n]))
-    buf[0, :, :n] = 1.0
+    buf = np.zeros((born[n] + 1, n + 2, m))
+    buf[:n, 0] = 1.0
     q = 1.0 - p
     for t in range(n):
-        buf[: t + 1, :, born[t] : born[t + 1]] = buf[: t + 1, :, :t]
-        live = buf[: t + 2, :, : born[t]]
-        skipped = live[:, :, t].copy()
-        _step(live, p[:, t, None], q[:, t, None])
-        live[:, :, t] = skipped
-    rows = _pair_rows(n)
-    pairs = np.empty((m, rows.size, max(n - 1, 0)))
-    for k in range(n - 1):  # one k at a time, so the gather needs no second buffer
-        pairs[:, :, k] = buf[k][:, rows]
-    return pairs
+        buf[born[t] : born[t + 1]] = buf[:t]
+        skipped = buf[t].copy()
+        _step(buf[: born[t]].reshape(-1, m), p[:, t], q[:, t])
+        buf[t] = skipped
+    return buf

@@ -281,7 +281,7 @@ class TestCheckerTable:
         assert report.caveat == explorer.OVERESTIMATE_CAVEAT
 
     @pytest.mark.parametrize("checks, n, chunk", [
-        (LADDER_CHECKS, 12, 63),
+        (LADDER_CHECKS, 12, 59),
         (("uk_nonneg", "entropy_concavity", "hessian_psd"), 12, 48),
         (SHANNON_SUITE, 8, 101),
         (SHANNON_SUITE, 20, 14),
@@ -298,7 +298,7 @@ class TestCheckerTable:
     def test_row_bytes(self):
         floats = {cid: c.row_bytes(12) // 8 for cid, c in CHECKERS.items()}
         assert floats == {cid: 32 * 13 for cid in CHECKERS} | {
-            "hessian_psd": 8 * 13 * 13, "cij": (1 + 12 + 66) * 13
+            "hessian_psd": 8 * 13 * 13, "cij": (1 + 12 + 66) * 14
         }
 
     def test_pair_checkers_skip_n_one(self):
@@ -511,6 +511,23 @@ class TestPlantedFaultsAreCaught:
         with pytest.raises(ConsistencyError) as caught:
             explorer.CounterexampleCertificate(**fields, margin=-1.0, reeval_margin=-0.5)
         assert str(caught.value) == "certificate does not reproduce: -1.0 vs -0.5"
+        with pytest.raises(ConsistencyError, match="^certificate does not reproduce: -1.0 vs nan$"):
+            explorer.CounterexampleCertificate(**fields, margin=-1.0, reeval_margin=math.nan)
+
+    def test_a_nan_reevaluation_does_not_reproduce(self, monkeypatch):
+        kernel = inequalities.stacked_condition4
+
+        def faulty(f, g, h):
+            margins = kernel(f, g, h)
+            values = margins.values.copy()
+            values[0] = -1.0 if len(values) > 1 else math.nan  # NaN on the rebuilt cut row
+            return margins._replace(values=values)
+
+        cfg = ScanConfig(seed=4, n_range=(6, 6), instance_count=3,
+                         inequality_set=("condition4",))
+        monkeypatch.setattr(inequalities, "stacked_condition4", faulty)
+        with pytest.raises(ConsistencyError, match="^certificate does not reproduce: -1.0 vs nan$"):
+            run_scan(cfg)
 
 
 def _outcome(fn, *args):

@@ -445,6 +445,20 @@ def _bits(x) -> bytes:
     return np.ascontiguousarray(x, dtype=np.float64).tobytes()
 
 
+def _assert_equals_pair_oracle(p: np.ndarray) -> None:
+    """stacked_cij(p) against _two_fold of each row's leave-two-out oracle pmfs, bit for bit."""
+    m, n = p.shape
+    got = stacked_cij(p)
+    for row in range(m):
+        pv = ParamVector(p[row])
+        pairs = np.array([leave_two_out(pv, i, j).values
+                          for i, j in itertools.combinations(range(n), 2)])
+        margin, scale = _two_fold(pairs)
+        assert _bits(got.values[row]) == _bits(margin), (n, m, row)
+        want = max(ABS_FLOOR, REL_TOL * float(scale.max()))
+        assert float(got.tolerance[row]) == want, (n, m, row)
+
+
 class TestStackedCij:
     """stacked_cij builds its own leave-two-out rows; each has the bits of the oracle's pmf."""
 
@@ -458,15 +472,19 @@ class TestStackedCij:
                 if degenerate:  # about a third of the entries exactly 0 or 1
                     hit = rng.random((m, n)) < 0.3
                     p[hit] = rng.integers(0, 2, int(hit.sum()))
-                got = stacked_cij(p)
-                for row in range(m):
-                    pv = ParamVector(p[row])
-                    pairs = np.array([leave_two_out(pv, i, j).values
-                                      for i, j in itertools.combinations(range(n), 2)])
-                    margin, scale = _two_fold(pairs)
-                    assert _bits(got.values[row]) == _bits(margin), (n, m, row)
-                    want = max(ABS_FLOOR, REL_TOL * float(scale.max()))
-                    assert float(got.tolerance[row]) == want, (n, m, row)
+                _assert_equals_pair_oracle(p)
+
+    @pytest.mark.parametrize("n", (20, 30, 50))
+    def test_equals_the_pair_oracle_at_large_n(self, n):
+        p = np.random.default_rng(80 + n).uniform(1e-3, 1.0 - 1e-3, (2, n))
+        p[1, ::6] = 0.0
+        p[1, 1::6] = 1.0
+        _assert_equals_pair_oracle(p)
+
+    def test_one_component_has_no_pairs(self):
+        got = stacked_cij(np.array([[0.3], [1.0], [0.0]]))
+        assert got.values.shape == (3, 0)
+        assert got.tolerance.tolist() == [ABS_FLOOR] * 3
 
     @pytest.mark.parametrize("n", (30, 50))
     def test_stack_rows_equal_one_row_calls(self, n):

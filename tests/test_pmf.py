@@ -9,7 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entropath import calculus, pmf
-from entropath.pmf import ParamVector, Pmf, _convolve_bernoullis, _leave_two_out, compute_pmf
+from entropath.pmf import (
+    ParamVector,
+    Pmf,
+    _convolve_bernoullis,
+    _leave_two_out,
+    _pair_rows,
+    compute_pmf,
+)
 from scalar_oracle import brute_force_pmf, kept_convolutions, leave_one_out, leave_two_out
 
 prob_lists = st.lists(
@@ -140,13 +147,23 @@ class TestLeaveOut:
         for _ in range(25):
             n = int(rng.integers(2, 10))
             pv = ParamVector(rng.random(n))
-            pairs = _leave_two_out(pv.p[None])[0]
+            pairs = _pairs(pv.p[None])[0]
             for row, (i, j) in enumerate(itertools.combinations(range(n), 2)):
                 np.testing.assert_allclose(pairs[row], leave_two_out(pv, j, i).values, atol=1e-14)
 
 
 def _bits(a) -> bytes:
     return np.ascontiguousarray(a).tobytes()
+
+
+def _pairs(p) -> np.ndarray:
+    """The leave-two-out pmfs of each row of p (m, n), read out of the builder's buffer.
+
+    As (m, n(n-1)/2, n-1): one row per pair i < j in lexicographic order, each
+    cut to its support.
+    """
+    n = p.shape[1]
+    return _leave_two_out(p)[_pair_rows(n), : max(n - 1, 0)].transpose(2, 0, 1)
 
 
 class TestLeaveTwoOutBuilder:
@@ -171,10 +188,10 @@ class TestLeaveTwoOutBuilder:
             if degenerate:  # about a third of the entries exactly 0 or 1
                 hit = rng.random((m, n)) < 0.3
                 p[hit] = rng.integers(0, 2, int(hit.sum()))
-            pairs = _leave_two_out(p)
+            pairs = _pairs(p)
             assert pairs.shape == (m, n * (n - 1) // 2, max(n - 1, 0))
             for row in range(m):
-                alone = _leave_two_out(p[row : row + 1])[0]
+                alone = _pairs(p[row : row + 1])[0]
                 assert _bits(pairs[row]) == _bits(alone), (n, m, row)
             for row in {0, m - 1}:
                 pv = ParamVector(p[row])
@@ -182,6 +199,26 @@ class TestLeaveTwoOutBuilder:
                 if n <= 8:
                     for r, (i, j) in enumerate(itertools.combinations(range(n), 2)):
                         assert _bits(pairs[row, r]) == _bits(leave_two_out(pv, j, i).values)
+
+    @pytest.mark.parametrize("degenerate", (False, True), ids=("interior", "zeros_and_ones"))
+    def test_rows_are_zero_past_their_support(self, degenerate):
+        # stacked_cij reads its windows as shifted slices of the flattened pair
+        # block, so every column past a row's support must hold exactly +0.0.
+        rng = np.random.default_rng(62 + degenerate)
+        for n in range(1, 31):
+            m = (1, 4, 15)[n % 3]
+            p = rng.uniform(1e-3, 1.0 - 1e-3, (m, n))
+            if degenerate:
+                hit = rng.random((m, n)) < 0.3
+                p[hit] = rng.integers(0, 2, int(hit.sum()))
+            buf = _leave_two_out(p)
+            assert buf.shape == (n + n * (n - 1) // 2 + 1, n + 2, m)
+            pads = (buf[:n, n:], buf[n:-1, max(n - 1, 0) :], buf[-1])
+            for pad in pads:
+                assert _bits(pad) == _bits(np.zeros(pad.shape)), n
+            # The leave-one-out rows are the kept convolutions too.
+            for row in {0, m - 1}:
+                assert _bits(buf[:n, :n, row]) == _bits(kept_convolutions(p[row], 1)), (n, row)
 
 
 class TestOneBernoulliStep:

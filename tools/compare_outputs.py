@@ -164,10 +164,15 @@ def commands(config_dir: Path) -> list[list[str]]:
     cmds.append(["scan", "--seed", "2", "--n-range", "8,8", "--instances", "400",
                  "--format", "json"])
 
-    # cij at n = 100, where its leave-two-out buffer is large. A config whose q_grid
-    # holds an integer past the float range, which exits 2 naming the q rule.
+    # cij at n = 100, where its leave-two-out buffer is large; alone at the benchmark's
+    # n = 20 and 50; and every margin of 70 instances at n = 12, which span two chunks.
+    # A config whose q_grid holds an integer past the float range, which exits 2
+    # naming the q rule.
     cmds += [["scan", "--seed", "0", "--n-range", "100,100", "--instances", "1",
               "--checks", "cij", "--format", fmt] for fmt in ("json", "csv")]
+    cmds += [_scan(0, f"{n},{n}", 1, "cij", fmt) for n in (20, 50) for fmt in ("json", "csv")]
+    cmds.append(["scan", "--seed", "0", "--n-range", "12,12", "--instances", "70",
+                 "--checks", "cij", "--format", "csv"])
     path = config_dir / "huge_q.json"
     path.write_text('{"seed": 1, "inequality_set": ["renyi_concavity"], "q_grid": [1'
                     + "0" * 400 + "]}")
