@@ -10,11 +10,8 @@ from .calculus import (
     AffinePath,
     HessianReport,
     PathDerivatives,
-    compute_g,
-    compute_h,
     entropy_curvature,
     entropy_hessian,
-    entropy_second_derivative_analytic,
     path_at,
     path_derivatives,
     pmf_second_time_derivative,

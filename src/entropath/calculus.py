@@ -23,11 +23,8 @@ __all__ = [
     "AffinePath",
     "HessianReport",
     "PathDerivatives",
-    "compute_g",
-    "compute_h",
     "entropy_curvature",
     "entropy_hessian",
-    "entropy_second_derivative_analytic",
     "path_at",
     "path_derivatives",
     "pmf_second_time_derivative",
@@ -164,16 +161,6 @@ def path_derivatives(params: ParamVector, slopes) -> PathDerivatives:
     return PathDerivatives(g=g[0], h=h[0])
 
 
-def compute_g(params: ParamVector, slopes) -> np.ndarray:
-    """First-order mixture sequence, length n; linear in the slopes."""
-    return path_derivatives(params, slopes).g
-
-
-def compute_h(params: ParamVector, slopes) -> np.ndarray:
-    """Second-order mixture sequence, length n-1 (empty for n=1); quadratic in the slopes."""
-    return path_derivatives(params, slopes).h
-
-
 def _shift_diff1(g: np.ndarray, n: int) -> np.ndarray:
     """Length n+1 sequences g_{k-1} - g_k along the last axis, zero-padded outside {0..n-1}."""
     pad = np.zeros(g.shape[:-1] + (n + 2,))
@@ -212,13 +199,6 @@ def shannon_entropy(f) -> float:
     return float(-(pos * np.log(pos)).sum())
 
 
-def _require_interior(params: ParamVector, margin: float) -> None:
-    if margin < 0.0 or margin >= 0.5:
-        raise ValueError("interior margin must lie in [0, 0.5)")
-    if margin > 0.0 and (np.any(params.p < margin) or np.any(params.p > 1.0 - margin)):
-        raise BoundaryError(f"parameters must lie in [{margin}, {1.0 - margin}]")
-
-
 def stacked_entropy_curvature(f: np.ndarray, g: np.ndarray, h: np.ndarray) -> np.ndarray:
     """Entropy curvature H'' of every row of the stacks f (m, n+1), g (m, n), h (m, n-1).
 
@@ -242,22 +222,14 @@ def stacked_entropy_curvature(f: np.ndarray, g: np.ndarray, h: np.ndarray) -> np
     return -(df**2 / f).sum(axis=-1) - ((np.log(f) + 1.0) * d2f).sum(axis=-1)
 
 
-def entropy_curvature(params: ParamVector, slopes, interior_margin: float = 0.0) -> float:
+def entropy_curvature(params: ParamVector, slopes) -> float:
     """Second t-derivative of the entropy at the point (p, p').
 
     Where a mass is exactly zero its terms must vanish too; otherwise the
     curvature is not defined there and a BoundaryError is raised.
     """
     slopes = _check_slopes(params, slopes)
-    _require_interior(params, interior_margin)
     return float(stacked_entropy_curvature(*_fgh(params, slopes[None]))[0])
-
-
-def entropy_second_derivative_analytic(
-    path: AffinePath, t: float, interior_margin: float = 0.0
-) -> float:
-    """Analytic H''(t) along the path; agrees with centered finite differences."""
-    return entropy_curvature(path_at(path, t), path.slopes, interior_margin)
 
 
 @dataclass(frozen=True, eq=False)

@@ -5,7 +5,9 @@ parse or validation errors. An internal consistency failure
 (``ConsistencyError``, e.g. ``scan --seed 0 --family binomial_n --n-range 200,200
 --checks log_concavity,two_fold_log_concavity``) is not caught: it leaves
 ``main`` as an exception, so the ``entropath`` process ends in a traceback
-with exit 1, the same code as a failed margin. Machine-readable output is
+with exit 1, the same code as a failed margin. ``verify`` runs the Shannon suite.
+``scan`` merges inline flags with a ``--config`` file (JSON, or TOML on Python
+3.11+); a field set in both places exits 2, naming it. Machine-readable output is
 JSON (schema_version 1) or CSV with columns instance_id,inequality,k,margin;
 the human format is for eyes only and is never parsed by tests.
 """
@@ -89,8 +91,6 @@ def cmd_verify(args) -> int:
     params = ParamVector(np.array(_parse_floats(args.p)))
     n = params.n
     slopes = np.array(_parse_floats(args.slopes)) if args.slopes else np.zeros(n)
-    if slopes.shape != (n,):
-        raise ValueError(f"expected {n} slopes, got {slopes.size}")
     slopes = _check_slopes(params, slopes)
     point = params.p + args.t * slopes
     params = ParamVector(point)
@@ -104,7 +104,7 @@ def cmd_verify(args) -> int:
         "p": [float(v) for v in params.p],
         "slopes": [float(v) for v in slopes],
         "t": args.t,
-        "suite": args.suite,
+        "suite": "shannon",
         "checks": [r.to_dict() for r in reports],
         "uk": group.uk.row(0).to_dict() if n >= 2 else None,
         "entropy_second_derivative": -by_id["entropy_concavity"].worst,
@@ -116,7 +116,7 @@ def cmd_verify(args) -> int:
 
 
 def _load_config(args) -> explorer.ScanConfig:
-    inline = {}
+    inline, data = {}, {}
     if args.seed is not None:
         inline["seed"] = args.seed
     if args.n_range:
@@ -132,8 +132,6 @@ def _load_config(args) -> explorer.ScanConfig:
     if args.interior_margin is not None:
         inline["interior_margin"] = args.interior_margin
     if args.config:
-        if args.strict and inline:
-            raise ValueError("--strict forbids mixing --config with inline flags")
         path = Path(args.config)
         if path.suffix == ".toml":
             try:
@@ -145,12 +143,12 @@ def _load_config(args) -> explorer.ScanConfig:
             data = json.loads(path.read_text())
         if not isinstance(data, dict):
             raise ValueError(f"a config must map field names to values, got {data!r}")
-        merged = dict(inline)
-        merged.update(data)  # config file wins over inline flags
-        return explorer.ScanConfig.from_dict(merged)
-    if "seed" not in inline:
+        clash = [field for field in inline if field in data]
+        if clash:
+            raise ValueError(f"set both inline and in --config: {', '.join(clash)}")
+    elif "seed" not in inline:
         raise ValueError("scan needs --seed or --config")
-    return explorer.ScanConfig(**inline)
+    return explorer.ScanConfig.from_dict({**inline, **data})
 
 
 def cmd_scan(args) -> int:
@@ -189,7 +187,7 @@ def cmd_hessian(args) -> int:
     report = entropy_hessian(params)
     payload = dict(report.to_dict())
     payload["p"] = [float(v) for v in params.p]
-    payload["holds"] = report.max_eigenvalue <= 1e-9
+    payload["holds"] = report.max_eigenvalue <= explorer._THEOREM_TOLERANCE
     rows = [(0, "hessian_psd", 0, report.psd_margin)]
     _emit(args, payload, rows)
     return 0 if payload["holds"] else 1
@@ -242,7 +240,6 @@ def _parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--p", required=True, help="comma-separated parameters in [0,1]")
     p_verify.add_argument("--slopes", help="comma-separated slope vector (default zeros)")
     p_verify.add_argument("--t", type=float, default=0.0, help="evaluate at p + t*slopes")
-    p_verify.add_argument("--suite", choices=("shannon",), default="shannon")
     common(p_verify)
     p_verify.set_defaults(handler=cmd_verify)
 
@@ -255,15 +252,12 @@ def _parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--q-grid", dest="q_grid", help="comma-separated q values")
     p_scan.add_argument("--family", choices=explorer.FAMILIES)
     p_scan.add_argument("--interior-margin", dest="interior_margin", type=float)
-    p_scan.add_argument(
-        "--strict", action="store_true", help="forbid mixing --config with inline flags"
-    )
     common(p_scan)
     p_scan.set_defaults(handler=cmd_scan)
 
     p_crit = sub.add_parser("critical-q", help="bisect a critical q for a family")
     p_crit.add_argument("--family", required=True)
-    p_crit.add_argument("--kind", required=True, choices=("shannon", "renyi", "tsallis"))
+    p_crit.add_argument("--kind", required=True, choices=qentropy._KINDS)
     p_crit.add_argument("--bracket", required=True, help="q_lo,q_hi")
     p_crit.add_argument("--estimator", choices=("probe", "scan"), default="probe")
     p_crit.add_argument("--seed", type=int)

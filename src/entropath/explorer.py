@@ -700,7 +700,7 @@ def estimate_critical_q(
     is recorded in the caveat, not enforced. The Shannon kind never produces
     violations, so it surfaces the constant predicate error.
     """
-    if kind not in ("shannon", "renyi", "tsallis"):
+    if kind not in qentropy._KINDS:
         raise ValueError(f"unknown entropy kind {kind!r}")
     cid = "entropy_concavity" if kind == "shannon" else f"{kind}_concavity"
     groups: list[Group] = []

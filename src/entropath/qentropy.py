@@ -141,6 +141,8 @@ def power_sum_derivatives(params: ParamVector, slopes, q: float) -> tuple[float,
 
 def _tsallis_terms(f: np.ndarray, g: np.ndarray, h: np.ndarray, q: float):
     """Rows of the h part and the g part of u_k (their sum), k = 0..n-2, and the powers f^(q-2)."""
+    if (f <= 0.0).any():
+        raise BoundaryError("the Tsallis terms need strictly positive masses")
     fq1 = f ** (q - 1.0)
     fq2 = f ** (q - 2.0)
     fa, fb, fc = fq1[:, :-2], fq1[:, 1:-1], fq1[:, 2:]
@@ -153,8 +155,6 @@ def _tsallis_terms(f: np.ndarray, g: np.ndarray, h: np.ndarray, q: float):
 
 def stacked_tsallis_uk(f: np.ndarray, g: np.ndarray, h: np.ndarray, q: float) -> np.ndarray:
     """Per-index Tsallis decomposition u_k, k = 0..n-2, for every row of the stacks."""
-    if (f <= 0.0).any():
-        raise BoundaryError("the decomposition needs strictly positive masses")
     h_part, g_part, _ = _tsallis_terms(f, g, h, q)
     return h_part + g_part
 
@@ -179,8 +179,6 @@ def stacked_q_curvature(
         return stacked_entropy_curvature(f, g, h)
     q = spec.q
     if spec.kind == "tsallis":
-        if (f <= 0.0).any():
-            raise BoundaryError("curvature needs strictly positive masses")
         h_part, g_part, fq2 = _tsallis_terms(f, g, h, q)
         n = g.shape[-1]
         boundary = g[:, n - 1] ** 2 * fq2[:, n - 1] + g[:, 0] ** 2 * fq2[:, 1]
@@ -223,14 +221,13 @@ def chain_rule_check(path: AffinePath, t: float, q: float) -> MarginReport:
     oriented by the side of q = 1, confirming the sign that makes one
     concavity statement imply the other.
     """
-    if q == 1.0:
-        raise ValueError("q = 1 is the Shannon point")
+    renyi, tsallis = EntropySpec.renyi(q), EntropySpec.tsallis(q)  # refuses q = 1
     params = path_at(path, t)
     slopes = path.slopes
     t0, t1, _ = power_sum_derivatives(params, slopes, q)
-    lhs = q_curvature(params, slopes, EntropySpec.renyi(q))
+    lhs = q_curvature(params, slopes, renyi)
     correction = -((t1 / t0) ** 2) / (1.0 - q)
-    rhs = q_curvature(params, slopes, EntropySpec.tsallis(q)) / t0 + correction
+    rhs = q_curvature(params, slopes, tsallis) / t0 + correction
     residual = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-12)
     direction = -correction if q < 1.0 else correction
     return MarginReport.from_array("chain_rule", np.array((-residual, direction)), 1e-8)
@@ -271,8 +268,6 @@ def tsallis_uk_tilde(path: AffinePath, t: float, q: float) -> TsallisUkReport:
         raise ValueError("the rewriting is undefined at q = 1 and q = 2")
     params = path_at(path, t)
     f, g, h = _fgh(params, path.slopes)
-    if (f <= 0.0).any():
-        raise BoundaryError("the decomposition needs strictly positive masses")
     h_part, g_part, fq2 = (row[0] for row in _tsallis_terms(f, g, h, q))
     g = g[0]
     # k = n-1 lies past the h support, where u_k keeps only g_{n-1}^2 f_{n-1}^{q-2}.
@@ -377,9 +372,10 @@ def find_critical_q(
 ) -> CriticalQResult:
     """Bisect a sign change of a curvature probe in q.
 
-    family names a built-in probe unless an explicit one is given. Plain
-    midpoint bisection, no acceleration; every evaluation lands in the sign
-    trace. Raises if the probe does not change sign over the bracket.
+    family names a built-in probe unless an explicit one is given. Plain midpoint
+    bisection, no acceleration, until the bracket is no wider than tol or holds no
+    float strictly inside; every evaluation lands in the sign trace. Raises if the
+    probe does not change sign over the bracket.
     """
     if probe is None:
         if family not in CRITICAL_Q_PROBES:
@@ -388,6 +384,8 @@ def find_critical_q(
     lo, hi = float(bracket[0]), float(bracket[1])
     if not lo < hi:
         raise ValueError("bracket must satisfy q_lo < q_hi")
+    if not tol >= 0.0:
+        raise ValueError(f"tol must be a nonnegative number, got {tol!r}")
     s_lo = _sign(probe(lo))
     s_hi = _sign(probe(hi))
     trace = [(lo, s_lo), (hi, s_hi)]
@@ -395,6 +393,8 @@ def find_critical_q(
         raise ValueError("violation predicate is constant over the bracket")
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
         s_mid = _sign(probe(mid))
         trace.append((mid, s_mid))
         if s_mid == 0:

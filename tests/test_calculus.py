@@ -8,11 +8,8 @@ import pytest
 from conftest import entropy_at, fd_hessian, random_instance
 from entropath.calculus import (
     AffinePath,
-    compute_g,
-    compute_h,
     entropy_curvature,
     entropy_hessian,
-    entropy_second_derivative_analytic,
     path_at,
     path_derivatives,
     pmf_second_time_derivative,
@@ -57,34 +54,34 @@ class TestPaths:
 class TestMixtureSequences:
     def test_g_hand_value(self):
         pv = ParamVector(np.array([0.3, 0.5]))
-        np.testing.assert_allclose(compute_g(pv, [1.0, 1.0]), [1.2, 0.8], atol=1e-15)
+        np.testing.assert_allclose(path_derivatives(pv, [1.0, 1.0]).g, [1.2, 0.8], atol=1e-15)
 
     def test_g_equal_halves(self):
         pv = ParamVector(np.array([0.5, 0.5]))
-        np.testing.assert_allclose(compute_g(pv, [1.0, 1.0]), [1.0, 1.0], atol=0)
+        np.testing.assert_allclose(path_derivatives(pv, [1.0, 1.0]).g, [1.0, 1.0], atol=0)
 
     def test_g_zero_slopes(self):
         pv = ParamVector(np.array([0.3, 0.5, 0.7]))
-        np.testing.assert_allclose(compute_g(pv, [0.0, 0.0, 0.0]), np.zeros(3), atol=0)
+        np.testing.assert_allclose(path_derivatives(pv, [0.0, 0.0, 0.0]).g, np.zeros(3), atol=0)
 
     def test_h_hand_values(self):
         pv = ParamVector(np.array([0.3, 0.5]))
-        np.testing.assert_allclose(compute_h(pv, [1.0, 1.0]), [2.0], atol=0)
+        np.testing.assert_allclose(path_derivatives(pv, [1.0, 1.0]).h, [2.0], atol=0)
         pv5 = ParamVector(np.array([0.5, 0.5]))
-        np.testing.assert_allclose(compute_h(pv5, [1.0, -1.0]), [-2.0], atol=0)
+        np.testing.assert_allclose(path_derivatives(pv5, [1.0, -1.0]).h, [-2.0], atol=0)
 
     def test_h_single_active_slope(self, rng):
         pv = ParamVector(rng.random(5))
         np.testing.assert_allclose(
-            compute_h(pv, [1.0, 0.0, 0.0, 0.0, 0.0]), np.zeros(4), atol=0
+            path_derivatives(pv, [1.0, 0.0, 0.0, 0.0, 0.0]).h, np.zeros(4), atol=0
         )
 
     def test_h_empty_for_single_component(self):
-        assert compute_h(ParamVector(np.array([0.4])), [1.0]).size == 0
+        assert path_derivatives(ParamVector(np.array([0.4])), [1.0]).h.size == 0
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            compute_g(ParamVector(np.array([0.3, 0.5])), [1.0])
+            path_derivatives(ParamVector(np.array([0.3, 0.5])), [1.0])
 
     def test_lengths(self, rng):
         for _ in range(10):
@@ -113,15 +110,15 @@ class TestMixtureSequences:
             pv = ParamVector(p)
             lam = float(rng.uniform(0.1, 3.0))
             np.testing.assert_allclose(
-                compute_g(pv, lam * s), lam * compute_g(pv, s), rtol=1e-12
+                path_derivatives(pv, lam * s).g, lam * path_derivatives(pv, s).g, rtol=1e-12
             )
             np.testing.assert_allclose(
-                compute_h(pv, lam * s), lam**2 * compute_h(pv, s), rtol=1e-12
+                path_derivatives(pv, lam * s).h, lam**2 * path_derivatives(pv, s).h, rtol=1e-12
             )
             s2 = rng.uniform(-1, 1, p.size)
             np.testing.assert_allclose(
-                compute_g(pv, s + s2),
-                compute_g(pv, s) + compute_g(pv, s2),
+                path_derivatives(pv, s + s2).g,
+                path_derivatives(pv, s).g + path_derivatives(pv, s2).g,
                 rtol=0,
                 atol=1e-12,
             )
@@ -184,7 +181,7 @@ class TestEntropyCurvature:
 
     def test_binomial_path_matches_finite_differences(self):
         path = AffinePath(ParamVector(np.array([0.0, 0.0])), np.array([1.0, 1.0]))
-        analytic = entropy_second_derivative_analytic(path, 0.5)
+        analytic = entropy_curvature(path_at(path, 0.5), path.slopes)
         fd = central_second(lambda t: entropy_at(path_at(path, t).p), 0.5, 1e-4)
         assert analytic < 0.0
         assert analytic == pytest.approx(fd, abs=1e-6)
@@ -193,7 +190,7 @@ class TestEntropyCurvature:
         for _ in range(60):
             p, s = random_instance(rng, n_min=1, n_max=12, eps=0.05)
             path = AffinePath(ParamVector(p), s)
-            analytic = entropy_second_derivative_analytic(path, 0.0)
+            analytic = entropy_curvature(path_at(path, 0.0), path.slopes)
             fd = central_second(lambda t: entropy_at(path_at(path, t).p), 0.0, 1e-4)
             assert analytic == pytest.approx(fd, rel=1e-5, abs=1e-7)
 
@@ -210,10 +207,6 @@ class TestEntropyCurvature:
         # The frozen component contributes nothing, so the sum restricts cleanly.
         val = entropy_curvature(ParamVector(np.array([0.0, 0.5])), [0.0, 1.0])
         assert val == pytest.approx(-4.0)
-
-    def test_interior_margin_enforced(self):
-        with pytest.raises(BoundaryError):
-            entropy_curvature(ParamVector(np.array([0.0005, 0.5])), [1.0, 1.0], interior_margin=1e-3)
 
 
 class TestHessian:

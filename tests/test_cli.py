@@ -1,6 +1,7 @@
 """CLI contract: exit codes, JSON schema round trips, CSV shape."""
 
 import json
+import sys
 
 import pytest
 
@@ -59,6 +60,10 @@ class TestVerify:
         assert code == 0
         assert json.loads(out)["uk"] is None
 
+    def test_wrong_slope_count_exits_two(self, capsys):
+        result = run_cli(capsys, "verify", "--p", "0.2,0.5,0.7", "--slopes", "1,2")
+        assert result == (2, "", "error: expected 3 slopes, got shape (2,)\n")
+
     def test_t_shift(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -95,21 +100,56 @@ class TestScan:
         assert code1 == code2 == 0
         assert out1 == out2
 
-    def test_config_overrides_inline(self, capsys, tmp_path):
+    def test_a_field_set_inline_and_in_the_config_exits_two(self, capsys, tmp_path):
         path = tmp_path / "scan.json"
         path.write_text(json.dumps({"seed": 7, "instance_count": 10}))
-        code, out, _ = run_cli(
-            capsys, "scan", "--config", str(path), "--seed", "99", "--format", "json"
-        )
-        assert code == 0
-        assert json.loads(out)["config"]["seed"] == 7
+        result = run_cli(capsys, "scan", "--config", str(path), "--instances", "5",
+                         "--seed", "99", "--n-range", "2,3")
+        assert result == (2, "", "error: set both inline and in --config: seed, instance_count\n")
 
-    def test_strict_forbids_mixing(self, capsys, tmp_path):
-        path = tmp_path / "scan.json"
-        path.write_text(json.dumps({"seed": 7}))
-        code, _, err = run_cli(capsys, "scan", "--config", str(path), "--seed", "99", "--strict")
-        assert code == 2
-        assert "strict" in err
+    def test_inline_and_config_fields_merge(self, capsys, tmp_path):
+        fields = {"n_range": [2, 4], "instance_count": 10}
+        without_seed, with_seed = tmp_path / "a.json", tmp_path / "b.json"
+        without_seed.write_text(json.dumps(fields))
+        with_seed.write_text(json.dumps({**fields, "seed": 3}))
+        merged = run_cli(capsys, "scan", "--config", str(without_seed), "--seed", "3",
+                         "--format", "json")
+        whole = run_cli(capsys, "scan", "--config", str(with_seed), "--format", "json")
+        assert merged[0] == 0
+        assert merged == whole
+
+    def test_toml_config_reports_like_json(self, capsys, tmp_path):
+        pytest.importorskip("tomllib")
+        cfg = {"seed": 7, "n_range": [2, 4], "instance_count": 40, "interior_margin": 0.01,
+               "inequality_set": ["log_concavity", "condition4"]}
+        toml_path, json_path = tmp_path / "scan.toml", tmp_path / "scan.json"
+        toml_path.write_text(
+            'seed = 7\nn_range = [2, 4]\ninstance_count = 40\ninterior_margin = 0.01\n'
+            'inequality_set = ["log_concavity", "condition4"]\n'
+        )
+        json_path.write_text(json.dumps(cfg))
+        reports = [run_cli(capsys, "scan", "--config", str(path), "--format", fmt)
+                   for fmt in ("json", "csv") for path in (toml_path, json_path)]
+        assert reports[0][0] == 0
+        assert reports[0] == reports[1]
+        assert reports[2] == reports[3]
+
+    def test_toml_config_without_tomllib_exits_two(self, capsys, tmp_path, monkeypatch):
+        # Python 3.10 has no tomllib; a None entry makes the import fail the same way.
+        monkeypatch.setitem(sys.modules, "tomllib", None)
+        path = tmp_path / "scan.toml"
+        path.write_text("seed = 7\n")
+        result = run_cli(capsys, "scan", "--config", str(path))
+        assert result == (2, "", "error: TOML configs need Python 3.11+; use JSON\n")
+
+    @pytest.mark.parametrize("argv, extra", [
+        (("scan", "--seed", "1", "--strict"), "--strict"),
+        (("verify", "--p", "0.5", "--suite", "shannon"), "--suite shannon"),
+    ])
+    def test_removed_flags_exit_two(self, capsys, argv, extra):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert f"unrecognized arguments: {extra}\n" in err
 
     def test_violation_exits_one(self, capsys):
         code, out, _ = run_cli(

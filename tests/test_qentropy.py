@@ -240,6 +240,20 @@ class TestTsallisUk:
                 rep.boundary_term, rel=1e-10, abs=1e-10
             )
 
+    def test_zero_mass_raises_the_same_error_everywhere(self):
+        # p_1 = 0 leaves f_2 = 0 at every q.
+        path = AffinePath(ParamVector(np.array([0.0, 0.5])), np.array([1.0, 1.0]))
+        params = path_at(path, 0.0)
+        calls = [
+            lambda: tsallis_uk(params, path.slopes, 3.0),
+            lambda: q_curvature(params, path.slopes, EntropySpec.tsallis(3.0)),
+            lambda: tsallis_uk_tilde(path, 0.0, 3.0),
+        ]
+        for call in calls:
+            with pytest.raises(BoundaryError) as info:
+                call()
+            assert str(info.value) == "the Tsallis terms need strictly positive masses"
+
     def test_excluded_q_values(self):
         path = AffinePath(ParamVector(np.array([0.4, 0.7])), np.zeros(2))
         for q in (1.0, 2.0):
@@ -287,6 +301,32 @@ class TestCriticalQ:
     def test_custom_probe(self):
         res = find_critical_q("custom", (0.0, 2.0), probe=lambda q: q - 1.2345)
         assert res.root == pytest.approx(1.2345, abs=1e-6)
+
+    @staticmethod
+    def _step_at_1_3(limit=200):
+        """A probe that steps from -1 to +1 past q = 1.3 and raises on call limit + 1."""
+        calls = []
+
+        def probe(q):
+            calls.append(q)
+            if len(calls) > limit:
+                raise RuntimeError(f"bisection still probing after {limit} calls")
+            return 1.0 if q > 1.3 else -1.0
+
+        return probe, calls
+
+    def test_zero_tol_stops_at_adjacent_floats(self):
+        probe, calls = self._step_at_1_3()
+        res = find_critical_q("step", (1.0, 2.0), probe=probe, tol=0.0)
+        assert res.root in (1.3, math.nextafter(1.3, 2.0))
+        assert len(calls) == len(res.sign_trace)
+
+    @pytest.mark.parametrize("tol", [math.nan, -1e-7, -math.inf])
+    def test_nan_or_negative_tol_rejected(self, tol):
+        probe, calls = self._step_at_1_3()
+        with pytest.raises(ValueError, match="tol must be a nonnegative number"):
+            find_critical_q("step", (1.0, 2.0), probe=probe, tol=tol)
+        assert calls == []
 
     @pytest.mark.parametrize("family, per_call, bracket", [
         ("binomial2_tsallis", oracle.binomial2_tsallis_probe, (3.5, 3.8)),

@@ -164,6 +164,13 @@ def commands(config_dir: Path) -> list[list[str]]:
     cmds.append(["scan", "--seed", "2", "--n-range", "8,8", "--instances", "400",
                  "--format", "json"])
 
+    # A config without a seed merged with --seed, and one whose seed clashes with --seed,
+    # which exits 2.
+    for name, config, seed in (("seedless", {}, "3"), ("seeded", {"seed": 3}, "99")):
+        path = config_dir / f"{name}.json"
+        path.write_text(json.dumps({**config, "n_range": [2, 4], "instance_count": 10}))
+        cmds.append(["scan", "--config", str(path), "--seed", seed, "--format", "json"])
+
     # cij at n = 100, where its leave-two-out buffer is large; alone at the benchmark's
     # n = 20 and 50; and every margin of 70 instances at n = 12, which span two chunks.
     # A config whose q_grid holds an integer past the float range, which exits 2
