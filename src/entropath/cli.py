@@ -26,7 +26,7 @@ from . import explorer, inequalities, qentropy
 from .calculus import _check_slopes, entropy_hessian
 from .errors import BoundaryError, LemmaHypothesisError
 from .explorer import SCHEMA_VERSION
-from .inequalities import X_LOG_X, margin_rows, rows_to_csv
+from .inequalities import X_LOG_X, Margins, margin_rows, rows_to_csv
 from .pmf import ParamVector
 
 
@@ -187,10 +187,10 @@ def cmd_hessian(args) -> int:
     report = entropy_hessian(params)
     payload = dict(report.to_dict())
     payload["p"] = [float(v) for v in params.p]
-    payload["holds"] = report.max_eigenvalue <= explorer._THEOREM_TOLERANCE
-    rows = [(0, "hessian_psd", 0, report.psd_margin)]
-    _emit(args, payload, rows)
-    return 0 if payload["holds"] else 1
+    psd = Margins(np.array([[report.psd_margin]]), None).report("hessian_psd")
+    payload["holds"] = psd.holds
+    _emit(args, payload, margin_rows(psd))
+    return 0 if psd.holds else 1
 
 
 def cmd_lemma_check(args) -> int:

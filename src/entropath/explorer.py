@@ -22,6 +22,7 @@ import numpy as np
 
 from . import calculus, inequalities, pmf, qentropy
 from .errors import ConsistencyError
+from .inequalities import Margins
 from .pmf import ParamVector
 from .qentropy import CriticalQResult, EntropySpec
 
@@ -80,15 +81,6 @@ def _uniform(draws: np.ndarray) -> np.ndarray:
 _SLOPE_DISTRIBUTIONS = ("unit_sphere", "signed_unit", "monotone_unit")
 
 
-# Fixed tolerance of the theorem-level checkers: u_k, H'', the Hessian, q-entropy concavity.
-_THEOREM_TOLERANCE = 1e-9
-
-
-def _cuts_certificate(margin, tolerance):
-    """The certificate rule: a margin below ten times its checker's tolerance (arrays too)."""
-    return margin < -10.0 * tolerance
-
-
 # Bytes of kernel buffers one group may take, each instance counted at the largest
 # Checker.row_bytes(n) of the configured checkers. A scan holds one group at a time, so its
 # memory does not grow with instance_count; cij's leave-two-out builder ran fastest with
@@ -144,20 +136,9 @@ class Group:
         return self
 
 
-def _theorem(values: np.ndarray) -> inequalities.Margins:
-    """Theorem-level margins (m, K) under the fixed tolerance."""
-    return inequalities.Margins(values, np.full(len(values), _THEOREM_TOLERANCE))
-
-
-def _hessian_psd(grp: Group, q) -> inequalities.Margins:
-    """Minus the top eigenvalue of every row's entropy Hessian."""
-    top = calculus.stacked_entropy_hessian(grp.p, grp.f)[1]
-    return _theorem(-top[:, None])
-
-
 def _q_kernel(kind: str):
-    def kernel(grp: Group, q: float) -> inequalities.Margins:
-        return _theorem(-qentropy.stacked_q_curvature(*grp.fgh, EntropySpec(kind, q))[:, None])
+    def kernel(grp: Group, q: float) -> Margins:
+        return Margins(-qentropy.stacked_q_curvature(*grp.fgh, EntropySpec(kind, q))[:, None], None)
 
     return kernel
 
@@ -166,9 +147,12 @@ class Checker(NamedTuple):
     """One row of the checker table.
 
     name is the checker's report name, min_n the smallest n it applies to and
-    kernel its group kernel (group, q) -> Margins. reads names the group
-    structure the kernel builds on: "f" (the pmf rows), "fgh" (f, g and h, or
-    the u_k decomposition made of them) or "p" (the parameter rows alone).
+    kernel its group kernel (group, q) -> Margins, which
+    inequalities._tolerance and inequalities._verdict judge; the theorem-level
+    kernels (u_k, H'', the Hessian, the q curvatures) give no scale, so they
+    get the fixed theorem tolerance. reads names the group structure the
+    kernel builds on: "f" (the pmf rows), "fgh" (f, g and h, or the u_k
+    decomposition made of them) or "p" (the parameter rows alone).
     takes_q says that a scan runs the checker once for each q of its grid.
     row_bytes(n) is the bytes of kernel buffer one instance of n components
     takes (row counts measured at n = 12 and 60); the f/g/h kernels take at
@@ -206,13 +190,15 @@ CHECKERS = {
     "corollary_fgh": Checker(
         "corollary_fgh", 2, "fgh", lambda grp, q: inequalities.stacked_corollary_fgh(*grp.fgh)
     ),
-    "uk_nonneg": Checker("uk_nonneg", 2, "fgh", lambda grp, q: _theorem(grp.uk.u)),
+    "uk_nonneg": Checker("uk_nonneg", 2, "fgh", lambda grp, q: Margins(grp.uk.u, None)),
     "entropy_concavity": Checker(
         "entropy_concavity", 1, "fgh",
-        lambda grp, q: _theorem(-calculus.stacked_entropy_curvature(*grp.fgh)[:, None]),
+        lambda grp, q: Margins(-calculus.stacked_entropy_curvature(*grp.fgh)[:, None], None),
     ),
-    "hessian_psd": Checker(
-        "hessian_psd", 1, "f", _hessian_psd, row_bytes=lambda n: 8 * 8 * (n + 1) * (n + 1)
+    "hessian_psd": Checker(  # minus the top eigenvalue of each row's entropy Hessian
+        "hessian_psd", 1, "f",
+        lambda grp, q: Margins(-calculus.stacked_entropy_hessian(grp.p, grp.f)[1][:, None], None),
+        row_bytes=lambda n: 8 * 8 * (n + 1) * (n + 1),
     ),
     "renyi_concavity": Checker("renyi_concavity", 1, "fgh", _q_kernel("renyi"), takes_q=True),
     "tsallis_concavity": Checker("tsallis_concavity", 1, "fgh", _q_kernel("tsallis"), takes_q=True),
@@ -487,7 +473,8 @@ def _recheck(group: Group, cuts) -> list[_Cut]:
     for cid, q, rows, k, margin in cuts:
         stored = Group(np.array(group.p[rows].tolist()), np.array(group.slopes[rows].tolist()),
                        group.index[rows], group.t[rows])
-        reeval = inequalities._first_mins(CHECKERS[cid].kernel(stored, q).values)[1]
+        margins = CHECKERS[cid].kernel(stored, q)
+        reeval = inequalities._verdict(margins.values, inequalities._tolerance(margins.scale)).worst
         _require_reproduced(margin, reeval)
         records.append(_Cut(cid, q, Group(stored.p, stored.slopes, stored.index, stored.t),
                             k, margin, reeval))
@@ -621,13 +608,12 @@ def _scan(keys, groups, rows_of: dict | None = None):
 
     keys lists (checker id, q, report key); q is None for the checkers that
     take none. Each key's kernel runs once per group, after Group.prepare has
-    built what the keys' checkers share. A row's worst margin and its k come
-    from _first_mins and are merged in instance-index order, so a tie goes to
-    the lowest index. A row is cut only when its worst margin falls below ten
-    times the checker tolerance, and every cut margin is evaluated again from
-    its stored tuple (_recheck). Only run_scan makes certificates of the
-    cuts. With rows_of, every margin row is appended under its instance
-    index, for CSV dumps.
+    built what the keys' checkers share. A row's worst margin, its k and
+    whether it is cut come from inequalities._verdict. The worst margins are
+    merged in instance-index order, so a tie goes to the lowest index, and
+    every cut margin is evaluated again from its stored tuple (_recheck).
+    Only run_scan makes certificates of the cuts. With rows_of, every margin
+    row is appended under its instance index, for CSV dumps.
     """
     cids = [cid for cid, _, _ in keys]
     minima: dict[str, _Minimum] = {}
@@ -647,9 +633,10 @@ def _scan(keys, groups, rows_of: dict | None = None):
                     rows_of.setdefault(i, []).extend((i, key, k, m) for k, m in zip(k_list, v))
             if not values.shape[1]:
                 continue
-            pos, worst = inequalities._first_mins(values)
+            tolerance = inequalities._tolerance(margins.scale)  # a scalar for theorem margins
+            pos, worst, _, cut = inequalities._verdict(values, tolerance)
             minima.setdefault(key, _Minimum()).add(group.index, worst, ks[pos])
-            cut = np.flatnonzero(_cuts_certificate(worst, margins.tolerance))
+            cut = np.flatnonzero(cut)
             if cut.size:
                 group_cuts.append((cid, q, cut, ks[pos[cut]], worst[cut]))
         cuts.extend(_recheck(group, group_cuts))

@@ -1,20 +1,21 @@
 """Margin checkers for the inequality ladder attached to Bernoulli sums.
 
 Every checker reports signed slacks oriented so that a nonnegative margin
-means the inequality holds. Tolerances follow one discipline: a margin is
-accepted when it is at least -max(ABS_FLOOR, REL_TOL * scale), where scale is
-the largest absolute monomial appearing in the inequality. The cubic checks
-subtract near-equal products, so purely absolute tolerances would misfire
-across magnitudes.
+means the inequality holds, each with its scale: the largest absolute monomial
+of the inequality there. Two functions hold the whole verdict rule: _tolerance
+(max(ABS_FLOOR, REL_TOL * a row's largest scale), or a fixed theorem tolerance)
+and _verdict (worst, holds, cut). The cubic checks subtract near-equal
+products, so purely absolute tolerances would misfire across magnitudes.
 """
 
 from __future__ import annotations
 
+import collections
 import enum
 import functools
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -52,11 +53,38 @@ __all__ = [
 
 ABS_FLOOR = 1e-13
 REL_TOL = 1e-10
+# Fixed tolerance of the theorem-level margins: u_k, H'', the Hessian, q-entropy concavity.
+_THEOREM_TOLERANCE = 1e-9
 
 
-def _tolerance(scale: np.ndarray) -> np.ndarray:
-    """Each row's tolerance, max(ABS_FLOOR, REL_TOL * scale)."""
-    return np.maximum(ABS_FLOOR, REL_TOL * scale)
+def _tolerance(scale: np.ndarray | None):
+    """Each row's tolerance from its margins' scales (..., K), or _THEOREM_TOLERANCE for None."""
+    if scale is None:
+        return _THEOREM_TOLERANCE
+    return np.maximum(ABS_FLOOR, REL_TOL * scale.max(axis=-1, initial=0.0))
+
+
+_Verdict = collections.namedtuple("_Verdict", "pos worst holds cut")  # arrays (m,); see _verdict
+
+
+def _verdict(values: np.ndarray, tolerance) -> _Verdict:
+    """The verdict on each row of values (m, K) under its tolerance (m,), or one for all rows.
+
+    pos is where min() lands in the row: its first minimum, a NaN only when
+    the row starts with one; an empty row reads as one +inf margin. The row
+    holds when worst >= -tolerance, and a scan cuts it as a certificate when
+    worst < -10 tolerance; a NaN worst does neither.
+    """
+    if not values.shape[-1]:
+        values = np.full((len(values), 1), math.inf)
+    pos = values.argmin(axis=-1)  # a row's first NaN, if it has one
+    worst = values[np.arange(len(values)), pos]
+    if values.shape[-1] > 1:  # a lone margin is its own minimum, even a NaN
+        late = np.flatnonzero(np.isnan(worst) & (pos > 0))  # min() skips a NaN that does not lead
+        if late.size:
+            pos[late] = np.nanargmin(values[late], axis=-1)
+            worst[late] = values[late, pos[late]]
+    return _Verdict(pos, worst, worst >= -tolerance, worst < -10.0 * tolerance)
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,9 +93,8 @@ class MarginReport:
 
     values[t] is the margin LHS - RHS at index ks[t], oriented so >= 0 means
     the inequality holds there; both are read-only one-dimensional arrays.
-    worst is their minimum (+inf when there is nothing to check),
-    worst_position is the position of the first entry equal to it (None when
-    empty), and holds means worst >= -tolerance.
+    worst, worst_position (None when empty) and holds are _verdict's for
+    values under tolerance.
     """
 
     name: str
@@ -90,10 +117,10 @@ class MarginReport:
         ks = _read_only(np.arange(values.size) if ks is None else ks, np.int64)
         if values.ndim != 1 or ks.shape != values.shape:
             raise ValueError("margins and their indices must be one-dimensional and of one size")
-        pos = int(_first_mins(values[None])[0][0]) if values.size else None
-        worst = math.inf if pos is None else values.item(pos)
         tolerance = float(tolerance)
-        return cls(name, ks, values, tolerance, worst, worst >= -tolerance, pos)
+        verdict = _verdict(values[None], tolerance)
+        pos = int(verdict.pos[0]) if values.size else None
+        return cls(name, ks, values, tolerance, verdict.worst.item(0), bool(verdict.holds[0]), pos)
 
     @property
     def margins(self) -> tuple[tuple[int, float], ...]:
@@ -120,33 +147,25 @@ def _read_only(a, dtype) -> np.ndarray:
     return view
 
 
-def _first_mins(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Where min() lands in each row of values (m, K), K >= 1, and the margin there: (pos, worst).
-
-    That is the row's first minimum, and a NaN only when the row starts with one.
-    """
-    pos = values.argmin(axis=-1)  # a row's first NaN, if it has one
-    worst = values[np.arange(len(values)), pos]
-    if values.shape[-1] > 1:  # a lone margin is its own minimum, even a NaN
-        late = np.flatnonzero(np.isnan(worst) & (pos > 0))  # min() skips a NaN that does not lead
-        if late.size:
-            pos[late] = np.nanargmin(values[late], axis=-1)
-            worst[late] = values[late, pos[late]]
-    return pos, worst
-
-
 class Margins(NamedTuple):
     """One checker's margins over a stack of m instances.
 
     values (m, K) holds each row's margins at the indices ks (K,), which
-    default to 0..K-1, and tolerance (m,) each row's tolerance. Every
-    stacked_* checker returns one. explorer.CHECKERS lists the kernels a scan
-    runs, and explorer.group_report turns a group's row 0 into a MarginReport.
+    default to 0..K-1, and scale (m, K) each margin's largest absolute
+    monomial, or None for a theorem-level checker. Every stacked_* checker
+    returns one, judged by _verdict under _tolerance(scale). explorer.CHECKERS
+    lists the kernels a scan runs, and explorer.group_report turns a group's
+    row 0 into a MarginReport.
     """
 
     values: np.ndarray
-    tolerance: np.ndarray
+    scale: np.ndarray | None
     ks: np.ndarray | None = None
+
+    @property
+    def tolerance(self) -> np.ndarray:
+        """Each row's tolerance (m,), from _tolerance(scale)."""
+        return np.broadcast_to(_tolerance(self.scale), len(self.values))
 
     def report(self, name: str) -> MarginReport:
         """Row 0 as a MarginReport."""
@@ -166,8 +185,8 @@ def rows_to_csv(rows) -> str:
 
 
 def _scale(*terms: np.ndarray) -> np.ndarray:
-    """Each row's largest entry over all the monomial arrays (..., K), 0 when they are empty."""
-    return functools.reduce(np.maximum, [t.max(axis=-1, initial=0.0) for t in terms])
+    """The largest of the monomial arrays (..., K) at each margin."""
+    return functools.reduce(np.maximum, terms)
 
 
 def _window(v: np.ndarray, lo: int, hi: int) -> list[np.ndarray]:
@@ -186,7 +205,7 @@ def stacked_log_concavity(f: np.ndarray) -> Margins:
     """Newton margins f_{k+1}^2 - f_k f_{k+2} of every row of f (m, n+1)."""
     sq = f[..., 1:-1] * f[..., 1:-1]
     pr = f[..., :-2] * f[..., 2:]
-    return Margins(sq - pr, _tolerance(_scale(sq, pr)))
+    return Margins(sq - pr, np.maximum(sq, pr))
 
 
 def _two_fold(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -253,11 +272,11 @@ def stacked_two_fold_log_concavity(f: np.ndarray) -> Margins:
             f"two-fold margin forms disagree at k={int(at[-1])}: "
             f"{float(ref[at])!r} vs {float(gap_form[at])!r}"
         )
-    return Margins(margin, _tolerance(_scale(scale)))
+    return Margins(margin, scale)
 
 
 def _c1(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Margins f_{k-1} D_k - D_{k-1} f_{k+1} for k = 0..m+1, and each row's monomial scale."""
+    """Margins f_{k-1} D_k - D_{k-1} f_{k+1} for k = 0..m+1, and their monomial scales."""
     (fm2, fm1, f0, f1, _), (d_lo, d_mid, _) = _gaps(v)
     margin = fm1 * d_mid - d_lo * f1
     return margin, _scale(fm1 * (f0 * f0), fm1 * fm1 * f1, fm2 * f0 * f1)
@@ -265,8 +284,7 @@ def _c1(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def stacked_c1(f: np.ndarray) -> Margins:
     """Cubic margins f_{k-1} D_k - D_{k-1} f_{k+1} (lower-neighbor form) of every row of f."""
-    margin, scale = _c1(f)
-    return Margins(margin, _tolerance(scale))
+    return Margins(*_c1(f))
 
 
 def stacked_c1bar(f: np.ndarray) -> Margins:
@@ -274,11 +292,11 @@ def stacked_c1bar(f: np.ndarray) -> Margins:
 
     Reversing the support swaps the two neighbors, so the margin at k is the
     lower-neighbor margin of the reversed pmf at m - k, for k = 0..m. At
-    k = m + 1 both products vanish and the margin is 0.
+    k = m + 1 every monomial vanishes and the margin is 0.
     """
-    reversed_margin, scale = _c1(f[..., ::-1])
     top = np.zeros(f.shape[:-1] + (1,))
-    return Margins(np.concatenate((reversed_margin[..., -2::-1], top), axis=-1), _tolerance(scale))
+    margin, scale = (np.concatenate((a[..., -2::-1], top), axis=-1) for a in _c1(f[..., ::-1]))
+    return Margins(margin, scale)
 
 
 def c1_product_identity_residual(f) -> float:
@@ -299,8 +317,11 @@ def c1_product_identity_residual(f) -> float:
     return float(gaps.max(initial=0.0))
 
 
-def _condition4_margins(f: np.ndarray, g: np.ndarray, h: np.ndarray):
-    """Margins for k = 0..n-2 along the last axis, and each row's monomial scale."""
+def stacked_condition4(f: np.ndarray, g: np.ndarray, h: np.ndarray) -> Margins:
+    """Margins of the strong upper bound on h_k against the g/f quadratic, for every row.
+
+    The margins run over k = 0..n-2 along the last axis.
+    """
     f0, f1, f2 = f[..., :-2], f[..., 1:-1], f[..., 2:]
     g0, g1 = g[..., :-1], g[..., 1:]
     cross = 2.0 * g0 * g1 * f1
@@ -309,13 +330,7 @@ def _condition4_margins(f: np.ndarray, g: np.ndarray, h: np.ndarray):
     sq = f1 * f1
     margins = cross - lower - upper - h * (sq - f0 * f2)
     abs_h = np.abs(h)
-    return margins, _scale(np.abs(cross), lower, upper, abs_h * sq, abs_h * f0 * f2)
-
-
-def stacked_condition4(f: np.ndarray, g: np.ndarray, h: np.ndarray) -> Margins:
-    """Margins of the strong upper bound on h_k against the g/f quadratic, for every row."""
-    margins, scale = _condition4_margins(f, g, h)
-    return Margins(margins, _tolerance(scale))
+    return Margins(margins, _scale(np.abs(cross), lower, upper, abs_h * sq, abs_h * f0 * f2))
 
 
 def stacked_corollary_fgh(f: np.ndarray, g: np.ndarray, h: np.ndarray) -> Margins:
@@ -324,9 +339,9 @@ def stacked_corollary_fgh(f: np.ndarray, g: np.ndarray, h: np.ndarray) -> Margin
     abs_h = np.abs(h)
     # Interleaved per k: the lower margin, then the upper one.
     margins = np.stack([lo_sq - h * f[..., :-2], hi_sq - h * f[..., 2:]], axis=-1)
-    scale = _scale(lo_sq, hi_sq, abs_h * f[..., :-2], abs_h * f[..., 2:])
-    ks = np.repeat(np.arange(h.shape[-1]), 2)
-    return Margins(margins.reshape(h.shape[:-1] + (-1,)), _tolerance(scale), ks)
+    scale = np.stack([_scale(lo_sq, abs_h * f[..., :-2]), _scale(hi_sq, abs_h * f[..., 2:])], -1)
+    shape, ks = h.shape[:-1] + (-1,), np.repeat(np.arange(h.shape[-1]), 2)
+    return Margins(margins.reshape(shape), scale.reshape(shape), ks)
 
 
 class UkBranch(str, enum.Enum):
@@ -351,18 +366,7 @@ class UkTerm:
     gamma: float | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "u": self.u,
-            "h": self.h,
-            "branch": self.branch.value,
-            "A": self.A,
-            "B": self.B,
-            "C": self.C,
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "gamma": self.gamma,
-        }
+        return {**asdict(self), "branch": self.branch.value}
 
 
 # UkDecomposition.branch holds the position of each index's branch in this tuple.
@@ -574,6 +578,7 @@ def stacked_cij(p) -> Margins:
     f_{k-2}..f_{k+2} are slices of the builder's flattened pair block: each pair
     row ends in three zero columns, the last leave-one-out row's two zero columns
     precede the block and the zero row closes it, so they read a pair's masses or 0.
+    The scales are gathered like the margins, their block freed before the margins'.
     """
     buf = _leave_two_out(p)
     rows, width, m = buf.shape
@@ -581,9 +586,10 @@ def stacked_cij(p) -> Margins:
     flat = buf.reshape(-1, m)
     lo, size = n * width, (rows - n - 1) * width  # the pair block, flattened
     margin, scale = _two_fold_terms(*(flat[lo + j : lo + j + size] for j in range(-2, 3)))
-    tolerance = _tolerance(_scale(scale.T))  # columns past a pair's margins add zero monomials
-    values = margin.reshape(-1, width, m)[_pair_rows(n) - n, :n]
-    return Margins(values.transpose(2, 0, 1).reshape(m, -1), tolerance)
+    pairs = _pair_rows(n) - n  # each pair's n margin columns, in pair order, one row per instance
+    scale = scale.reshape(-1, width, m)[pairs, :n].transpose(2, 0, 1).reshape(m, -1)
+    margin = margin.reshape(-1, width, m)[pairs, :n].transpose(2, 0, 1).reshape(m, -1)
+    return Margins(margin, scale)
 
 
 def check_quadratic_decomposition_n2(params: ParamVector, k: int) -> MarginReport:
@@ -607,7 +613,7 @@ def check_quadratic_decomposition_n2(params: ParamVector, k: int) -> MarginRepor
         raise BoundaryError("coefficient extraction is singular at boundary parameters")
     # Q at the three slope rows in one stacked call; 0 outside k = 0..n-2, where every
     # term vanishes.
-    q, _ = _condition4_margins(*_fgh(params, np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])))
+    q = stacked_condition4(*_fgh(params, np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))).values
     q10, q01, q11 = q[:, k].tolist() if 0 <= k < q.shape[1] else (0.0, 0.0, 0.0)
     b01 = q10 / w1
     b10 = q01 / w0
@@ -643,5 +649,5 @@ def check_monotone_worst_case(params: ParamVector, abs_slopes) -> MarginReport:
         raise ValueError("absolute slopes must be nonnegative")
     codes = np.arange(1 << n)
     signs = np.where((codes[:, None] >> np.arange(n)) & 1, -1.0, 1.0)  # row 0 = all +1
-    q, _ = _condition4_margins(*_fgh(params, signs * abs_slopes))  # one row per pattern
+    q = stacked_condition4(*_fgh(params, signs * abs_slopes)).values  # one row per pattern
     return MarginReport.from_array("monotone_worst_case", q.min(axis=0) - q[0], 1e-12)

@@ -350,7 +350,8 @@ def _bernoulli_renyi_probe(q: float, p: float = 1e-4) -> float:
 
 
 CRITICAL_Q_PROBES = {
-    "analytic_tsallis": lambda q: 2.0 - 4.0 * q + 2.0**q,
+    # 2 - 4q + 2^q divided by 2^max(q, 0): the same sign, and no power overflows at a finite q.
+    "analytic_tsallis": lambda q: (0.5 - q) * 2.0 ** (2.0 - max(q, 0.0)) + 2.0 ** min(q, 0.0),
     "binomial2_tsallis": _binomial2_tsallis_probe,
     "bernoulli_renyi": _bernoulli_renyi_probe,
 }

@@ -664,7 +664,6 @@ def scan_by_instance(config, collect_margins: bool = False):
         OVERESTIMATE_CAVEAT,
         CounterexampleCertificate,
         ScanReport,
-        _cuts_certificate,
         evaluate_checker,
     )
 
@@ -692,7 +691,7 @@ def scan_by_instance(config, collect_margins: bool = False):
                             "instance_index": inst.index,
                             "k": k_worst,
                         }
-                if _cuts_certificate(report.worst, report.tolerance):
+                if report.worst < -10.0 * report.tolerance:  # the certificate rule
                     again = evaluate_checker(cid, ParamVector(np.array(inst.p)),
                                              np.array(inst.slopes), q)
                     certificates.append(CounterexampleCertificate(

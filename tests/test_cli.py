@@ -210,6 +210,16 @@ class TestCriticalQ:
         assert code == 0
         assert json.loads(out)["root"] == pytest.approx(3.65986, abs=1e-5)
 
+    def test_analytic_probe_bracket_past_two_to_the_1024(self, capsys):
+        # 2^q overflows a float at q = 1024; the probe never forms it.
+        code, out, err = run_cli(
+            capsys,
+            "critical-q", "--family", "analytic", "--kind", "tsallis",
+            "--bracket", "3.5,2000", "--format", "json",
+        )
+        assert (code, err) == (0, "")
+        assert abs(json.loads(out)["root"] - 3.6598611779191823) <= 1e-7
+
     def test_scan_estimator(self, capsys):
         code, out, _ = run_cli(
             capsys,

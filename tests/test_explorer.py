@@ -345,7 +345,7 @@ class TestCheckerTable:
 
     def test_functions_looked_up_at_call_time(self, monkeypatch):
         # A tracer rebinds module attributes; the table must call the rebound kernels.
-        marker = inequalities.Margins(np.array([[1.0]]), np.array([1e-9]))
+        marker = inequalities.Margins(np.array([[1.0]]), None)
         monkeypatch.setattr(inequalities, "stacked_c1", lambda f: marker)
         monkeypatch.setattr(qentropy, "stacked_q_curvature", lambda *args: np.array([42.0]))
         params, slopes = ParamVector(np.array([0.3, 0.6])), np.array([1.0, -0.5])
@@ -697,6 +697,13 @@ class TestGroupedScanMatchesInstanceLoop:
                                          np.array(inst.slopes), 2.5)
                 assert stacked.values[row].tobytes() == alone.values.tobytes(), cid
                 assert float(stacked.tolerance[row]) == alone.tolerance, cid
+                one_row = CHECKERS[cid].kernel(
+                    explorer.Group.row(ParamVector(np.array(inst.p)), np.array(inst.slopes)), 2.5)
+                if stacked.scale is None:
+                    assert one_row.scale is None, cid
+                else:
+                    assert stacked.scale.shape == stacked.values.shape, cid
+                    assert stacked.scale[row].tobytes() == one_row.scale[0].tobytes(), cid
 
 
 class TestGroupMemory:
@@ -744,7 +751,7 @@ class TestRowMinima:
         rng = np.random.default_rng(12)
         values = rng.choice([-1.0, 0.5, 2.0, np.nan], (400, 5))
         values[:, 0] = np.where(rng.random(400) < 0.5, np.nan, values[:, 0])
-        pos, worst = inequalities._first_mins(values)
+        pos, worst = inequalities._verdict(values, 0.0)[:2]
         assert pos.tolist() == [oracle.min_position(row) for row in values.tolist()]
         assert worst.tobytes() == values[np.arange(len(values)), pos].tobytes()
         assert any(np.isnan(v).any() and not np.isnan(v[p]) for v, p in zip(values, pos))
@@ -754,7 +761,7 @@ class TestRowMinima:
                          inequality_set=("condition4",))
         group = oracle.stack(oracle.family_instances(cfg))
         margins = CHECKERS["condition4"].kernel(group, None).values
-        pos = inequalities._first_mins(margins)[0]
+        pos = inequalities._verdict(margins, 0.0).pos
         rows = np.arange(len(margins))[::-1]
         worst = margins[rows, pos[rows]]
         cuts = explorer._recheck(group, [("condition4", None, rows, pos[rows], worst)])
@@ -775,7 +782,7 @@ class TestRowMinima:
         cuts = []
         for cid, rows in picks.items():
             margins = CHECKERS[cid].kernel(group, None).values
-            pos = inequalities._first_mins(margins)[0]
+            pos = inequalities._verdict(margins, 0.0).pos
             cuts.append((cid, None, rows, pos[rows], margins[rows, pos[rows]]))
         records = explorer._recheck(group, cuts)
         assert [r.cid for r in records] == list(picks)
@@ -824,7 +831,7 @@ class TestRowMinimaMatchTheScalarOracle:
     @pytest.mark.parametrize("case", ROW_MINIMUM_CASES)
     def test_first_mins(self, case):
         values = np.array(ROW_MINIMUM_CASES[case])
-        pos, worst = inequalities._first_mins(values)
+        pos, worst = inequalities._verdict(values, 0.0)[:2]
         want = [oracle.min_position(row) for row in values.tolist()]
         assert pos.tolist() == want
         assert worst.tobytes() == np.array([row[p] for row, p in zip(values, want)]).tobytes()

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import random_instance
+from entropath import explorer
 from entropath.calculus import entropy_curvature, path_derivatives
 from entropath.errors import BoundaryError, LemmaHypothesisError
 from entropath.explorer import Group, evaluate_checker
@@ -15,6 +16,7 @@ from entropath.inequalities import (
     ABS_FLOOR,
     REL_TOL,
     MarginReport,
+    Margins,
     UkBranch,
     X_LOG_X,
     c1_product_identity_residual,
@@ -30,7 +32,7 @@ from entropath.inequalities import (
     stacked_log_concavity,
     stacked_two_fold_log_concavity,
 )
-from entropath.inequalities import _two_fold
+from entropath.inequalities import _tolerance, _two_fold, _verdict
 from entropath.pmf import ParamVector, Pmf, _masses, compute_pmf
 from scalar_oracle import leave_two_out
 
@@ -159,6 +161,80 @@ class TestMarginReport:
             tracemalloc.stop()
         assert rep.values.size == 1770 * 60
         assert retained < 2 * (rep.values.nbytes + rep.ks.nbytes)
+
+
+class TestVerdictRule:
+    """The boundaries of _tolerance and _verdict, the one rule behind holds and cut."""
+
+    TOL = 3e-10
+
+    def test_tolerance_from_the_largest_scale(self):
+        scale = np.array([[1.0, 7.0, 2.0], [1e-5, 0.0, 1e-4], [0.0, 0.0, 0.0]])
+        assert _tolerance(scale).tolist() == [REL_TOL * 7.0, ABS_FLOOR, ABS_FLOOR]
+        assert _tolerance(np.zeros((2, 0))).tolist() == [ABS_FLOOR] * 2
+        assert _tolerance(None) == 1e-9
+        assert Margins(np.zeros((3, 3)), scale).tolerance.tolist() == _tolerance(scale).tolist()
+        assert Margins(np.zeros((2, 1)), None).tolerance.tolist() == [1e-9] * 2
+
+    def test_boundaries(self):
+        tol = self.TOL
+        below_cut = np.nextafter(-10.0 * tol, -np.inf)
+        rows = {  # worst margin -> (holds, cut)
+            -tol: (True, False),
+            np.nextafter(-tol, -np.inf): (False, False),
+            -10.0 * tol: (False, False),  # the cut rule's < is strict
+            below_cut: (False, True),
+            math.nan: (False, False),
+        }
+        values = np.array([[w, 1.0, w] for w in rows])  # a NaN is the worst only when it leads
+        verdict = _verdict(values, tol)
+        assert verdict.pos.tolist() == [0] * len(rows)
+        assert np.array_equal(verdict.worst, values[:, 0], equal_nan=True)
+        assert verdict.holds.tolist() == [h for h, _ in rows.values()]
+        assert verdict.cut.tolist() == [c for _, c in rows.values()]
+        for worst, (holds, _) in rows.items():
+            assert MarginReport.from_array("x", np.array([worst, 1.0]), tol).holds is holds
+        per_row = _verdict(np.array([[-tol], [-tol]]), np.array([tol, tol / 2.0]))
+        assert per_row.holds.tolist() == [True, False]  # each row under its own tolerance
+
+    def test_nan_worst(self):
+        verdict = _verdict(np.array([[math.nan, -1.0], [-1.0, math.nan]]), self.TOL)
+        assert verdict.pos.tolist() == [0, 0]
+        assert math.isnan(verdict.worst[0]) and verdict.worst[1] == -1.0
+        assert verdict.holds.tolist() == [False, False]
+        assert verdict.cut.tolist() == [False, True]
+
+    def test_empty_rows_hold(self):
+        verdict = _verdict(np.zeros((2, 0)), self.TOL)
+        assert verdict.worst.tolist() == [math.inf] * 2
+        assert verdict.holds.tolist() == [True, True]
+        assert verdict.cut.tolist() == [False, False]
+        rep = Margins(np.zeros((1, 0)), np.zeros((1, 0))).report("x")
+        assert (rep.worst, rep.holds, rep.worst_position) == (math.inf, True, None)
+
+    def test_theorem_margin_at_its_tolerance_holds(self):
+        for worst, holds, cut in ((-1e-9, True, False),
+                                  (np.nextafter(-1e-9, -np.inf), False, False),
+                                  (-10.0 * 1e-9, False, False),
+                                  (np.nextafter(-1e-8, -np.inf), False, True)):
+            margins = Margins(np.array([[worst]]), None)
+            verdict = _verdict(margins.values, _tolerance(margins.scale))
+            assert (verdict.holds[0], verdict.cut[0]) == (holds, cut), worst
+            assert margins.report("x").holds is holds
+
+    def test_scan_cuts_exactly_the_verdict_rows(self, monkeypatch):
+        # A kernel whose margin is -p under tolerance REL_TOL; p sits at each boundary.
+        def kernel(grp, q):
+            return Margins(-grp.p.copy(), np.ones(grp.p.shape))
+
+        checker = explorer.CHECKERS["c1"]._replace(kernel=kernel)
+        monkeypatch.setitem(explorer.CHECKERS, "c1", checker)
+        p = np.array([REL_TOL, 10.0 * REL_TOL, np.nextafter(10.0 * REL_TOL, 1.0), 0.5])
+        group = Group(p[:, None], np.ones((4, 1)), np.arange(4), np.zeros(4))
+        worst, cuts = explorer._scan([("c1", None, "c1")], [group])
+        assert worst["c1"] == {"margin": -0.5, "instance_index": 3, "k": 0}
+        assert [cut.rows.index.tolist() for cut in cuts] == [[2, 3]]
+        assert cuts[0].reeval.tolist() == [-p[2], -0.5]
 
 
 class TestLogConcavity:
@@ -455,6 +531,7 @@ def _assert_equals_pair_oracle(p: np.ndarray) -> None:
                           for i, j in itertools.combinations(range(n), 2)])
         margin, scale = _two_fold(pairs)
         assert _bits(got.values[row]) == _bits(margin), (n, m, row)
+        assert _bits(got.scale[row]) == _bits(scale), (n, m, row)
         want = max(ABS_FLOOR, REL_TOL * float(scale.max()))
         assert float(got.tolerance[row]) == want, (n, m, row)
 
@@ -483,7 +560,7 @@ class TestStackedCij:
 
     def test_one_component_has_no_pairs(self):
         got = stacked_cij(np.array([[0.3], [1.0], [0.0]]))
-        assert got.values.shape == (3, 0)
+        assert got.values.shape == got.scale.shape == (3, 0)
         assert got.tolerance.tolist() == [ABS_FLOOR] * 3
 
     @pytest.mark.parametrize("n", (30, 50))
@@ -495,6 +572,7 @@ class TestStackedCij:
         for row in range(3):
             alone = stacked_cij(p[row : row + 1])
             assert _bits(stacked.values[row]) == _bits(alone.values[0]), row
+            assert _bits(stacked.scale[row]) == _bits(alone.scale[0]), row
             assert float(stacked.tolerance[row]) == float(alone.tolerance[0]), row
 
     def test_rejects_invalid_stacks(self):

@@ -288,6 +288,24 @@ class TestCriticalQ:
         with pytest.raises(ValueError):
             find_critical_q("analytic_tsallis", (1.0, 2.0))
 
+    def test_analytic_probe_bisects_like_the_unscaled_form(self):
+        # The probe divides 2 - 4q + 2^q by 2^max(q, 0); where 2^q is finite the signs,
+        # and so the trace and root, are those of the unscaled form, bit for bit.
+        res = find_critical_q("analytic_tsallis", (3.5, 3.8))
+        ref = find_critical_q("analytic_tsallis", (3.5, 3.8), lambda q: 2.0 - 4.0 * q + 2.0**q)
+        assert res.sign_trace == ref.sign_trace
+        assert res.root.hex() == ref.root.hex()
+
+    def test_analytic_probe_takes_any_finite_q(self):
+        # 2.0**q overflows past q = 1024; the scaled probe keeps the sign at any finite q.
+        res = find_critical_q("analytic_tsallis", (3.5, 2000.0))
+        assert abs(res.root - 3.6598611779191823) <= 1e-7  # mpmath's root of 2 - 4q + 2^q
+        res = find_critical_q("analytic_tsallis", (-2000.0, 3.5))
+        assert res.sign_trace[:2] == ((-2000.0, 1), (3.5, -1))
+        assert abs(res.root - 1.0) <= 1e-7  # 2 - 4q + 2^q also vanishes at q = 1
+        probe = qentropy.CRITICAL_Q_PROBES["analytic_tsallis"]
+        assert [qentropy._sign(probe(q)) for q in (-1.7e308, 1.0, 2.0, 1.7e308)] == [1, 0, -1, 1]
+
     def test_sign_trace_recorded(self):
         res = find_critical_q("analytic_tsallis", (3.5, 3.8))
         assert res.sign_trace[0] == (3.5, -1)

@@ -116,6 +116,8 @@ def commands(config_dir: Path) -> list[list[str]]:
          "--format", "json"],
         ["critical-q", "--family", "analytic", "--kind", "tsallis", "--bracket", "3.5,3.8",
          "--format", "json"],
+        ["critical-q", "--family", "analytic", "--kind", "tsallis", "--bracket", "3.5,2000",
+         "--format", "json"],
         ["critical-q", "--family", "bernoulli", "--kind", "renyi", "--bracket", "1.5,2.5",
          "--format", "json"],
     ]
