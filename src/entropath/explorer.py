@@ -93,10 +93,11 @@ class Group:
     """Instances of one n, stacked row by row for the checkers' group kernels.
 
     p and slopes are (m, n); index holds each row's instance index and t its
-    family parameter (0 for random_affine). f, fgh (calculus.stacked_fgh) and
-    the u_k decomposition are built on first use and shared by every kernel
-    run on the group; once fgh is built, f is its f, which has the
-    convolution's bits.
+    family parameter (0 for random_affine). f, fgh (calculus.stacked_fgh), the
+    u_k decomposition and the q checkers' basis (qentropy.q_basis) are built
+    on first use and shared by every kernel run on the group, so each q of a
+    grid or a bisection pays only the per-q pass; once fgh is built, f is its
+    f, which has the convolution's bits.
     """
 
     p: np.ndarray
@@ -126,6 +127,10 @@ class Group:
     def uk(self) -> inequalities.UkDecomposition:
         return inequalities.stacked_uk(*self.fgh)
 
+    @cached_property
+    def q_basis(self) -> qentropy.QBasis:
+        return qentropy.q_basis(*self.fgh)
+
     def prepare(self, cids) -> "Group":
         """The group, with f, g and h built first when a checker of cids applies and reads them.
 
@@ -138,7 +143,8 @@ class Group:
 
 def _q_kernel(kind: str):
     def kernel(grp: Group, q: float) -> Margins:
-        return Margins(-qentropy.stacked_q_curvature(*grp.fgh, EntropySpec(kind, q))[:, None], None)
+        curvature = qentropy.basis_q_curvature(grp.q_basis, EntropySpec(kind, q))
+        return Margins(-curvature[:, None], None)
 
     return kernel
 
@@ -681,11 +687,12 @@ def estimate_critical_q(
     cuts none. Every cut margin is evaluated again, but no certificate is
     made and no config hashed. The family's groups, chunked for the one
     checker, and their f, g and h are built once per root from one config,
-    on the probe's first call; each step then passes the scan loop its one
-    key, (checker id, q), and builds no config. The violation predicate is
-    assumed monotone in q, per the shape of the conjecture; that assumption
-    is recorded in the caveat, not enforced. The Shannon kind never produces
-    violations, so it surfaces the constant predicate error.
+    on the probe's first call, and each group's q basis on the first step;
+    each step then passes the scan loop its one key, (checker id, q), and
+    builds no config. The violation predicate is assumed monotone in q, per
+    the shape of the conjecture; that assumption is recorded in the caveat,
+    not enforced. The Shannon kind never produces violations, so it surfaces
+    the constant predicate error.
     """
     if kind not in qentropy._KINDS:
         raise ValueError(f"unknown entropy kind {kind!r}")

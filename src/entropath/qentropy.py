@@ -1,11 +1,14 @@
 """Renyi and Tsallis entropies and their curvature along affine parameter paths.
 
 Both families reduce to the Shannon entropy as q -> 1; that limit point is
-represented by kind="shannon" rather than by q itself. Curvatures come from
-the power sum T(t) = sum_k f_k(t)^q and its analytic t-derivatives, or for
-Tsallis equivalently from a per-index decomposition mirroring the Shannon
-one, with the two boundary terms that the index relabeling produces kept
-explicit so the value is exact.
+represented by kind="shannon" rather than by q itself. Both curvatures come
+from the power sum T(t) = sum_k f_k(t)^q and its t-derivatives in ratio form:
+with r1 = f'/f and r2 = f''/f, T' = q sum f^q r1 and
+T'' = q(q-1) sum f^q r1^2 + q sum f^q r2. The ratios do not depend on q, so
+a QBasis holds them once and each q raises f to the one power f^q, which
+overflows nowhere that a mass is small. The Tsallis per-index decomposition,
+with the two boundary terms the index relabeling produces, is kept as an
+independent route to the same curvature.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import functools
 import json
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,11 +39,15 @@ __all__ = [
     "CRITICAL_Q_PROBES",
     "CriticalQResult",
     "EntropySpec",
+    "QBasis",
     "TsallisUkReport",
+    "basis_power_sums",
+    "basis_q_curvature",
     "binomial2_tsallis_curvature",
     "chain_rule_check",
     "find_critical_q",
     "power_sum_derivatives",
+    "q_basis",
     "q_curvature",
     "q_entropy",
     "q_entropy_second_derivative",
@@ -115,22 +123,71 @@ def q_entropy(f, spec: EntropySpec) -> float:
     return (1.0 - power_sum) / (q - 1.0)
 
 
+def _require_positive(f: np.ndarray) -> None:
+    """The one zero-mass check of every q function: each mass strictly positive."""
+    if (f <= 0.0).any():
+        raise BoundaryError("q entropies need strictly positive masses")
+
+
+class QBasis(NamedTuple):
+    """The q-independent part of the power sums of stacks f (m, n+1), g (m, n), h (m, n-1).
+
+    f holds the masses, every one strictly positive; r (4, m, n+1) stacks
+    r1^2, r2 = f''/f, r1 = f'/f and 1, with f' and f'' the shifted differences
+    of g and h. One product with f^q and one sum over k give the power sums:
+    the first two rows T'', all four T' and T too. Built by q_basis;
+    read-only where it is cached.
+    """
+
+    f: np.ndarray
+    r: np.ndarray
+
+
+def q_basis(f: np.ndarray, g: np.ndarray, h: np.ndarray) -> QBasis:
+    """The QBasis of the stacks; raises BoundaryError on a zero mass."""
+    _require_positive(f)
+    n = g.shape[-1]
+    r = np.empty((4,) + f.shape)
+    np.divide(_shift_diff1(g, n), f, out=r[2])
+    np.multiply(r[2], r[2], out=r[0])
+    np.divide(_shift_diff2(h, n), f, out=r[1])
+    r[3] = 1.0
+    return QBasis(f, r)
+
+
+def _weighted_sums(basis: QBasis, q: float, rows: int):
+    """T'' and the sums over k of f^q times the first rows of basis.r, one column per row."""
+    s = (basis.f**q * basis.r[:rows]).sum(axis=-1)
+    return q * (q - 1.0) * s[0] + q * s[1], s
+
+
+def basis_power_sums(basis: QBasis, q: float):
+    """T = sum_k f_k^q and its first two t-derivatives, one value per row: the per-q pass."""
+    t2, s = _weighted_sums(basis, q, 4)
+    return s[3], q * s[2], t2
+
+
+def basis_q_curvature(basis: QBasis, spec: EntropySpec) -> np.ndarray:
+    """Renyi or Tsallis curvature of every row of the basis, from its power sums: the per-q pass.
+
+    Tsallis is T''/(1-q), which needs only T''; Renyi is
+    T''/((1-q) T) - (T'/T)^2/(1-q).
+    """
+    q = spec.q
+    if spec.kind == "tsallis":
+        return _weighted_sums(basis, q, 2)[0] / (1.0 - q)
+    t0, t1, t2 = basis_power_sums(basis, q)
+    return t2 / ((1.0 - q) * t0) - (t1 / t0) ** 2 / (1.0 - q)
+
+
 def stacked_power_sums(f: np.ndarray, g: np.ndarray, h: np.ndarray, q: float):
     """T = sum_k f_k^q and its first two t-derivatives, one value per row.
 
     f, g and h are stacks of shape (m, n+1), (m, n) and (m, n-1); the three
-    results have shape (m,). A row gives the same bits in any stack.
+    results have shape (m,). The basis and the per-q pass; a row gives the
+    same bits in any stack.
     """
-    if (f <= 0.0).any():
-        raise BoundaryError("power sums need strictly positive masses")
-    n = g.shape[-1]
-    df = _shift_diff1(g, n)
-    d2f = _shift_diff2(h, n)
-    fq1 = f ** (q - 1.0)
-    t0 = (f**q).sum(axis=-1)
-    t1 = q * (fq1 * df).sum(axis=-1)
-    t2 = q * (q - 1.0) * ((f ** (q - 2.0)) * df**2).sum(axis=-1) + q * (fq1 * d2f).sum(axis=-1)
-    return t0, t1, t2
+    return basis_power_sums(q_basis(f, g, h), q)
 
 
 def power_sum_derivatives(params: ParamVector, slopes, q: float) -> tuple[float, float, float]:
@@ -141,8 +198,7 @@ def power_sum_derivatives(params: ParamVector, slopes, q: float) -> tuple[float,
 
 def _tsallis_terms(f: np.ndarray, g: np.ndarray, h: np.ndarray, q: float):
     """Rows of the h part and the g part of u_k (their sum), k = 0..n-2, and the powers f^(q-2)."""
-    if (f <= 0.0).any():
-        raise BoundaryError("the Tsallis terms need strictly positive masses")
+    _require_positive(f)
     fq1 = f ** (q - 1.0)
     fq2 = f ** (q - 2.0)
     fa, fb, fc = fq1[:, :-2], fq1[:, 1:-1], fq1[:, 2:]
@@ -169,22 +225,13 @@ def stacked_q_curvature(
 ) -> np.ndarray:
     """Second t-derivative of the chosen entropy for every row of the stacks f, g, h.
 
-    Tsallis uses the per-index decomposition plus the two boundary terms the
-    relabeling produces, which makes it exact; Renyi goes through the power
-    sum and its derivatives; Shannon is calculus.stacked_entropy_curvature.
-    A row gives the same bits in any stack, one row being what q_curvature
-    evaluates.
+    Renyi and Tsallis are the basis and the per-q pass (basis_q_curvature);
+    Shannon is calculus.stacked_entropy_curvature. A row gives the same bits
+    in any stack, one row being what q_curvature evaluates.
     """
     if spec.kind == "shannon":
         return stacked_entropy_curvature(f, g, h)
-    q = spec.q
-    if spec.kind == "tsallis":
-        h_part, g_part, fq2 = _tsallis_terms(f, g, h, q)
-        n = g.shape[-1]
-        boundary = g[:, n - 1] ** 2 * fq2[:, n - 1] + g[:, 0] ** 2 * fq2[:, 1]
-        return -q * ((h_part + g_part).sum(axis=-1) + boundary)
-    t0, t1, t2 = stacked_power_sums(f, g, h, q)
-    return t2 / ((1.0 - q) * t0) - (t1 / t0) ** 2 / (1.0 - q)
+    return basis_q_curvature(q_basis(f, g, h), spec)
 
 
 def q_curvature(params: ParamVector, slopes, spec: EntropySpec) -> float:
@@ -217,17 +264,22 @@ def chain_rule_check(path: AffinePath, t: float, q: float) -> MarginReport:
     """Verify the Renyi/Tsallis curvature chain rule at one path point.
 
     Margin 0 is minus the relative residual of
-    H_R'' = H_T''/T - (T'/T)^2 / (1-q); margin 1 is the correction term
+    H_R'' = H_T''/T - (T'/T)^2 / (1-q), with H_R'' from the power sums and
+    H_T'' from the per-index decomposition; margin 1 is the correction term
     oriented by the side of q = 1, confirming the sign that makes one
     concavity statement imply the other.
     """
-    renyi, tsallis = EntropySpec.renyi(q), EntropySpec.tsallis(q)  # refuses q = 1
-    params = path_at(path, t)
-    slopes = path.slopes
-    t0, t1, _ = power_sum_derivatives(params, slopes, q)
-    lhs = q_curvature(params, slopes, renyi)
+    renyi = EntropySpec.renyi(q)  # refuses q = 1
+    f, g, h = _fgh(path_at(path, t), path.slopes)
+    t0, t1, _ = (float(x[0]) for x in stacked_power_sums(f, g, h, q))
+    lhs = float(stacked_q_curvature(f, g, h, renyi)[0])
     correction = -((t1 / t0) ** 2) / (1.0 - q)
-    rhs = q_curvature(params, slopes, tsallis) / t0 + correction
+    # H_T'' from the per-index decomposition and its two boundary terms, not from T''.
+    h_part, g_part, fq2 = _tsallis_terms(f, g, h, q)
+    n = g.shape[-1]
+    boundary = g[:, n - 1] ** 2 * fq2[:, n - 1] + g[:, 0] ** 2 * fq2[:, 1]
+    tsallis = float(-q * ((h_part + g_part).sum(axis=-1) + boundary)[0])
+    rhs = tsallis / t0 + correction
     residual = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-12)
     direction = -correction if q < 1.0 else correction
     return MarginReport.from_array("chain_rule", np.array((-residual, direction)), 1e-8)
@@ -328,25 +380,34 @@ def binomial2_tsallis_curvature(q: float) -> float:
 
 
 @functools.cache
-def _probe_point(p: tuple[float, ...], slopes: tuple[float, ...]):
-    """The one-row f, g, h of a fixed probe point, built once per point and read-only."""
-    params = ParamVector(np.array(p))
-    rows = _fgh(params, slopes)
-    for row in rows:
-        row.flags.writeable = False
-    return rows
+def _probe_point(p: tuple[float, ...], slopes: tuple[float, ...], scaled: bool = False) -> QBasis:
+    """The QBasis of a fixed probe point, built once per point and read-only.
+
+    scaled divides f, g and h by the largest mass first: the ratios stay, the
+    weights become (f / max f)^q, and a curvature comes out divided by
+    max_k f_k^q, which keeps its sign where every f_k^q underflows.
+    """
+    f, g, h = _fgh(ParamVector(np.array(p)), slopes)
+    if scaled:
+        top = f.max()
+        f, g, h = f / top, g / top, h / top
+    basis = q_basis(f, g, h)
+    for array in basis:
+        array.flags.writeable = False
+    return basis
 
 
 def _binomial2_tsallis_probe(q: float) -> float:
-    # The exact kernel at p = (1/2, 1/2), slopes (1, 1); binomial2_tsallis_curvature is its
-    # closed form.
-    fgh = _probe_point((0.5, 0.5), (1.0, 1.0))
-    return float(stacked_q_curvature(*fgh, EntropySpec.tsallis(q))[0])
+    # The exact kernel at p = (1/2, 1/2), slopes (1, 1), over max_k f_k^q = 2^-q: by the
+    # middle mass alone it tends to 8q/(q-1) as q grows. binomial2_tsallis_curvature is the
+    # closed form of the unscaled curvature.
+    return float(basis_q_curvature(_probe_point((0.5, 0.5), (1.0, 1.0), True),
+                                   EntropySpec.tsallis(q))[0])
 
 
 def _bernoulli_renyi_probe(q: float, p: float = 1e-4) -> float:
     # The conjectured threshold is a p -> 0 limit, probed at a small fixed p.
-    return float(stacked_q_curvature(*_probe_point((p,), (1.0,)), EntropySpec.renyi(q))[0])
+    return float(basis_q_curvature(_probe_point((p,), (1.0,)), EntropySpec.renyi(q))[0])
 
 
 CRITICAL_Q_PROBES = {

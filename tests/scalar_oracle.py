@@ -332,23 +332,27 @@ def entropy_curvature(f: np.ndarray, g: np.ndarray, h: np.ndarray):
 
 
 def power_sums(f: np.ndarray, g: np.ndarray, h: np.ndarray, q: float):
-    """T = sum f^q with T' and T''; the scale is that of T''."""
+    """T = sum f^q with T' and T'' in ratio form; the scale is that of T''.
+
+    With r1 = f'/f and r2 = f''/f: T' = q sum f^q r1 and
+    T'' = q(q-1) sum f^q r1^2 + q sum f^q r2.
+    """
     df, d2f = _shift_diffs(g, h)
-    t0 = float((f**q).sum())
-    t1 = float(q * ((f ** (q - 1.0)) * df).sum())
-    t2 = float(
-        q * (q - 1.0) * ((f ** (q - 2.0)) * df**2).sum() + q * ((f ** (q - 1.0)) * d2f).sum()
-    )
-    a = q * (q - 1.0) * ((f ** (q - 2.0)) * df**2)
-    b = q * ((f ** (q - 1.0)) * d2f)
-    return (t0, t1, t2), float(max(np.abs(a).max(), np.abs(b).max()))
+    w = f**q
+    r1 = df / f
+    a = w * r1**2
+    b = w * (d2f / f)
+    t0 = float(w.sum())
+    t1 = float(q * (w * r1).sum())
+    t2 = float(q * (q - 1.0) * a.sum() + q * b.sum())
+    return (t0, t1, t2), float(max(abs(q * (q - 1.0)) * np.abs(a).max(), abs(q) * np.abs(b).max()))
 
 
 def renyi_curvature(f: np.ndarray, g: np.ndarray, h: np.ndarray, q: float):
     """T''/((1-q) T) - (T'/T)^2/(1-q); every rounding of T, T' and T'' carried to the result."""
     (t0, t1, t2), scale2 = power_sums(f, g, h, q)
     df, _ = _shift_diffs(g, h)
-    scale1 = float(np.abs(q * (f ** (q - 1.0)) * df).max())
+    scale1 = float(np.abs(q * f**q * (df / f)).max())
     first = t2 / ((1.0 - q) * t0)
     second = (t1 / t0) ** 2 / (1.0 - q)
     scale = max(
@@ -408,16 +412,25 @@ def binomial2_tsallis_fd_probe(q: float, step: float = 1e-4) -> float:
 
 
 # The exact critical-q probes as they were first written: every q builds its
-# point again and evaluates q_curvature there. The library's probes build
-# each point once and must give the same bits.
+# point again and evaluates the curvature kernel there. The library's probes
+# build each point once and must give the same bits.
 
 
-def binomial2_tsallis_probe(q: float) -> float:
+def binomial2_tsallis_unscaled_probe(q: float) -> float:
     """Tsallis curvature at p = (1/2, 1/2), slopes (1, 1), the point built for this q alone."""
     from entropath.qentropy import EntropySpec, q_curvature
 
     params = ParamVector(np.array([0.5, 0.5]))
     return q_curvature(params, np.array([1.0, 1.0]), EntropySpec.tsallis(q))
+
+
+def binomial2_tsallis_probe(q: float) -> float:
+    """The same curvature over its largest mass to the q, (1/2)^q: f, g and h doubled (exactly)."""
+    from entropath.calculus import _fgh
+    from entropath.qentropy import EntropySpec, stacked_q_curvature
+
+    f, g, h = _fgh(ParamVector(np.array([0.5, 0.5])), np.array([1.0, 1.0]))
+    return float(stacked_q_curvature(2.0 * f, 2.0 * g, 2.0 * h, EntropySpec.tsallis(q))[0])
 
 
 def bernoulli_renyi_probe(q: float, p: float = 1e-4) -> float:

@@ -347,7 +347,7 @@ class TestCheckerTable:
         # A tracer rebinds module attributes; the table must call the rebound kernels.
         marker = inequalities.Margins(np.array([[1.0]]), None)
         monkeypatch.setattr(inequalities, "stacked_c1", lambda f: marker)
-        monkeypatch.setattr(qentropy, "stacked_q_curvature", lambda *args: np.array([42.0]))
+        monkeypatch.setattr(qentropy, "basis_q_curvature", lambda *args: np.array([42.0]))
         params, slopes = ParamVector(np.array([0.3, 0.6])), np.array([1.0, -0.5])
         report = evaluate_checker("c1", params, slopes)
         assert (report.name, report.values.tolist(), report.tolerance) == ("c1", [1.0], 1e-9)
@@ -473,16 +473,16 @@ class TestPlantedFaultsAreCaught:
     """A kernel whose margins depend on the stack height fails the re-check of its cut rows."""
 
     def test_q_kernel(self, monkeypatch):
-        kernel = qentropy.stacked_q_curvature
+        kernel = qentropy.basis_q_curvature
 
-        def faulty(f, g, h, spec):
-            return kernel(f, g, h, spec) + 1e-9 * len(f)
+        def faulty(basis, spec):
+            return kernel(basis, spec) + 1e-9 * len(basis.f)
 
         cfg = ScanConfig(seed=9, n_range=(1, 1), instance_count=12, family="bernoulli",
                          inequality_set=("renyi_concavity",), q_grid=(2.5,))
         # Some rows but not all are cut, so the re-checked stack is lower.
         assert 0 < len(run_scan(cfg).certificates) < cfg.instance_count
-        monkeypatch.setattr(qentropy, "stacked_q_curvature", faulty)
+        monkeypatch.setattr(qentropy, "basis_q_curvature", faulty)
         with pytest.raises(ConsistencyError, match="^certificate does not reproduce"):
             run_scan(cfg)
         with pytest.raises(ConsistencyError, match="^certificate does not reproduce"):
@@ -619,11 +619,11 @@ class TestEstimatorMatchesScanBisection:
         # A tracer rebinds module attributes; the estimator must call the rebound kernel.
         calls = []
 
-        def kernel(f, g, h, spec):
-            calls.append(f.shape)
-            return -np.ones(f.shape[0])
+        def kernel(basis, spec):
+            calls.append(basis.f.shape)
+            return -np.ones(basis.f.shape[0])
 
-        monkeypatch.setattr(qentropy, "stacked_q_curvature", kernel)
+        monkeypatch.setattr(qentropy, "basis_q_curvature", kernel)
         cfg = ScanConfig(seed=0, n_range=(1, 2), instance_count=5)
         with pytest.raises(ValueError, match="constant"):
             estimate_critical_q(cfg, "binomial2", "tsallis", (3.5, 3.8))
@@ -930,3 +930,58 @@ class TestEstimatorBuildsOneConfigPerRoot:
         result = estimate_critical_q(cfg, family, kind, bracket)
         assert len(result.sign_trace) > 20
         assert [(c.family, c.inequality_set) for c in built] == [(family, (f"{kind}_concavity",))]
+
+
+def _spy_on_q_basis(monkeypatch) -> list:
+    """The f of every q basis built from here on, in build order."""
+    built = []
+    q_basis = qentropy.q_basis
+
+    def counting(f, g, h):
+        built.append(f)
+        return q_basis(f, g, h)
+
+    monkeypatch.setattr(qentropy, "q_basis", counting)
+    return built
+
+
+class TestEachGroupBuildsItsQBasisOnce:
+    @pytest.mark.parametrize("family,kind,bracket", [
+        ("bernoulli", "renyi", (1.5, 2.5)),
+        ("binomial2", "tsallis", (3.5, 3.8)),
+    ])
+    def test_one_basis_per_root_and_one_per_recheck(self, monkeypatch, family, kind, bracket):
+        cfg = ScanConfig(seed=0, n_range=(1, 2), instance_count=49)
+        scan = replace(cfg, family=family, inequality_set=(f"{kind}_concavity",),
+                       q_grid=(bracket[0],))
+        assert len(list(explorer._groups(scan))) == 1
+        built = _spy_on_q_basis(monkeypatch)
+        result = estimate_critical_q(cfg, family, kind, bracket)
+        # The group's basis once, then one for each step that cuts rows and re-checks them.
+        rechecks = sum(sign == 1 for _, sign in result.sign_trace)
+        assert 0 < rechecks < len(result.sign_trace) - 1
+        assert built[0].shape[0] == 49
+        assert len(built) == 1 + rechecks
+        assert all(f.shape[0] < 49 for f in built[1:])
+        assert len({id(f) for f in built}) == len(built)
+
+    def test_a_q_grid_scan_builds_each_group_basis_once(self, monkeypatch):
+        cfg = ScanConfig(seed=5, n_range=(1, 3), instance_count=80,
+                         inequality_set=("tsallis_concavity", "renyi_concavity"),
+                         q_grid=(0.5, 4.0, 10.0))
+        groups = list(explorer._groups(cfg))
+        assert [g.n for g in groups] == [1, 2, 3]
+        built = _spy_on_q_basis(monkeypatch)
+        report = run_scan(cfg)
+        # One basis per group for all six keys, then one per key whose rows the group cuts,
+        # built from those rows alone.
+        cut = [(c.inequality, c.q, len(c.p)) for c in report.certificates]
+        want = []
+        for g in groups:
+            want.append((g.p.shape[0], g.n + 1))
+            for cid, q, _ in explorer._keys(cfg):
+                rows = cut.count((cid, q, g.n))
+                want += [(rows, g.n + 1)] if rows else []
+        assert len(want) > len(groups)
+        assert [f.shape for f in built] == want
+        assert len({id(f) for f in built}) == len(built)

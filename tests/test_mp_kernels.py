@@ -1,9 +1,10 @@
-"""The forward f/g/h recurrence and the adjoint entropy Hessian pinned to 60-digit mpmath.
+"""The forward f/g/h recurrence, the adjoint entropy Hessian and the q kernels pinned to mpmath.
 
 The f/g/h oracle runs the same recurrence in mpmath on the exact binary64
 inputs. The Hessian oracle forms every leave-two-out pmf explicitly and
 takes its sum against w, with no adjoint. Both kernels must also give a row
-the same bits in any stack.
+the same bits in any stack. The power sums and the Renyi/Tsallis curvatures
+are taken at 50 digits on the kernels' own binary64 f, g and h.
 """
 
 import mpmath
@@ -13,7 +14,9 @@ import pytest
 import scalar_oracle as oracle
 from conftest import random_instance
 from entropath.calculus import stacked_entropy_hessian, stacked_fgh
+from entropath.explorer import ScanConfig, sample_instance
 from entropath.pmf import _convolve_bernoullis
+from entropath.qentropy import EntropySpec, stacked_power_sums, stacked_q_curvature
 
 EPS = np.finfo(np.float64).eps
 DIGITS = 60
@@ -140,3 +143,80 @@ def test_kernel_rows_have_the_same_bits_in_any_stack(n):
             assert stack[row].tobytes() == alone[0].tobytes() == again[at].tobytes()
         assert hess[row].tobytes() == one_hess[0].tobytes() == shuffled_hess[at].tobytes()
         assert top[row].item() == one_top[0].item() == shuffled_top[at].item()
+
+
+# The q kernels on the float f, g and h of seeded rows, against the same sums
+# taken at 50 digits on those inputs in the old form, T' = q sum f^(q-1) f'
+# and T'' = q(q-1) sum f^(q-2) f'^2 + q sum f^(q-1) f''. The seed-0 row of
+# scan --n-range 500,500 has masses near 1e-210, where f^(q-2) overflows.
+Q_DIGITS = 50
+KERNEL_QS = (0.5, 2.0, 3.65986, 4.0)
+
+
+def _q_cases():
+    rng = np.random.default_rng(20261021)
+    cases = [random_instance(rng, n_min=n, n_max=n) for n in (1, 2, 3, 7, 12, 30, 60, 120, 250)]
+    seed0 = sample_instance(ScanConfig(seed=0, n_range=(500, 500), instance_count=2), 0)
+    return cases + [(np.array(seed0.p), np.array(seed0.slopes))]
+
+
+Q_CASES = _q_cases()
+
+
+def _mp_power_sums(f, g, h, q):
+    """(T, T', T'') at Q_DIGITS and the sums of their absolute terms in ratio form.
+
+    An absolute sum bounds what the kernel's roundings can move, with
+    u = eps / 2: each term of T, T' and T'' carries at most 8 u relative to
+    its absolute value (f^q's one ulp counted as 2 u, f'' taken at the scale
+    |h_k| + 2 |h_(k-1)| + |h_(k-2)|), the sum over k at most n u of the sum,
+    and the scalings by q and q - 1 at most 3 u, so the error is under
+    (n + 12) u times the sum.
+    """
+    n = len(g)
+    f, g, h = _mp(f), _mp(g), _mp(h)
+    q = mpmath.mpf(q)
+    gp = [0] + g + [0]
+    hp = [0, 0] + h + [0, 0]
+    d1 = [gp[k] - gp[k + 1] for k in range(n + 1)]
+    d2 = [hp[k + 2] - 2 * hp[k + 1] + hp[k] for k in range(n + 1)]
+    d2_abs = [abs(hp[k + 2]) + 2 * abs(hp[k + 1]) + abs(hp[k]) for k in range(n + 1)]
+    t0 = mpmath.fsum(x**q for x in f)
+    t1 = q * mpmath.fsum(x ** (q - 1) * d for x, d in zip(f, d1))
+    t2 = (q * (q - 1) * mpmath.fsum(x ** (q - 2) * d * d for x, d in zip(f, d1))
+          + q * mpmath.fsum(x ** (q - 1) * d for x, d in zip(f, d2)))
+    m1 = abs(q) * mpmath.fsum(x ** (q - 1) * abs(d) for x, d in zip(f, d1))
+    m2 = (abs(q * (q - 1)) * mpmath.fsum(x ** (q - 2) * d * d for x, d in zip(f, d1))
+          + abs(q) * mpmath.fsum(x ** (q - 1) * d for x, d in zip(f, d2_abs)))
+    return (t0, t1, t2), (t0, m1, m2)
+
+
+@pytest.mark.parametrize("q", KERNEL_QS)
+@pytest.mark.parametrize("p, slopes", Q_CASES, ids=[f"n{p.size}" for p, _ in Q_CASES[:-1]]
+                         + ["seed0-n500"])
+def test_q_kernels_match_mpmath_power_sums(p, slopes, q):
+    n = p.size
+    f, g, h = stacked_fgh(p[None], slopes[None])
+    sums = [x[0] for x in stacked_power_sums(f, g, h, q)]
+    renyi = stacked_q_curvature(f, g, h, EntropySpec.renyi(q))[0]
+    tsallis = stacked_q_curvature(f, g, h, EntropySpec.tsallis(q))[0]
+    u = EPS / 2
+    with mpmath.workdps(Q_DIGITS):
+        (t0, t1, t2), scales = _mp_power_sums(f[0], g[0], h[0], q)
+        errs = [(n + 12) * u * m for m in scales]
+        for got, want, err in zip(sums, (t0, t1, t2), errs):
+            assert abs(mpmath.mpf(float(got)) - want) <= err
+        e0, e1, e2 = errs
+        # Tsallis T''/(1-q): T'''s error, then two roundings.
+        c = 1 - mpmath.mpf(q)
+        want = t2 / c
+        assert abs(mpmath.mpf(float(tsallis)) - want) <= e2 / abs(c) + 2 * u * abs(want)
+        # Renyi A - B, A = T''/((1-q) T) and B = (T'/T)^2/(1-q): each sum's error carried
+        # through to first order, three roundings in A, four in B and one in A - B.
+        a, b = t2 / (c * t0), (t1 / t0) ** 2 / c
+        bound = (e2 / abs(c * t0) + abs(a) * e0 / t0 + 3 * u * abs(a)
+                 + 2 * abs(t1) * e1 / (t0 * t0 * abs(c)) + 2 * abs(b) * e0 / t0 + 4 * u * abs(b)
+                 + u * abs(a - b))
+        assert abs(mpmath.mpf(float(renyi)) - (a - b)) <= bound
+        if n == 500 and q == 0.5:  # the seed-0 row, whose margin read NaN in the old form
+            assert abs(a - b - mpmath.mpf("-1.9768024671693553")) <= 1e-15

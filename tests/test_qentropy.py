@@ -8,7 +8,7 @@ import pytest
 import scalar_oracle as oracle
 from conftest import random_instance
 from entropath import qentropy
-from entropath.calculus import AffinePath, path_at, shannon_entropy
+from entropath.calculus import AffinePath, _fgh, path_at, shannon_entropy
 from entropath.errors import BoundaryError
 from entropath.numdiff import central_second
 from entropath.pmf import ParamVector, compute_pmf
@@ -122,7 +122,9 @@ class TestCurvature:
                 continue
             _, _, t2 = power_sum_derivatives(pv, s, q)
             via_t = t2 / (1.0 - q)
-            via_u = q_curvature(pv, s, EntropySpec.tsallis(q))
+            assert q_curvature(pv, s, EntropySpec.tsallis(q)) == via_t
+            # -q (sum u_k + boundary terms), the per-index route.
+            via_u, _ = oracle.tsallis_curvature(*(row[0] for row in _fgh(pv, s)), q)
             assert via_u == pytest.approx(via_t, rel=1e-10, abs=1e-12)
 
     def test_matches_finite_differences(self, rng):
@@ -247,12 +249,15 @@ class TestTsallisUk:
         calls = [
             lambda: tsallis_uk(params, path.slopes, 3.0),
             lambda: q_curvature(params, path.slopes, EntropySpec.tsallis(3.0)),
+            lambda: q_curvature(params, path.slopes, EntropySpec.renyi(3.0)),
+            lambda: power_sum_derivatives(params, path.slopes, 3.0),
             lambda: tsallis_uk_tilde(path, 0.0, 3.0),
+            lambda: chain_rule_check(path, 0.0, 3.0),
         ]
         for call in calls:
             with pytest.raises(BoundaryError) as info:
                 call()
-            assert str(info.value) == "the Tsallis terms need strictly positive masses"
+            assert str(info.value) == "q entropies need strictly positive masses"
 
     def test_excluded_q_values(self):
         path = AffinePath(ParamVector(np.array([0.4, 0.7])), np.zeros(2))
@@ -359,11 +364,34 @@ class TestCriticalQ:
             assert probe(q) == per_call(q), q
 
     def test_cached_probe_point_is_read_only(self):
-        fgh = qentropy._probe_point((0.5, 0.5), (1.0, 1.0))
-        assert qentropy._probe_point((0.5, 0.5), (1.0, 1.0)) is fgh
-        for row in fgh:
-            with pytest.raises(ValueError, match="read-only"):
-                row[0, 0] = 1.0
+        for scaled in (False, True):
+            basis = qentropy._probe_point((0.5, 0.5), (1.0, 1.0), scaled)
+            assert qentropy._probe_point((0.5, 0.5), (1.0, 1.0), scaled) is basis
+            for array in basis:
+                with pytest.raises(ValueError, match="read-only"):
+                    array[(0,) * array.ndim] = 1.0
+
+    def test_scaled_two_coin_probe_bisects_like_the_unscaled_curvature(self):
+        # Dividing by (1/2)^q keeps every sign, so the 3.5,3.8 trace and root keep their bits.
+        got = find_critical_q("binomial2_tsallis", (3.5, 3.8))
+        want = find_critical_q("binomial2_tsallis", (3.5, 3.8),
+                               probe=oracle.binomial2_tsallis_unscaled_probe)
+        assert got.sign_trace == want.sign_trace
+        assert got.root.hex() == want.root.hex()
+        probe = qentropy.CRITICAL_Q_PROBES["binomial2_tsallis"]
+        for q in np.linspace(0.1, 40.0, 57).tolist():
+            assert probe(q) == pytest.approx(
+                oracle.binomial2_tsallis_unscaled_probe(q) * 2.0**q, rel=1e-13, abs=1e-13), q
+
+    def test_two_coin_probe_takes_a_bracket_to_2000(self):
+        # Unscaled, every f_k^q underflows past q ~ 1075 and the curvature reads -0.0 there;
+        # over (1/2)^q the middle mass alone still gives 8q/(q-1).
+        probe = qentropy.CRITICAL_Q_PROBES["binomial2_tsallis"]
+        assert oracle.binomial2_tsallis_unscaled_probe(1100.0) == 0.0
+        assert probe(2000.0) == pytest.approx(8.0 * 2000.0 / 1999.0, rel=1e-14)
+        res = find_critical_q("binomial2_tsallis", (3.5, 2000.0))
+        assert res.sign_trace[:2] == ((3.5, -1), (2000.0, 1))
+        assert abs(res.root - 3.6598611779191823) <= 1e-7  # mpmath's root of 2 - 4q + 2^q
 
     def test_lemma_values_reproduced(self):
         # below the threshold the two-coin Tsallis probe is concave, above convex

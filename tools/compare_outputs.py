@@ -120,6 +120,8 @@ def commands(config_dir: Path) -> list[list[str]]:
          "--format", "json"],
         ["critical-q", "--family", "bernoulli", "--kind", "renyi", "--bracket", "1.5,2.5",
          "--format", "json"],
+        ["critical-q", "--family", "binomial2", "--kind", "tsallis", "--bracket", "3.5,2000",
+         "--format", "json"],
     ]
 
     for fmt in ("json", "csv", "human"):
@@ -196,6 +198,11 @@ def commands(config_dir: Path) -> list[list[str]]:
                                       ("random_affine", "renyi", "0.5,1.5"),
                                       ("binomial2", "tsallis", "0.5,1"))
     ]
+
+    # The q checkers at n = 500, whose smallest masses are near 1e-210.
+    cmds.append(["scan", "--seed", "0", "--n-range", "500,500", "--instances", "2",
+                 "--checks", "renyi_concavity,tsallis_concavity", "--q-grid", "0.5",
+                 "--format", "json"])
 
     # Inputs that end in an error: the internal-consistency failure at
     # n = 200 and the underflowed masses at n = 400.
