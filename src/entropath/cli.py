@@ -7,7 +7,8 @@ parse or validation errors. An internal consistency failure
 ``main`` as an exception, so the ``entropath`` process ends in a traceback
 with exit 1, the same code as a failed margin. ``verify`` runs the Shannon suite.
 ``scan`` merges inline flags with a ``--config`` file (JSON, or TOML on Python
-3.11+); a field set in both places exits 2, naming it. Machine-readable output is
+3.11+); a field set in both places exits 2, naming it, as does ``critical-q``
+given ``--seed`` or ``--instances`` with the probe estimator. Machine-readable output is
 JSON (schema_version 1) or CSV with columns instance_id,inequality,k,margin;
 the human format is for eyes only and is never parsed by tests.
 """
@@ -168,6 +169,10 @@ def cmd_critical_q(args) -> int:
         )
         result = explorer.estimate_critical_q(config, args.family, args.kind, (lo, hi))
     else:
+        unused = [flag for flag, value in (("--seed", args.seed), ("--instances", args.instances))
+                  if value is not None]
+        if unused:
+            raise ValueError(f"only the scan estimator takes {', '.join(unused)}")
         # CRITICAL_Q_PROBES names each probe "<family>_<kind>".
         probe_id = f"{args.family}_{args.kind}"
         if probe_id not in qentropy.CRITICAL_Q_PROBES:

@@ -450,9 +450,9 @@ class CounterexampleCertificate:
 class _Cut(NamedTuple):
     """One checker key's cut rows of one group, as arrays.
 
-    rows holds the cut rows rebuilt from the tuples of floats a certificate
-    stores; k, margin and reeval hold each row's k, cut margin and margin
-    evaluated again on rows.
+    rows holds the cut rows, with the bits a certificate stores; k, margin
+    and reeval hold each row's k, cut margin and margin evaluated again on
+    rows.
     """
 
     cid: str
@@ -467,18 +467,17 @@ def _recheck(group: Group, cuts) -> list[_Cut]:
     """Each key's cut rows of one group, their margins evaluated again from the stored tuples.
 
     cuts lists (checker id, q, rows, k, margin), the last three arrays over
-    that key's cut rows. Each key's cut rows are rebuilt from their p and
-    slopes as tuples of floats, as one group of their own, on which the key's
-    kernel runs. A row has the same bits in any stack, so each margin comes
-    back with the bits it was cut with; _require_reproduced checks each pair
-    as it checks a certificate's.
-    A record keeps only the rebuilt rows' arrays, not the caches the kernel
+    that key's cut rows. Each key's cut rows, indexed out of the group (a
+    copy with the bits a certificate stores), are one group of their own, on
+    which the key's kernel runs. A row has the same bits in any stack, so
+    each margin comes back with the bits it was cut with; _require_reproduced
+    checks each pair as it checks a certificate's.
+    A record keeps only the cut rows' arrays, not the caches the kernel
     built on them.
     """
     records = []
     for cid, q, rows, k, margin in cuts:
-        stored = Group(np.array(group.p[rows].tolist()), np.array(group.slopes[rows].tolist()),
-                       group.index[rows], group.t[rows])
+        stored = Group(group.p[rows], group.slopes[rows], group.index[rows], group.t[rows])
         margins = CHECKERS[cid].kernel(stored, q)
         reeval = inequalities._verdict(margins.values, inequalities._tolerance(margins.scale)).worst
         _require_reproduced(margin, reeval)

@@ -51,9 +51,6 @@ __all__ = [
     "q_curvature",
     "q_entropy",
     "q_entropy_second_derivative",
-    "stacked_power_sums",
-    "stacked_q_curvature",
-    "stacked_tsallis_uk",
     "tsallis_uk",
     "tsallis_uk_tilde",
 ]
@@ -180,19 +177,9 @@ def basis_q_curvature(basis: QBasis, spec: EntropySpec) -> np.ndarray:
     return t2 / ((1.0 - q) * t0) - (t1 / t0) ** 2 / (1.0 - q)
 
 
-def stacked_power_sums(f: np.ndarray, g: np.ndarray, h: np.ndarray, q: float):
-    """T = sum_k f_k^q and its first two t-derivatives, one value per row.
-
-    f, g and h are stacks of shape (m, n+1), (m, n) and (m, n-1); the three
-    results have shape (m,). The basis and the per-q pass; a row gives the
-    same bits in any stack.
-    """
-    return basis_power_sums(q_basis(f, g, h), q)
-
-
 def power_sum_derivatives(params: ParamVector, slopes, q: float) -> tuple[float, float, float]:
     """T = sum_k f_k^q with its first two t-derivatives along the affine direction."""
-    t0, t1, t2 = stacked_power_sums(*_fgh(params, slopes), q)
+    t0, t1, t2 = basis_power_sums(q_basis(*_fgh(params, slopes)), q)
     return float(t0[0]), float(t1[0]), float(t2[0])
 
 
@@ -209,34 +196,22 @@ def _tsallis_terms(f: np.ndarray, g: np.ndarray, h: np.ndarray, q: float):
     return h_part, g_part, fq2
 
 
-def stacked_tsallis_uk(f: np.ndarray, g: np.ndarray, h: np.ndarray, q: float) -> np.ndarray:
-    """Per-index Tsallis decomposition u_k, k = 0..n-2, for every row of the stacks."""
-    h_part, g_part, _ = _tsallis_terms(f, g, h, q)
-    return h_part + g_part
-
-
 def tsallis_uk(params: ParamVector, slopes, q: float) -> np.ndarray:
     """Per-index Tsallis analogue of the Shannon curvature decomposition, k = 0..n-2."""
-    return stacked_tsallis_uk(*_fgh(params, slopes), q)[0]
-
-
-def stacked_q_curvature(
-    f: np.ndarray, g: np.ndarray, h: np.ndarray, spec: EntropySpec
-) -> np.ndarray:
-    """Second t-derivative of the chosen entropy for every row of the stacks f, g, h.
-
-    Renyi and Tsallis are the basis and the per-q pass (basis_q_curvature);
-    Shannon is calculus.stacked_entropy_curvature. A row gives the same bits
-    in any stack, one row being what q_curvature evaluates.
-    """
-    if spec.kind == "shannon":
-        return stacked_entropy_curvature(f, g, h)
-    return basis_q_curvature(q_basis(f, g, h), spec)
+    h_part, g_part, _ = _tsallis_terms(*_fgh(params, slopes), q)
+    return (h_part + g_part)[0]
 
 
 def q_curvature(params: ParamVector, slopes, spec: EntropySpec) -> float:
-    """Second t-derivative of the chosen entropy at the point (p, p'): a one-row stack."""
-    return float(stacked_q_curvature(*_fgh(params, slopes), spec)[0])
+    """Second t-derivative of the chosen entropy at the point (p, p'): a one-row stack.
+
+    Shannon is calculus.stacked_entropy_curvature; Renyi and Tsallis are the
+    basis and the per-q pass, which give a row the same bits in any stack.
+    """
+    f, g, h = _fgh(params, slopes)
+    if spec.kind == "shannon":
+        return float(stacked_entropy_curvature(f, g, h)[0])
+    return float(basis_q_curvature(q_basis(f, g, h), spec)[0])
 
 
 def q_entropy_second_derivative(
@@ -271,8 +246,9 @@ def chain_rule_check(path: AffinePath, t: float, q: float) -> MarginReport:
     """
     renyi = EntropySpec.renyi(q)  # refuses q = 1
     f, g, h = _fgh(path_at(path, t), path.slopes)
-    t0, t1, _ = (float(x[0]) for x in stacked_power_sums(f, g, h, q))
-    lhs = float(stacked_q_curvature(f, g, h, renyi)[0])
+    basis = q_basis(f, g, h)
+    t0, t1, _ = (float(x[0]) for x in basis_power_sums(basis, q))
+    lhs = float(basis_q_curvature(basis, renyi)[0])
     correction = -((t1 / t0) ** 2) / (1.0 - q)
     # H_T'' from the per-index decomposition and its two boundary terms, not from T''.
     h_part, g_part, fq2 = _tsallis_terms(f, g, h, q)
@@ -380,41 +356,35 @@ def binomial2_tsallis_curvature(q: float) -> float:
 
 
 @functools.cache
-def _probe_point(p: tuple[float, ...], slopes: tuple[float, ...], scaled: bool = False) -> QBasis:
-    """The QBasis of a fixed probe point, built once per point and read-only.
+def _probe_point(p: tuple[float, ...], slopes: tuple[float, ...]) -> QBasis:
+    """The QBasis of a fixed probe point over its largest mass, built once per point and read-only.
 
-    scaled divides f, g and h by the largest mass first: the ratios stay, the
+    f, g and h are divided by the largest mass first: the ratios stay, the
     weights become (f / max f)^q, and a curvature comes out divided by
-    max_k f_k^q, which keeps its sign where every f_k^q underflows.
+    max_k f_k^q, which keeps its sign where every f_k^q underflows. The Renyi
+    curvature, a ratio of the power sums, is unchanged up to rounding.
     """
     f, g, h = _fgh(ParamVector(np.array(p)), slopes)
-    if scaled:
-        top = f.max()
-        f, g, h = f / top, g / top, h / top
-    basis = q_basis(f, g, h)
+    top = f.max()
+    basis = q_basis(f / top, g / top, h / top)
     for array in basis:
         array.flags.writeable = False
     return basis
 
 
-def _binomial2_tsallis_probe(q: float) -> float:
-    # The exact kernel at p = (1/2, 1/2), slopes (1, 1), over max_k f_k^q = 2^-q: by the
-    # middle mass alone it tends to 8q/(q-1) as q grows. binomial2_tsallis_curvature is the
-    # closed form of the unscaled curvature.
-    return float(basis_q_curvature(_probe_point((0.5, 0.5), (1.0, 1.0), True),
-                                   EntropySpec.tsallis(q))[0])
-
-
-def _bernoulli_renyi_probe(q: float, p: float = 1e-4) -> float:
-    # The conjectured threshold is a p -> 0 limit, probed at a small fixed p.
-    return float(basis_q_curvature(_probe_point((p,), (1.0,)), EntropySpec.renyi(q))[0])
+def _exact_probe(p: tuple[float, ...], slopes: tuple[float, ...], kind: str):
+    """The q -> curvature probe of kind at the fixed point (p, slopes), over its largest mass."""
+    return lambda q: float(basis_q_curvature(_probe_point(p, slopes), EntropySpec(kind, q))[0])
 
 
 CRITICAL_Q_PROBES = {
     # 2 - 4q + 2^q divided by 2^max(q, 0): the same sign, and no power overflows at a finite q.
     "analytic_tsallis": lambda q: (0.5 - q) * 2.0 ** (2.0 - max(q, 0.0)) + 2.0 ** min(q, 0.0),
-    "binomial2_tsallis": _binomial2_tsallis_probe,
-    "bernoulli_renyi": _bernoulli_renyi_probe,
+    # Over max_k f_k^q = 2^-q, by the middle mass alone it tends to 8q/(q-1) as q grows;
+    # binomial2_tsallis_curvature is the closed form of the undivided curvature.
+    "binomial2_tsallis": _exact_probe((0.5, 0.5), (1.0, 1.0), "tsallis"),
+    # The conjectured threshold is a p -> 0 limit, probed at a small fixed p.
+    "bernoulli_renyi": _exact_probe((1e-4,), (1.0,), "renyi"),
 }
 
 

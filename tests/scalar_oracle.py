@@ -411,9 +411,9 @@ def binomial2_tsallis_fd_probe(q: float, step: float = 1e-4) -> float:
     return central_second(ent, 0.5, step)
 
 
-# The exact critical-q probes as they were first written: every q builds its
-# point again and evaluates the curvature kernel there. The library's probes
-# build each point once and must give the same bits.
+# The exact critical-q probes, every q building its point again: the unscaled
+# ones as they were first written, and the points over their largest mass,
+# whose bits the library's probes (each point built once) must give.
 
 
 def binomial2_tsallis_unscaled_probe(q: float) -> float:
@@ -427,17 +427,27 @@ def binomial2_tsallis_unscaled_probe(q: float) -> float:
 def binomial2_tsallis_probe(q: float) -> float:
     """The same curvature over its largest mass to the q, (1/2)^q: f, g and h doubled (exactly)."""
     from entropath.calculus import _fgh
-    from entropath.qentropy import EntropySpec, stacked_q_curvature
+    from entropath.qentropy import EntropySpec, basis_q_curvature, q_basis
 
     f, g, h = _fgh(ParamVector(np.array([0.5, 0.5])), np.array([1.0, 1.0]))
-    return float(stacked_q_curvature(2.0 * f, 2.0 * g, 2.0 * h, EntropySpec.tsallis(q))[0])
+    return float(basis_q_curvature(q_basis(2.0 * f, 2.0 * g, 2.0 * h), EntropySpec.tsallis(q))[0])
 
 
-def bernoulli_renyi_probe(q: float, p: float = 1e-4) -> float:
-    """Renyi curvature of one coin at p, slope 1, the point built for this q alone."""
+def bernoulli_renyi_unscaled_probe(q: float) -> float:
+    """Renyi curvature of one coin at p = 1e-4, slope 1, the point built for this q alone."""
     from entropath.qentropy import EntropySpec, q_curvature
 
-    return q_curvature(ParamVector(np.array([p])), np.array([1.0]), EntropySpec.renyi(q))
+    return q_curvature(ParamVector(np.array([1e-4])), np.array([1.0]), EntropySpec.renyi(q))
+
+
+def bernoulli_renyi_probe(q: float) -> float:
+    """The same curvature with f, g and h over the largest mass, 1 - 1e-4: a ratio, it stays."""
+    from entropath.calculus import _fgh
+    from entropath.qentropy import EntropySpec, basis_q_curvature, q_basis
+
+    f, g, h = _fgh(ParamVector(np.array([1e-4])), np.array([1.0]))
+    top = f.max()
+    return float(basis_q_curvature(q_basis(f / top, g / top, h / top), EntropySpec.renyi(q))[0])
 
 
 # The scan estimator of a critical q, as it was first written: one run_scan of

@@ -263,6 +263,20 @@ class TestCriticalQ:
         assert err == "error: violation predicate is constant over the bracket\n"
 
 
+    @pytest.mark.parametrize("flags, named", [
+        (("--seed", "5"), "--seed"),
+        (("--instances", "3"), "--instances"),
+        (("--seed", "5", "--instances", "3"), "--seed, --instances"),
+    ])
+    def test_probe_estimator_refuses_the_scan_flags(self, capsys, flags, named):
+        # The probe is a fixed point: a seed or an instance count would be ignored.
+        code, out, err = run_cli(
+            capsys,
+            "critical-q", "--family", "binomial2", "--kind", "tsallis",
+            "--bracket", "3.5,3.8", *flags, "--format", "json",
+        )
+        assert (code, out, err) == (2, "", f"error: only the scan estimator takes {named}\n")
+
     @pytest.mark.parametrize("family, kind, bracket, message", [
         # Both ends cut nothing, so the bisection never reaches the midpoint q = 1.
         ("bernoulli", "renyi", "0.5,1.5", "violation predicate is constant over the bracket"),

@@ -16,7 +16,7 @@ from conftest import random_instance
 from entropath.calculus import stacked_entropy_hessian, stacked_fgh
 from entropath.explorer import ScanConfig, sample_instance
 from entropath.pmf import _convolve_bernoullis
-from entropath.qentropy import EntropySpec, stacked_power_sums, stacked_q_curvature
+from entropath.qentropy import EntropySpec, basis_power_sums, basis_q_curvature, q_basis
 
 EPS = np.finfo(np.float64).eps
 DIGITS = 60
@@ -197,9 +197,10 @@ def _mp_power_sums(f, g, h, q):
 def test_q_kernels_match_mpmath_power_sums(p, slopes, q):
     n = p.size
     f, g, h = stacked_fgh(p[None], slopes[None])
-    sums = [x[0] for x in stacked_power_sums(f, g, h, q)]
-    renyi = stacked_q_curvature(f, g, h, EntropySpec.renyi(q))[0]
-    tsallis = stacked_q_curvature(f, g, h, EntropySpec.tsallis(q))[0]
+    basis = q_basis(f, g, h)
+    sums = [x[0] for x in basis_power_sums(basis, q)]
+    renyi = basis_q_curvature(basis, EntropySpec.renyi(q))[0]
+    tsallis = basis_q_curvature(basis, EntropySpec.tsallis(q))[0]
     u = EPS / 2
     with mpmath.workdps(Q_DIGITS):
         (t0, t1, t2), scales = _mp_power_sums(f[0], g[0], h[0], q)

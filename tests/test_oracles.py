@@ -29,11 +29,12 @@ from entropath.inequalities import (
 from entropath.pmf import ParamVector, _convolve_bernoullis, compute_pmf
 from entropath.qentropy import (
     EntropySpec,
+    _tsallis_terms,
+    basis_power_sums,
+    basis_q_curvature,
     power_sum_derivatives,
+    q_basis,
     q_curvature,
-    stacked_power_sums,
-    stacked_q_curvature,
-    stacked_tsallis_uk,
     tsallis_uk,
     tsallis_uk_tilde,
 )
@@ -207,19 +208,25 @@ def _bits(x) -> list[int]:
     return np.asarray(x, dtype=np.float64).view(np.int64).ravel().tolist()
 
 
+def _stacked_curvature(f, g, h, spec):
+    """Every row's curvature: the Shannon kernel, or the q basis and its per-q pass."""
+    if spec.kind == "shannon":
+        return stacked_entropy_curvature(f, g, h)
+    return basis_q_curvature(q_basis(f, g, h), spec)
+
+
 @pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"{s.kind}-{s.q}")
 def test_stack_rows_equal_one_instance_calls_bit_for_bit(spec):
     for cases, f, g, h in KERNEL_STACKS:
-        stacked = stacked_q_curvature(f, g, h, spec)
+        stacked = _stacked_curvature(f, g, h, spec)
         assert _bits(stacked) == _bits([q_curvature(pv, s, spec) for pv, s in cases])
         if spec.kind == "shannon":
-            assert _bits(stacked_entropy_curvature(f, g, h)) == _bits(stacked)
             assert _bits(stacked) == _bits([entropy_curvature(pv, s) for pv, s in cases])
             continue
-        sums = np.stack(stacked_power_sums(f, g, h, spec.q), axis=1)
+        sums = np.stack(basis_power_sums(q_basis(f, g, h), spec.q), axis=1)
         assert _bits(sums) == _bits([power_sum_derivatives(pv, s, spec.q) for pv, s in cases])
-        uk = stacked_tsallis_uk(f, g, h, spec.q)
-        assert _bits(uk) == _bits([tsallis_uk(pv, s, spec.q) for pv, s in cases])
+        h_part, g_part, _ = _tsallis_terms(f, g, h, spec.q)
+        assert _bits(h_part + g_part) == _bits([tsallis_uk(pv, s, spec.q) for pv, s in cases])
 
 
 def test_fgh_of_a_slope_stack_equals_one_vector_calls_bit_for_bit():
@@ -251,7 +258,7 @@ def test_tsallis_uk_tilde_extends_tsallis_uk(q):
 @pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"{s.kind}-{s.q}")
 def test_stacked_curvature_matches_scalar_formulas(spec):
     for _, f, g, h in KERNEL_STACKS:
-        stacked = stacked_q_curvature(f, g, h, spec)
+        stacked = _stacked_curvature(f, g, h, spec)
         for row, got in enumerate(stacked.tolist()):
             if spec.kind == "shannon":
                 want, scale = oracle.entropy_curvature(f[row], g[row], h[row])
@@ -286,10 +293,13 @@ def test_stacked_kernels_raise_boundary_error_as_one_row_calls_do(spec):
             one = q_curvature(ParamVector(p), s, spec)
         except BoundaryError as exc:
             with pytest.raises(BoundaryError, match=re.escape(str(exc))):
-                stacked_q_curvature(f, g, h, spec)
+                _stacked_curvature(f, g, h, spec)
+            if spec.kind != "shannon":
+                with pytest.raises(BoundaryError, match=re.escape(str(exc))):
+                    _tsallis_terms(f, g, h, spec.q)
             continue
         assert spec.kind == "shannon"
-        stacked = stacked_q_curvature(f, g, h, spec)
+        stacked = _stacked_curvature(f, g, h, spec)
         assert _bits(stacked[1]) == _bits(one)
         assert _bits(stacked) == _bits([q_curvature(ParamVector(pp), ss, spec)
                                         for pp, ss in mates])

@@ -364,24 +364,30 @@ class TestCriticalQ:
             assert probe(q) == per_call(q), q
 
     def test_cached_probe_point_is_read_only(self):
-        for scaled in (False, True):
-            basis = qentropy._probe_point((0.5, 0.5), (1.0, 1.0), scaled)
-            assert qentropy._probe_point((0.5, 0.5), (1.0, 1.0), scaled) is basis
+        for point in (((0.5, 0.5), (1.0, 1.0)), ((1e-4,), (1.0,))):
+            basis = qentropy._probe_point(*point)
+            assert qentropy._probe_point(*point) is basis
             for array in basis:
                 with pytest.raises(ValueError, match="read-only"):
                     array[(0,) * array.ndim] = 1.0
 
-    def test_scaled_two_coin_probe_bisects_like_the_unscaled_curvature(self):
-        # Dividing by (1/2)^q keeps every sign, so the 3.5,3.8 trace and root keep their bits.
-        got = find_critical_q("binomial2_tsallis", (3.5, 3.8))
-        want = find_critical_q("binomial2_tsallis", (3.5, 3.8),
-                               probe=oracle.binomial2_tsallis_unscaled_probe)
+    @pytest.mark.parametrize("family, unscaled, factor, bracket", [
+        ("binomial2_tsallis", oracle.binomial2_tsallis_unscaled_probe, lambda q: 2.0**q,
+         (3.5, 3.8)),
+        ("bernoulli_renyi", oracle.bernoulli_renyi_unscaled_probe, lambda q: 1.0, (1.5, 2.5)),
+        ("bernoulli_renyi", oracle.bernoulli_renyi_unscaled_probe, lambda q: 1.0, (1.5, 1000.0)),
+    ])
+    def test_scaled_probe_bisects_like_the_unscaled_curvature(self, family, unscaled, factor,
+                                                              bracket):
+        # Dividing by max_k f_k^q keeps every sign (the Renyi curvature is a ratio and keeps
+        # its value), so the trace and root keep their bits.
+        got = find_critical_q(family, bracket)
+        want = find_critical_q(family, bracket, probe=unscaled)
         assert got.sign_trace == want.sign_trace
         assert got.root.hex() == want.root.hex()
-        probe = qentropy.CRITICAL_Q_PROBES["binomial2_tsallis"]
+        probe = qentropy.CRITICAL_Q_PROBES[family]
         for q in np.linspace(0.1, 40.0, 57).tolist():
-            assert probe(q) == pytest.approx(
-                oracle.binomial2_tsallis_unscaled_probe(q) * 2.0**q, rel=1e-13, abs=1e-13), q
+            assert probe(q) == pytest.approx(unscaled(q) * factor(q), rel=1e-13, abs=1e-13), q
 
     def test_two_coin_probe_takes_a_bracket_to_2000(self):
         # Unscaled, every f_k^q underflows past q ~ 1075 and the curvature reads -0.0 there;
@@ -392,6 +398,15 @@ class TestCriticalQ:
         res = find_critical_q("binomial2_tsallis", (3.5, 2000.0))
         assert res.sign_trace[:2] == ((3.5, -1), (2000.0, 1))
         assert abs(res.root - 3.6598611779191823) <= 1e-7  # mpmath's root of 2 - 4q + 2^q
+
+    def test_one_coin_probe_takes_a_bracket_to_1e7(self):
+        # Unscaled, every f_k^q underflows past q ~ 7.4e6 and the curvature reads NaN (0/0);
+        # over the largest mass f_0 reads 1, so T stays near 1.
+        with np.errstate(invalid="ignore"):
+            assert math.isnan(oracle.bernoulli_renyi_unscaled_probe(1e7))
+        res = find_critical_q("bernoulli_renyi", (1.5, 1e7))
+        assert res.sign_trace[:2] == ((1.5, -1), (1e7, 1))
+        assert abs(res.root - find_critical_q("bernoulli_renyi", (1.5, 2.5)).root) <= 1e-7
 
     def test_lemma_values_reproduced(self):
         # below the threshold the two-coin Tsallis probe is concave, above convex

@@ -103,7 +103,7 @@ def commands(config_dir: Path) -> list[list[str]]:
              "--checks", "tsallis_concavity,log_concavity", "--q-grid", "4,10", "--format", fmt],
         ]
 
-    # The scan estimator of a critical q, and the three probe roots.
+    # The scan estimator of a critical q, and the probe roots.
     for family in ("random_affine", "bernoulli", "binomial2", "binomial_n"):
         for kind, bracket in (("renyi", "1.5,2.5"), ("tsallis", "3.5,3.8")):
             cmds += [["critical-q", "--family", family, "--kind", kind, "--bracket", bracket,
@@ -122,6 +122,11 @@ def commands(config_dir: Path) -> list[list[str]]:
          "--format", "json"],
         ["critical-q", "--family", "binomial2", "--kind", "tsallis", "--bracket", "3.5,2000",
          "--format", "json"],
+        ["critical-q", "--family", "bernoulli", "--kind", "renyi", "--bracket", "1.5,1000",
+         "--format", "json"],
+        # The scan estimator's flags, which the probe estimator refuses.
+        ["critical-q", "--family", "binomial2", "--kind", "tsallis", "--bracket", "3.5,3.8",
+         "--seed", "5", "--instances", "3", "--format", "json"],
     ]
 
     for fmt in ("json", "csv", "human"):
