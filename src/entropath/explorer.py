@@ -473,7 +473,9 @@ def _recheck(group: Group, cuts) -> list[_Cut]:
     each margin comes back with the bits it was cut with; _require_reproduced
     checks each pair as it checks a certificate's.
     A record keeps only the cut rows' arrays, not the caches the kernel
-    built on them.
+    built on them. run_scan re-checks every group's cuts as _scan yields
+    them, each cut row becoming a certificate; estimate_critical_q re-checks
+    only the cuts of its last +1 probe, once per root.
     """
     records = []
     for cid, q, rows, k, margin in cuts:
@@ -608,21 +610,21 @@ def _keys(config: ScanConfig) -> list[tuple[str, float | None, str]]:
     ]
 
 
-def _scan(keys, groups, rows_of: dict | None = None):
-    """The scan loop: (worst margins by report key, cut records) of the keys' checkers.
+def _scan(keys, groups, minima: dict, rows_of: dict | None = None):
+    """The scan loop: yields each group with its cut tuples, folding worst margins into minima.
 
     keys lists (checker id, q, report key); q is None for the checkers that
     take none. Each key's kernel runs once per group, after Group.prepare has
     built what the keys' checkers share. A row's worst margin, its k and
     whether it is cut come from inequalities._verdict. The worst margins are
-    merged in instance-index order, so a tie goes to the lowest index, and
-    every cut margin is evaluated again from its stored tuple (_recheck).
-    Only run_scan makes certificates of the cuts. With rows_of, every margin
-    row is appended under its instance index, for CSV dumps.
+    folded into minima (report key -> _Minimum) in instance-index order, so a
+    tie goes to the lowest index. Each group is yielded with its cuts,
+    (checker id, q, rows, k, margin) per key that cuts a row, before the next
+    group is drawn; the loop re-checks none of them, its caller does
+    (_recheck). With rows_of, every margin row is appended under its instance
+    index, for CSV dumps.
     """
     cids = [cid for cid, _, _ in keys]
-    minima: dict[str, _Minimum] = {}
-    cuts: list[_Cut] = []
     for group in groups:
         group.prepare(cids)
         group_cuts = []
@@ -644,8 +646,7 @@ def _scan(keys, groups, rows_of: dict | None = None):
             cut = np.flatnonzero(cut)
             if cut.size:
                 group_cuts.append((cid, q, cut, ks[pos[cut]], worst[cut]))
-        cuts.extend(_recheck(group, group_cuts))
-    return {key: minimum.entry() for key, minimum in minima.items()}, cuts
+        yield group, group_cuts
 
 
 def run_scan(config: ScanConfig, collect_margins: bool = False) -> ScanReport:
@@ -657,13 +658,15 @@ def run_scan(config: ScanConfig, collect_margins: bool = False) -> ScanReport:
     full per-instance margin rows are kept for CSV dumps, in instance order.
     """
     rows_of = {} if collect_margins else None
-    worst_margins, cuts = _scan(_keys(config), _groups(config), rows_of)
+    minima: dict[str, _Minimum] = {}
+    cuts = [cut for group, group_cuts in _scan(_keys(config), _groups(config), minima, rows_of)
+            for cut in _recheck(group, group_cuts)]
     config_hash = config.config_hash()
     takes_q = any(CHECKERS[cid].takes_q for cid in config.inequality_set)
     return ScanReport(
         config=config,
         config_hash=config_hash,
-        worst_margins=worst_margins,
+        worst_margins={key: minimum.entry() for key, minimum in minima.items()},
         certificates=tuple(_certificates(config_hash, cuts)),
         margin_rows=tuple(r for i in sorted(rows_of) for r in rows_of[i])
         if collect_margins
@@ -683,20 +686,24 @@ def estimate_critical_q(
 
     qentropy.find_critical_q bisects a probe that reads +1 where a scan of
     the family on the kind's curvature checker cuts a row, and -1 where it
-    cuts none. Every cut margin is evaluated again, but no certificate is
-    made and no config hashed. The family's groups, chunked for the one
-    checker, and their f, g and h are built once per root from one config,
-    on the probe's first call, and each group's q basis on the first step;
-    each step then passes the scan loop its one key, (checker id, q), and
-    builds no config. The violation predicate is assumed monotone in q, per
-    the shape of the conjecture; that assumption is recorded in the caveat,
-    not enforced. The Shannon kind never produces violations, so it surfaces
-    the constant predicate error.
+    cuts none. No certificate is made and no config hashed. The family's
+    groups, chunked for the one checker, and their f, g and h are built once
+    per root from one config, on the probe's first call, and each group's q
+    basis on the first step; each step then passes the scan loop its one
+    key, (checker id, q), and builds no config. Only the cuts of the last
+    probe that read +1 are kept: that q is the +1 end of the final bracket,
+    so it sets the root, and every cut row of it, in every group, is
+    evaluated again (_recheck) once find_critical_q returns. The violation
+    predicate is assumed monotone in q, per the shape of the conjecture, so
+    every earlier +1 step lies beyond that q; that assumption is recorded in
+    the caveat, not enforced. The Shannon kind never produces violations, so
+    it surfaces the constant predicate error.
     """
     if kind not in qentropy._KINDS:
         raise ValueError(f"unknown entropy kind {kind!r}")
     cid = "entropy_concavity" if kind == "shannon" else f"{kind}_concavity"
     groups: list[Group] = []
+    last_cut: list = []  # (group, cuts) of each group the last +1 probe cut
 
     def probe(q: float) -> float:
         if kind == "shannon":
@@ -706,7 +713,12 @@ def estimate_critical_q(
                            q_grid=None if q is None else (q,))
             groups.extend(_groups(scan))
         # EntropySpec checks q in the kernel with ScanConfig's rule and message.
-        return 1.0 if _scan([(cid, q, cid)], groups)[1] else -1.0
+        cut = [(group, cuts) for group, cuts in _scan([(cid, q, cid)], groups, {}) if cuts]
+        if cut:
+            last_cut[:] = cut
+        return 1.0 if cut else -1.0
 
     result = qentropy.find_critical_q(f"{family}:{kind}", bracket, probe, tol)
+    for group, cuts in last_cut:
+        _recheck(group, cuts)
     return replace(result, caveat=OVERESTIMATE_CAVEAT)

@@ -184,16 +184,20 @@ def power_sum_derivatives(params: ParamVector, slopes, q: float) -> tuple[float,
 
 
 def _tsallis_terms(f: np.ndarray, g: np.ndarray, h: np.ndarray, q: float):
-    """Rows of the h part and the g part of u_k (their sum), k = 0..n-2, and the powers f^(q-2)."""
+    """Rows of the h part and the g part of u_k (their sum), k = 0..n-2, and the powers f^q.
+
+    Each term is f_j^q times a q-independent ratio (h_k/f_j, (g_k/f_j)^2,
+    g_k g_(k+1)/f_j^2), so f^q is the one power formed, and a small mass
+    overflows no f^(q-2).
+    """
     _require_positive(f)
-    fq1 = f ** (q - 1.0)
-    fq2 = f ** (q - 2.0)
-    fa, fb, fc = fq1[:, :-2], fq1[:, 1:-1], fq1[:, 2:]
-    wa, wb, wc = fq2[:, :-2], fq2[:, 1:-1], fq2[:, 2:]
+    fq = f**q
+    fa, fb, fc = f[:, :-2], f[:, 1:-1], f[:, 2:]
+    wa, wb, wc = fq[:, :-2], fq[:, 1:-1], fq[:, 2:]
     ga, gb = g[:, :-1], g[:, 1:]
-    h_part = -(1.0 / (1.0 - q)) * h * (fa - 2.0 * fb + fc)
-    g_part = ga**2 * wa - 2.0 * ga * gb * wb + gb**2 * wc
-    return h_part, g_part, fq2
+    h_part = -(1.0 / (1.0 - q)) * (wa * (h / fa) - 2.0 * wb * (h / fb) + wc * (h / fc))
+    g_part = wa * (ga / fa) ** 2 - 2.0 * wb * (ga / fb) * (gb / fb) + wc * (gb / fc) ** 2
+    return h_part, g_part, fq
 
 
 def tsallis_uk(params: ParamVector, slopes, q: float) -> np.ndarray:
@@ -251,9 +255,9 @@ def chain_rule_check(path: AffinePath, t: float, q: float) -> MarginReport:
     lhs = float(basis_q_curvature(basis, renyi)[0])
     correction = -((t1 / t0) ** 2) / (1.0 - q)
     # H_T'' from the per-index decomposition and its two boundary terms, not from T''.
-    h_part, g_part, fq2 = _tsallis_terms(f, g, h, q)
+    h_part, g_part, fq = _tsallis_terms(f, g, h, q)
     n = g.shape[-1]
-    boundary = g[:, n - 1] ** 2 * fq2[:, n - 1] + g[:, 0] ** 2 * fq2[:, 1]
+    boundary = fq[:, n - 1] * (g[:, n - 1] / f[:, n - 1]) ** 2 + fq[:, 1] * (g[:, 0] / f[:, 1]) ** 2
     tsallis = float(-q * ((h_part + g_part).sum(axis=-1) + boundary)[0])
     rhs = tsallis / t0 + correction
     residual = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-12)
@@ -296,14 +300,15 @@ def tsallis_uk_tilde(path: AffinePath, t: float, q: float) -> TsallisUkReport:
         raise ValueError("the rewriting is undefined at q = 1 and q = 2")
     params = path_at(path, t)
     f, g, h = _fgh(params, path.slopes)
-    h_part, g_part, fq2 = (row[0] for row in _tsallis_terms(f, g, h, q))
-    g = g[0]
+    h_part, g_part, fq = (row[0] for row in _tsallis_terms(f, g, h, q))
+    f, g = f[0], g[0]
     # k = n-1 lies past the h support, where u_k keeps only g_{n-1}^2 f_{n-1}^{q-2}.
     hterm = np.append(h_part, 0.0)
-    u = np.append(h_part + g_part, g[-1] * g[-1] * fq2[-2])
+    u = np.append(h_part + g_part, fq[-2] * (g[-1] / f[-2]) ** 2)
     # w[m] = g_m^2 (f_{m+1}^{q-2} - f_m^{q-2}), the telescand at k = m - 1; g_n reads zero.
-    w = np.append(g**2 * (fq2[1:] - fq2[:-1]), 0.0)
-    u_tilde = hterm + np.diff(g, append=0.0) ** 2 * fq2[1:] + (1.0 / (2.0 - q)) * np.diff(w)
+    w = np.append(fq[1:] * (g / f[1:]) ** 2 - fq[:-1] * (g / f[:-1]) ** 2, 0.0)
+    step = np.diff(g, append=0.0) / f[1:]
+    u_tilde = hterm + fq[1:] * step**2 + (1.0 / (2.0 - q)) * np.diff(w)
     sum_u = float(u.sum())
     sum_u_tilde = float(u_tilde.sum())
     residual = sum_u_tilde - sum_u

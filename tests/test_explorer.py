@@ -485,8 +485,14 @@ class TestPlantedFaultsAreCaught:
         monkeypatch.setattr(qentropy, "basis_q_curvature", faulty)
         with pytest.raises(ConsistencyError, match="^certificate does not reproduce"):
             run_scan(cfg)
-        with pytest.raises(ConsistencyError, match="^certificate does not reproduce"):
-            estimate_critical_q(cfg, "bernoulli", "renyi", (1.5, 2.5))
+        # The estimator re-checks the cuts of its last +1 probe, in one group or in two.
+        for case, family, kind, bracket in (
+            (cfg, "bernoulli", "renyi", (1.5, 2.5)),
+            (replace(cfg, instance_count=49), "binomial2", "tsallis", (3.5, 3.8)),
+            (replace(cfg, n_range=(1, 2)), "random_affine", "renyi", (1.5, 2.5)),
+        ):
+            with pytest.raises(ConsistencyError, match="^certificate does not reproduce"):
+                estimate_critical_q(case, family, kind, bracket)
 
     def test_ladder_kernel(self, monkeypatch):
         kernel = inequalities.stacked_condition4
@@ -569,7 +575,8 @@ class TestEstimatorMatchesScanBisection:
         groups = list(explorer._groups(base))
         for q, certificates in steps:
             scan = replace(base, inequality_set=(f"{kind}_concavity",), q_grid=(q,))
-            cuts = explorer._scan(explorer._keys(scan), groups)[1]
+            cuts = [cut for group, group_cuts in explorer._scan(explorer._keys(scan), groups, {})
+                    for cut in explorer._recheck(group, group_cuts)]
             got = explorer._certificates(scan.config_hash(), cuts)
             assert [c.to_dict() for c in got] == [c.to_dict() for c in certificates], q
 
@@ -932,6 +939,40 @@ class TestEstimatorBuildsOneConfigPerRoot:
         assert [(c.family, c.inequality_set) for c in built] == [(family, (f"{kind}_concavity",))]
 
 
+class TestEstimatorRechecksItsRootOnce:
+    """The estimator re-checks the cuts of its last +1 probe, the ones run_scan certifies there."""
+
+    @pytest.mark.parametrize("family,kind,bracket", [
+        ("bernoulli", "renyi", (1.5, 2.5)),
+        ("binomial2", "tsallis", (3.5, 3.8)),
+        ("random_affine", "renyi", (1.5, 2.5)),  # two groups, n = 1 and n = 2
+    ])
+    def test_one_recheck_per_root_of_the_cuts_run_scan_certifies(
+        self, monkeypatch, family, kind, bracket
+    ):
+        cfg = ScanConfig(seed=0, n_range=(1, 2), instance_count=49)
+        cid = f"{kind}_concavity"
+        groups = explorer._groups(replace(cfg, family=family, inequality_set=(cid,), q_grid=(2.0,)))
+        assert len(list(groups)) == (2 if family == "random_affine" else 1)
+        calls = []
+        recheck = explorer._recheck
+
+        def spy(group, cuts):
+            calls.append([(cid, q, group.index[rows], k) for cid, q, rows, k, _ in cuts])
+            return recheck(group, cuts)
+
+        monkeypatch.setattr(explorer, "_recheck", spy)
+        result = estimate_critical_q(cfg, family, kind, bracket)
+        monkeypatch.undo()
+        assert len(calls) == 1
+        last = [q for q, sign in result.sign_trace if sign == 1][-1]
+        report = run_scan(replace(cfg, family=family, inequality_set=(cid,), q_grid=(last,)))
+        [(got_cid, got_q, index, k)] = calls[0]
+        assert (got_cid, got_q) == (cid, last)
+        assert index.tolist() == [c.instance_index for c in report.certificates]
+        assert k.tolist() == [c.k for c in report.certificates]
+
+
 def _spy_on_q_basis(monkeypatch) -> list:
     """The f of every q basis built from here on, in build order."""
     built = []
@@ -957,12 +998,11 @@ class TestEachGroupBuildsItsQBasisOnce:
         assert len(list(explorer._groups(scan))) == 1
         built = _spy_on_q_basis(monkeypatch)
         result = estimate_critical_q(cfg, family, kind, bracket)
-        # The group's basis once, then one for each step that cuts rows and re-checks them.
-        rechecks = sum(sign == 1 for _, sign in result.sign_trace)
-        assert 0 < rechecks < len(result.sign_trace) - 1
+        # The group's basis once, then one for the re-check of the last +1 step's cut rows.
+        assert 0 < sum(sign == 1 for _, sign in result.sign_trace) < len(result.sign_trace) - 1
         assert built[0].shape[0] == 49
-        assert len(built) == 1 + rechecks
-        assert all(f.shape[0] < 49 for f in built[1:])
+        assert len(built) == 2
+        assert built[1].shape[0] < 49
         assert len({id(f) for f in built}) == len(built)
 
     def test_a_q_grid_scan_builds_each_group_basis_once(self, monkeypatch):

@@ -231,8 +231,10 @@ class TestVerdictRule:
         monkeypatch.setitem(explorer.CHECKERS, "c1", checker)
         p = np.array([REL_TOL, 10.0 * REL_TOL, np.nextafter(10.0 * REL_TOL, 1.0), 0.5])
         group = Group(p[:, None], np.ones((4, 1)), np.arange(4), np.zeros(4))
-        worst, cuts = explorer._scan([("c1", None, "c1")], [group])
-        assert worst["c1"] == {"margin": -0.5, "instance_index": 3, "k": 0}
+        minima = {}
+        [(scanned, group_cuts)] = explorer._scan([("c1", None, "c1")], [group], minima)
+        cuts = explorer._recheck(scanned, group_cuts)
+        assert minima["c1"].entry() == {"margin": -0.5, "instance_index": 3, "k": 0}
         assert [cut.rows.index.tolist() for cut in cuts] == [[2, 3]]
         assert cuts[0].reeval.tolist() == [-p[2], -0.5]
 

@@ -4,8 +4,11 @@ The f/g/h oracle runs the same recurrence in mpmath on the exact binary64
 inputs. The Hessian oracle forms every leave-two-out pmf explicitly and
 takes its sum against w, with no adjoint. Both kernels must also give a row
 the same bits in any stack. The power sums and the Renyi/Tsallis curvatures
-are taken at 50 digits on the kernels' own binary64 f, g and h.
+are taken at 50 digits on the kernels' own binary64 f, g and h, and the
+per-index Tsallis terms u_k at 60 digits.
 """
+
+import warnings
 
 import mpmath
 import numpy as np
@@ -15,8 +18,14 @@ import scalar_oracle as oracle
 from conftest import random_instance
 from entropath.calculus import stacked_entropy_hessian, stacked_fgh
 from entropath.explorer import ScanConfig, sample_instance
-from entropath.pmf import _convolve_bernoullis
-from entropath.qentropy import EntropySpec, basis_power_sums, basis_q_curvature, q_basis
+from entropath.pmf import ParamVector, _convolve_bernoullis
+from entropath.qentropy import (
+    EntropySpec,
+    basis_power_sums,
+    basis_q_curvature,
+    q_basis,
+    tsallis_uk,
+)
 
 EPS = np.finfo(np.float64).eps
 DIGITS = 60
@@ -221,3 +230,53 @@ def test_q_kernels_match_mpmath_power_sums(p, slopes, q):
         assert abs(mpmath.mpf(float(renyi)) - (a - b)) <= bound
         if n == 500 and q == 0.5:  # the seed-0 row, whose margin read NaN in the old form
             assert abs(a - b - mpmath.mpf("-1.9768024671693553")) <= 1e-15
+
+
+def _mp_tsallis_uk(f, g, h, q):
+    """(u_k, m_k, r_k), k = 0..n-2: u_k at DIGITS in the power form, and what bounds its error.
+
+    u_k = -(h_k/(1-q)) (f_k^(q-1) - 2 f_(k+1)^(q-1) + f_(k+2)^(q-1))
+          + g_k^2 f_k^(q-2) - 2 g_k g_(k+1) f_(k+1)^(q-2) + g_(k+1)^2 f_(k+2)^(q-2).
+    The kernel forms each term as f_j^q times a q-independent ratio. With
+    u = eps / 2, each term carries at most 6 u relative to its absolute
+    value (f^q's one ulp counted as 2 u), 1/(1-q) and its product 3 u more,
+    the three-term sums 2 u and the last sum u: under 12 u times m_k, the
+    sum of the absolute terms. Where f_j^q is subnormal, it is off by up to
+    2^-1074 absolutely, which its ratio scales; r_k sums the absolute
+    ratios, and each of the at most seven roundings to a subnormal adds
+    2^-1075 more, so 2^-1074 (r_k + 4) bounds that part.
+    """
+    f, g, h = _mp(f), _mp(g), _mp(h)
+    q = mpmath.mpf(q)
+    out = []
+    for k in range(len(h)):
+        c = h[k] / (1 - q)
+        g2 = (g[k] ** 2, g[k] * g[k + 1], g[k + 1] ** 2)
+        pairs = [(-c * f[k + j] ** (q - 1), -c / f[k + j]) for j in range(3)]
+        pairs += [(g2[j] * f[k + j] ** (q - 2), g2[j] / f[k + j] ** 2) for j in range(3)]
+        weights = (1, -2, 1, 1, -2, 1)
+        u = mpmath.fsum(w * term for w, (term, _) in zip(weights, pairs))
+        m = mpmath.fsum(abs(w * term) for w, (term, _) in zip(weights, pairs))
+        r = mpmath.fsum(abs(w * ratio) for w, (_, ratio) in zip(weights, pairs))
+        out.append((u, m, r))
+    return out
+
+
+@pytest.mark.parametrize("q", KERNEL_QS)
+@pytest.mark.parametrize("p, slopes", Q_CASES, ids=[f"n{p.size}" for p, _ in Q_CASES[:-1]]
+                         + ["seed0-n500"])
+def test_tsallis_uk_matches_mpmath(p, slopes, q):
+    # The per-index route forms no power but f^q, so it stays finite where
+    # f^(q-2) overflows; -W error would fail on an overflow warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = tsallis_uk(ParamVector(p), slopes, q)
+    f, g, h = (row[0] for row in stacked_fgh(p[None], slopes[None]))
+    u = EPS / 2
+    with mpmath.workdps(DIGITS):
+        want = _mp_tsallis_uk(f, g, h, q)
+        assert len(want) == got.size
+        for x, (y, m, r) in zip(got.tolist(), want):
+            assert abs(mpmath.mpf(x) - y) <= 12 * u * m + 2.0**-1074 * (r + 4)
+        if p.size == 500 and q == 0.5:  # the seed-0 row, whose tail read inf in the power form
+            assert abs(want[0][0] - mpmath.mpf("-2.5786144652695878e-98")) <= 1e-113

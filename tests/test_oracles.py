@@ -245,13 +245,14 @@ def test_fgh_of_a_slope_stack_equals_one_vector_calls_bit_for_bit():
 
 @pytest.mark.parametrize("q", [q for q in KERNEL_QS if q != 2.0])
 def test_tsallis_uk_tilde_extends_tsallis_uk(q):
-    # u_k for k = 0..n-2 is tsallis_uk; the extra k = n-1 entry is g_{n-1}^2 f_{n-1}^(q-2).
+    # u_k for k = 0..n-2 is tsallis_uk; the extra k = n-1 entry is g_{n-1}^2 f_{n-1}^(q-2),
+    # formed as f_{n-1}^q (g_{n-1} / f_{n-1})^2.
     for cases, f, g, _ in KERNEL_STACKS:
         for row, (params, s) in enumerate(cases):
             rep = tsallis_uk_tilde(AffinePath(params, s), 0.0, q)
             assert _bits(rep.u[:-1]) == _bits(tsallis_uk(params, s, q))
             n = params.n
-            last = g[row, n - 1] * g[row, n - 1] * f[row, n - 1 : n] ** (q - 2.0)
+            last = f[row, n - 1 : n] ** q * (g[row, n - 1] / f[row, n - 1]) ** 2
             assert _bits(rep.u[-1]) == _bits(last)
 
 

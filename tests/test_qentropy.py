@@ -1,6 +1,7 @@
 """Renyi/Tsallis entropies, curvature identities, and the critical constants."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from conftest import random_instance
 from entropath import qentropy
 from entropath.calculus import AffinePath, _fgh, path_at, shannon_entropy
 from entropath.errors import BoundaryError
+from entropath.explorer import ScanConfig, sample_instance
 from entropath.numdiff import central_second
 from entropath.pmf import ParamVector, compute_pmf
 from entropath.qentropy import (
@@ -187,6 +189,18 @@ class TestChainRule:
         path = AffinePath(ParamVector(np.array([0.3, 0.4])), np.zeros(2))
         with pytest.raises(ValueError):
             chain_rule_check(path, 0.0, 1.0)
+
+    def test_masses_near_1e_minus_210_hold_without_a_warning(self):
+        # The seed-0 row of scan --n-range 500,500: f^(q-2) overflows there at q = 0.5,
+        # and the per-index route forms f^q alone.
+        row = sample_instance(ScanConfig(seed=0, n_range=(500, 500), instance_count=2), 0)
+        path = AffinePath(ParamVector(np.array(row.p)), np.array(row.slopes))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = chain_rule_check(path, 0.0, 0.5)
+            tilde = tsallis_uk_tilde(path, 0.0, 0.5)
+        assert rep.holds
+        assert np.isfinite(tilde.u).all() and np.isfinite(tilde.u_tilde).all()
 
 
 class TestTsallisUk:
