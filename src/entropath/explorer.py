@@ -153,16 +153,18 @@ class Checker(NamedTuple):
     """One row of the checker table.
 
     name is the checker's report name, min_n the smallest n it applies to and
-    kernel its group kernel (group, q) -> Margins, which
-    inequalities._tolerance and inequalities._verdict judge; the theorem-level
+    kernel its group kernel (group, q) -> Margins, whose verdict() judges each
+    row by inequalities._tolerance and inequalities._verdict; the theorem-level
     kernels (u_k, H'', the Hessian, the q curvatures) give no scale, so they
-    get the fixed theorem tolerance. reads names the group structure the
-    kernel builds on: "f" (the pmf rows), "fgh" (f, g and h, or the u_k
-    decomposition made of them) or "p" (the parameter rows alone).
-    takes_q says that a scan runs the checker once for each q of its grid.
-    row_bytes(n) is the bytes of kernel buffer one instance of n components
-    takes (row counts measured at n = 12 and 60); the f/g/h kernels take at
-    most 32 rows of n + 1 floats.
+    get the fixed theorem tolerance. cij's kernel gives inequalities.CijMargins,
+    whose verdict() folds its pair blocks and builds no dense margins. reads
+    names the group structure the kernel builds on: "f" (the pmf rows), "fgh"
+    (f, g and h, or the u_k decomposition made of them) or "p" (the parameter
+    rows alone). takes_q says that a scan runs the checker once for each q of
+    its grid. row_bytes(n) is the bytes of kernel buffer one instance of n
+    components takes: the f/g/h kernels at most 32 rows of n + 1 floats, the
+    Hessian 8 arrays of (n + 1)^2 floats, and cij one pair block of
+    pmf._leave_two_out_blocks.
     """
 
     name: str
@@ -187,8 +189,8 @@ CHECKERS = {
     "c1": Checker("c1", 1, "f", lambda grp, q: inequalities.stacked_c1(grp.f)),
     "c1bar": Checker("c1bar", 1, "f", lambda grp, q: inequalities.stacked_c1bar(grp.f)),
     "cij": Checker(
-        "cij_nonpositive", 2, "p", lambda grp, q: inequalities.stacked_cij(grp.p),
-        row_bytes=lambda n: 8 * (1 + n + n * (n - 1) // 2) * (n + 2),
+        "cij_nonpositive", 2, "p", lambda grp, q: inequalities.CijMargins(grp.p),
+        row_bytes=lambda n: 8 * (1 + n + pmf._block_pairs(n)) * (n + 2),
     ),
     "condition4": Checker(
         "condition4", 2, "fgh", lambda grp, q: inequalities.stacked_condition4(*grp.fgh)
@@ -469,9 +471,9 @@ def _recheck(group: Group, cuts) -> list[_Cut]:
     cuts lists (checker id, q, rows, k, margin), the last three arrays over
     that key's cut rows. Each key's cut rows, indexed out of the group (a
     copy with the bits a certificate stores), are one group of their own, on
-    which the key's kernel runs. A row has the same bits in any stack, so
-    each margin comes back with the bits it was cut with; _require_reproduced
-    checks each pair as it checks a certificate's.
+    which the key's kernel runs and judges (verdict()). A row has the same
+    bits in any stack, so each margin comes back with the bits it was cut
+    with; _require_reproduced checks each pair as it checks a certificate's.
     A record keeps only the cut rows' arrays, not the caches the kernel
     built on them. run_scan re-checks every group's cuts as _scan yields
     them, each cut row becoming a certificate; estimate_critical_q re-checks
@@ -480,8 +482,7 @@ def _recheck(group: Group, cuts) -> list[_Cut]:
     records = []
     for cid, q, rows, k, margin in cuts:
         stored = Group(group.p[rows], group.slopes[rows], group.index[rows], group.t[rows])
-        margins = CHECKERS[cid].kernel(stored, q)
-        reeval = inequalities._verdict(margins.values, inequalities._tolerance(margins.scale)).worst
+        reeval = CHECKERS[cid].kernel(stored, q).verdict().worst
         _require_reproduced(margin, reeval)
         records.append(_Cut(cid, q, Group(stored.p, stored.slopes, stored.index, stored.t),
                             k, margin, reeval))
@@ -547,17 +548,23 @@ def _groups(config: ScanConfig) -> Iterator[Group]:
 
     A chunk holds at most _GROUP_BYTES of kernel buffer, each instance
     counted at the largest row_bytes(n) of the configured checkers, and keeps
-    the index order of its instances. Only one
-    chunk's instances are sampled at a time.
+    the index order of its instances. Where cij's rows of one instance take
+    more than one pair block, a chunk is one instance: a stack of a few rows
+    steps its blocks slower per row than one row does, its instance axis
+    being innermost. Only one chunk's instances are sampled at a time.
     """
     sizes = _family_sizes(config)
     count = config.instance_count
-    bernoulli = config.family == "bernoulli"
-    ts = np.geomspace(1e-6, 0.5, count) if bernoulli else np.linspace(0.02, 0.98, count)
+    if config.family == "bernoulli":
+        ts = np.geomspace(1e-6, 0.5, count)
+    elif config.family != "random_affine":
+        ts = np.linspace(0.02, 0.98, count)
     for n in np.unique(sizes).tolist():
         indices = np.flatnonzero(sizes == n)
         chunk = max(1, _GROUP_BYTES // max(CHECKERS[cid].row_bytes(n)
                                            for cid in config.inequality_set))
+        if "cij" in config.inequality_set and pmf._block_pairs(n) < n * (n - 1) // 2:
+            chunk = 1
         for lo in range(0, indices.size, chunk):
             index = indices[lo : lo + chunk]
             if config.family == "random_affine":
@@ -616,9 +623,10 @@ def _scan(keys, groups, minima: dict, rows_of: dict | None = None):
     keys lists (checker id, q, report key); q is None for the checkers that
     take none. Each key's kernel runs once per group, after Group.prepare has
     built what the keys' checkers share. A row's worst margin, its k and
-    whether it is cut come from inequalities._verdict. The worst margins are
-    folded into minima (report key -> _Minimum) in instance-index order, so a
-    tie goes to the lowest index. Each group is yielded with its cuts,
+    whether it is cut come from the kernel's verdict(); its dense margins are
+    read only with rows_of, so cij's are never built otherwise. The worst
+    margins are folded into minima (report key -> _Minimum) in instance-index
+    order, so a tie goes to the lowest index. Each group is yielded with its cuts,
     (checker id, q, rows, k, margin) per key that cuts a row, before the next
     group is drawn; the loop re-checks none of them, its caller does
     (_recheck). With rows_of, every margin row is appended under its instance
@@ -632,20 +640,20 @@ def _scan(keys, groups, minima: dict, rows_of: dict | None = None):
             if group.n < CHECKERS[cid].min_n:
                 continue
             margins = CHECKERS[cid].kernel(group, q)
-            values = margins.values
-            ks = np.arange(values.shape[1]) if margins.ks is None else margins.ks
             if rows_of is not None:
-                k_list = ks.tolist()
+                values = margins.values
+                ks = range(values.shape[1]) if margins.ks is None else margins.ks.tolist()
                 for i, v in zip(group.index.tolist(), values.tolist()):
-                    rows_of.setdefault(i, []).extend((i, key, k, m) for k, m in zip(k_list, v))
-            if not values.shape[1]:
+                    rows_of.setdefault(i, []).extend((i, key, k, m) for k, m in zip(ks, v))
+            verdict = margins.verdict()
+            if verdict is None:
                 continue
-            tolerance = inequalities._tolerance(margins.scale)  # a scalar for theorem margins
-            pos, worst, _, cut = inequalities._verdict(values, tolerance)
-            minima.setdefault(key, _Minimum()).add(group.index, worst, ks[pos])
+            pos, worst, _, cut = verdict
+            k = pos if margins.ks is None else margins.ks[pos]
+            minima.setdefault(key, _Minimum()).add(group.index, worst, k)
             cut = np.flatnonzero(cut)
             if cut.size:
-                group_cuts.append((cid, q, cut, ks[pos[cut]], worst[cut]))
+                group_cuts.append((cid, q, cut, k[cut], worst[cut]))
         yield group, group_cuts
 
 

@@ -22,10 +22,14 @@ import numpy as np
 
 from .calculus import _check_slopes, _fgh
 from .errors import BoundaryError, ConsistencyError, LemmaHypothesisError
-from .pmf import ParamVector, _check_pair, _convolve_bernoullis, _leave_two_out, _masses, _pair_rows
+from .pmf import (
+    ParamVector, _as_prob_array, _check_pair, _convolve_bernoullis, _leave_two_out_blocks, _masses,
+    _pair_lex,
+)
 
 __all__ = [
     "ABS_FLOOR",
+    "CijMargins",
     "MarginReport",
     "Margins",
     "REL_TOL",
@@ -84,6 +88,11 @@ def _verdict(values: np.ndarray, tolerance) -> _Verdict:
         if late.size:
             pos[late] = np.nanargmin(values[late], axis=-1)
             worst[late] = values[late, pos[late]]
+    return _judge(pos, worst, tolerance)
+
+
+def _judge(pos: np.ndarray, worst: np.ndarray, tolerance) -> _Verdict:
+    """The verdict on rows whose worst margins and their positions are known."""
     return _Verdict(pos, worst, worst >= -tolerance, worst < -10.0 * tolerance)
 
 
@@ -153,9 +162,9 @@ class Margins(NamedTuple):
     values (m, K) holds each row's margins at the indices ks (K,), which
     default to 0..K-1, and scale (m, K) each margin's largest absolute
     monomial, or None for a theorem-level checker. Every stacked_* checker
-    returns one, judged by _verdict under _tolerance(scale). explorer.CHECKERS
-    lists the kernels a scan runs, and explorer.group_report turns a group's
-    row 0 into a MarginReport.
+    returns one, and verdict() judges it by _verdict under _tolerance(scale).
+    explorer.CHECKERS lists the kernels a scan runs, and explorer.group_report
+    turns a group's row 0 into a MarginReport.
     """
 
     values: np.ndarray
@@ -170,6 +179,12 @@ class Margins(NamedTuple):
     def report(self, name: str) -> MarginReport:
         """Row 0 as a MarginReport."""
         return MarginReport.from_array(name, self.values[0], self.tolerance[0], self.ks)
+
+    def verdict(self) -> _Verdict | None:
+        """_verdict on every row under its tolerance; None when the rows hold no margins."""
+        if not self.values.shape[-1]:
+            return None
+        return _verdict(self.values, _tolerance(self.scale))
 
 
 def margin_rows(report: MarginReport, instance_id: int = 0) -> list[tuple[int, str, int, float]]:
@@ -570,26 +585,115 @@ def compute_cij(params: ParamVector, i: int, j: int, k: int) -> float:
     return value
 
 
+def _cij_blocks(p):
+    """The cij margins of every row of p (m, n), one pair block of _leave_two_out_blocks at a time.
+
+    Yields each block's lexicographic pair numbers (P,) and its margins and
+    scales (P, n + 2, m): one row per pair, in the block's colex order, and k
+    over the leave-two-out support plus one step past each end (k < n), then
+    two columns past it that read 0 (as every pair's k = n - 1 does).
+    f_{k-2}..f_{k+2} are slices of the flattened pair rows: each pair row ends
+    in three zero columns, the last leave-one-out row's two zero columns
+    precede the pairs and the zero row closes them, so they read a pair's
+    masses or 0.
+    """
+    c0 = 0  # the block's first pair, in colex order
+    for buf in _leave_two_out_blocks(p):
+        rows, width, m = buf.shape
+        n = width - 2
+        pairs = rows - n - 1
+        flat = buf.reshape(-1, m)
+        lo, size = n * width, pairs * width
+        margin, scale = _two_fold_terms(*(flat[lo + d : lo + d + size] for d in range(-2, 3)))
+        yield (_pair_lex(n)[c0 : c0 + pairs], margin.reshape(pairs, width, m),
+               scale.reshape(pairs, width, m))
+        c0 += pairs
+
+
 def stacked_cij(p) -> Margins:
     """Margins -c_{i,j}(k) >= 0 of every row of p (m, n), one per pair i < j and index k.
 
     Margin indices enumerate (pair, k) rows with pairs in lexicographic order
-    and k running over the leave-two-out support plus one step past each end.
-    f_{k-2}..f_{k+2} are slices of the builder's flattened pair block: each pair
-    row ends in three zero columns, the last leave-one-out row's two zero columns
-    precede the block and the zero row closes it, so they read a pair's masses or 0.
-    The scales are gathered like the margins, their block freed before the margins'.
+    and k running over the leave-two-out support plus one step past each end:
+    the margin at flat index pair * n + k. Each pair block of _cij_blocks is
+    copied into place as it is made. This dense form serves reports and CSV
+    dumps; a scan judges the rows with CijMargins.verdict, which builds none.
     """
-    buf = _leave_two_out(p)
-    rows, width, m = buf.shape
-    n = width - 2
-    flat = buf.reshape(-1, m)
-    lo, size = n * width, (rows - n - 1) * width  # the pair block, flattened
-    margin, scale = _two_fold_terms(*(flat[lo + j : lo + j + size] for j in range(-2, 3)))
-    pairs = _pair_rows(n) - n  # each pair's n margin columns, in pair order, one row per instance
-    scale = scale.reshape(-1, width, m)[pairs, :n].transpose(2, 0, 1).reshape(m, -1)
-    margin = margin.reshape(-1, width, m)[pairs, :n].transpose(2, 0, 1).reshape(m, -1)
-    return Margins(margin, scale)
+    p = _as_prob_array(p, ndim=2)
+    m, n = p.shape
+    values = np.empty((m, n * (n - 1) // 2, n))
+    scale = np.empty(values.shape)
+    for lex, margin, block_scale in _cij_blocks(p):
+        values[:, lex] = margin[:, :n].transpose(2, 0, 1)
+        scale[:, lex] = block_scale[:, :n].transpose(2, 0, 1)
+    return Margins(values.reshape(m, -1), scale.reshape(m, -1))
+
+
+def _cij_verdict(p) -> _Verdict | None:
+    """_verdict on stacked_cij(p) under its tolerance, folded block by block; None without pairs.
+
+    Each block's margins are taken per row in lexicographic pair order, so a
+    row's first least margin there is its first at the least flat index
+    pair * n + k; a later block's pick replaces it when smaller, or equal at a
+    lower flat index. As in _verdict, a NaN is the pick only when it leads the
+    row, at pair (0, 1) and k = 0, the first entry of the first block; then no
+    later pick replaces it. The columns past k = n - 1 read 0, as k = n - 1
+    does, so they move no pick. The tolerance is the largest of the blocks'
+    tolerances, _tolerance being monotone in the scale. Only one block's
+    margins exist at a time.
+    """
+    cols, worst = np.arange(len(p)), None
+    for lex, margin, scale in _cij_blocks(p):
+        pairs, width, m = margin.shape
+        order = np.argsort(lex, kind="stable")
+        # One row per instance, (m, pairs * width), each a contiguous run.
+        values = np.ascontiguousarray(margin[order].transpose(2, 0, 1)).reshape(m, -1)
+        at = values.argmin(axis=-1)  # a row's first least margin, or its first NaN
+        least = values[cols, at]
+        nan = np.isnan(least)
+        if nan.any():  # min() skips a NaN that does not lead the row
+            late = np.flatnonzero(nan & ((at > 0) | (worst is not None)))
+            at[late] = (values[late] == np.fmin.reduce(values[late], axis=-1)[:, None]).argmax(-1)
+            least[late] = values[late, at[late]]
+        row, k = np.divmod(at, width)
+        pos_b = lex[order][row] * (width - 2) + k
+        tol_b = _tolerance(np.ascontiguousarray(scale.transpose(2, 0, 1)).reshape(m, -1))
+        if worst is None:
+            worst, pos, tolerance = least, pos_b, tol_b
+        else:
+            take = (least < worst) | ((least == worst) & (pos_b < pos))
+            worst, pos = np.where(take, least, worst), np.where(take, pos_b, pos)
+            tolerance = np.maximum(tolerance, tol_b)
+    return None if worst is None else _judge(pos, worst, tolerance)
+
+
+class CijMargins:
+    """The cij kernel's margins of the rows of p (m, n), as a scan reads them.
+
+    verdict() folds the margins into each row's verdict one pair block at a
+    time (_cij_verdict), so a scan never holds them all; values, scale,
+    tolerance and report() are stacked_cij(p)'s, built on first use, and once
+    they are built verdict() judges them.
+    """
+
+    ks = None
+
+    def __init__(self, p):
+        self.p = p
+
+    @functools.cached_property
+    def dense(self) -> Margins:
+        return stacked_cij(self.p)
+
+    values = property(lambda self: self.dense.values)
+    scale = property(lambda self: self.dense.scale)
+    tolerance = property(lambda self: self.dense.tolerance)
+
+    def report(self, name: str) -> MarginReport:
+        return self.dense.report(name)
+
+    def verdict(self) -> _Verdict | None:
+        return self.dense.verdict() if "dense" in self.__dict__ else _cij_verdict(self.p)
 
 
 def check_quadratic_decomposition_n2(params: ParamVector, k: int) -> MarginReport:

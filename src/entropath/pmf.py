@@ -3,7 +3,8 @@
 Everything here is plain binary64 arithmetic. Mass functions are built by
 sequential Bernoulli convolution and never renormalized, so any accumulation
 bug stays visible to the tests instead of being washed out. The leave-two-out
-pmfs are zero-padded rows of one row-major buffer, stepped as contiguous memory.
+pmfs are zero-padded rows of a row-major buffer, built in blocks of pairs and
+stepped as contiguous memory.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import Iterator
 
 import numpy as np
 
@@ -150,39 +152,77 @@ def _check_pair(n: int, i: int, j: int) -> None:
             raise IndexError(f"component index {idx} out of range for n={n}")
 
 
+# Bytes one instance's pair block of _leave_two_out_blocks may take, its leave-one-out rows and
+# zero row included, so each block is swept while it is in cache. Up to n = 24 all pairs fit
+# and the one block is the whole buffer; past it explorer._groups stacks no cij rows.
+_BLOCK_BYTES = 1 << 16
+
+
+def _block_pairs(n: int) -> int:
+    """Pair rows in one block of _leave_two_out_blocks at n: all n(n-1)/2 when they fit.
+
+    Otherwise as many as fit in _BLOCK_BYTES beside the n leave-one-out rows and the
+    zero row, and never fewer than the n-1 pairs of j = n-1.
+    """
+    fit = _BLOCK_BYTES // (8 * (n + 2)) - n - 1
+    return min(n * (n - 1) // 2, max(n - 1, fit))
+
+
 @lru_cache(maxsize=16)
-def _pair_rows(n: int) -> np.ndarray:
-    """_leave_two_out's buffer row of every pair i < j, in lexicographic order (cached)."""
+def _pair_lex(n: int) -> np.ndarray:
+    """The lexicographic number of each pair i < j, in the builder's colex order (cached)."""
     i, j = np.triu_indices(n, 1)
-    rows = n + j * (j - 1) // 2 + i
-    rows.setflags(write=False)
-    return rows
+    lex = np.empty(i.size, dtype=np.int64)
+    lex[j * (j - 1) // 2 + i] = np.arange(i.size)
+    lex.setflags(write=False)
+    return lex
 
 
-def _leave_two_out(p) -> np.ndarray:
-    """Every leave-one-out and leave-two-out pmf of each row of p (m, n), as buf[row, k, instance].
+def _leave_two_out_blocks(p) -> Iterator[np.ndarray]:
+    """The leave-two-out pmfs of each row of p (m, n), in blocks of pairs grouped by j.
 
-    The buffer has n + n(n-1)/2 + 1 rows of n + 2 columns: row i is the pmf
-    without component i, the pairs follow in colex order (by j, then i;
-    _pair_rows maps them), and the last row stays zero. Step t applies
-    component t to every row that keeps it, as one _step over the contiguous
-    prefix of rows with (row, k) flattened: no row holds a mass in its last
-    two columns, so the carry into the next row is +0.0. Row t skips it: its
-    state is put back after the step. Pair (i, j) is born at step j as a copy
-    of row i, outside that step's rows, so it skips j too. Every pair is thus
-    the sequential convolution of its kept components, with the bits of
-    compute_pmf on them and zeros in columns n-1..n+1, and the same bits in
-    any stack.
+    Each block is yielded as one buffer buf[row, k, instance] of n + 2 columns:
+    the n leave-one-out rows, the block's pairs (i, j) in colex order (by j,
+    then i; a block holds whole j's, at most _block_pairs(n) pairs), then a
+    zero row. The buffer is reused: a block is valid until the next is drawn.
+    Nothing is yielded for n < 2.
+
+    Step t applies component t to every row that keeps it, as one _step over
+    a contiguous run of rows with (row, k) flattened: no row holds a mass in
+    its last two columns, so the carry into the next row is +0.0. Until the
+    block's last j, the run starts at the leave-one-out rows; row t skips the
+    step, its state put back after it. Pair (i, j) is born at step j as a copy
+    of row i, outside that step's rows, so it skips j too. Past the block's
+    last j the run is the block's pairs alone, and the leave-one-out rows
+    carry their state to the next block. Every pair is thus stepped once from
+    its birth: the sequential convolution of its kept components, with the
+    bits of compute_pmf on them and zeros in columns n-1..n+1, in any stack
+    and any block.
     """
     p = _as_prob_array(p, ndim=2)
     m, n = p.shape
-    born = [n + t * (t - 1) // 2 for t in range(n + 1)]  # first pair row (i, t)
-    buf = np.zeros((born[n] + 1, n + 2, m))
+    if n < 2:
+        return
+    cap = _block_pairs(n)
+    buf = np.zeros((n + cap + 1, n + 2, m))
     buf[:n, 0] = 1.0
     q = 1.0 - p
-    for t in range(n):
-        buf[born[t] : born[t + 1]] = buf[:t]
-        skipped = buf[t].copy()
-        _step(buf[: born[t]].reshape(-1, m), p[:, t], q[:, t])
-        buf[t] = skipped
-    return buf
+    j0 = 0
+    while j0 < n:
+        j1, pairs = j0 + 1, j0
+        while j1 < n and pairs + j1 <= cap:
+            pairs += j1
+            j1 += 1
+        top = n
+        for t in range(j0, n):
+            if t < j1:
+                buf[top : top + t] = buf[:t]
+                skipped = buf[t].copy()
+                _step(buf[:top].reshape(-1, m), p[:, t], q[:, t])
+                buf[t] = skipped
+                top += t
+            else:
+                _step(buf[n:top].reshape(-1, m), p[:, t], q[:, t])
+        buf[top] = 0.0
+        yield buf[: top + 1]
+        j0 = j1

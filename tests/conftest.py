@@ -3,8 +3,13 @@
 import numpy as np
 import pytest
 
+from entropath import pmf
 from entropath.calculus import shannon_entropy
 from entropath.pmf import ParamVector, compute_pmf
+
+# Budgets of the leave-two-out builder under test: the package's, and none, so
+# that a block holds one j (a few at small j) and every n past 3 takes many blocks.
+BLOCK_BUDGETS = {"64KiB": pmf._BLOCK_BYTES, "one_j": 0}
 
 
 def random_instance(rng, n_min=1, n_max=12, eps=1e-3, signed=True):

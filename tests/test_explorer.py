@@ -229,7 +229,7 @@ def _refuse_leave_two_out(monkeypatch, what: str) -> None:
         raise AssertionError(f"leave-two-out rows built for {what}")
 
     for module in (pmf, inequalities):
-        monkeypatch.setattr(module, "_leave_two_out", refuse)
+        monkeypatch.setattr(module, "_leave_two_out_blocks", refuse)
 
 
 class TestCheckerTable:
@@ -294,6 +294,19 @@ class TestCheckerTable:
             list(range(chunk)), list(range(chunk, 2 * chunk)), [2 * chunk]
         ]
         assert chunk == explorer._GROUP_BYTES // max(CHECKERS[c].row_bytes(n) for c in checks)
+
+    def test_cij_groups_are_one_row_where_its_rows_take_several_blocks(self):
+        for n, checks in ((24, SHANNON_SUITE), (25, SHANNON_SUITE), (25, ("cij",)),
+                          (25, ("log_concavity", "hessian_psd")), (60, ("c1", "cij"))):
+            cfg = ScanConfig(seed=0, n_range=(n, n), instance_count=20, inequality_set=checks)
+            sizes = [g.index.size for g in explorer._groups(cfg)]
+            several = "cij" in checks and pmf._block_pairs(n) < n * (n - 1) // 2
+            chunk = explorer._GROUP_BYTES // max(CHECKERS[c].row_bytes(n) for c in checks)
+            assert several == (n > 24 and "cij" in checks)
+            if several:
+                assert sizes == [1] * 20, n
+            else:
+                assert sizes[0] == min(20, chunk), (n, checks)
 
     def test_row_bytes(self):
         floats = {cid: c.row_bytes(12) // 8 for cid, c in CHECKERS.items()}
@@ -664,6 +677,12 @@ GROUPED_SCAN_CASES = {
     "bernoulli": ScanConfig(seed=1, n_range=(1, 1), instance_count=49, family="bernoulli"),
     "binomial2": ScanConfig(seed=1, n_range=(2, 2), instance_count=49, family="binomial2"),
     "binomial_n": ScanConfig(seed=1, n_range=(1, 7), instance_count=49, family="binomial_n"),
+    # cij's rows in one pair block up to n = 24 and in several past it, where every
+    # binomial_n pair ties.
+    "cij_blocks": ScanConfig(seed=7, n_range=(22, 30), instance_count=6,
+                             inequality_set=("cij", "log_concavity")),
+    "cij_blocks_binomial_n": ScanConfig(seed=0, n_range=(30, 30), instance_count=3,
+                                        family="binomial_n", inequality_set=("cij",)),
     # Raise at n = 200: the two-fold identity check, and at t = 0.02 underflowed masses.
     "two_fold_n200": ScanConfig(seed=0, n_range=(200, 200), instance_count=20,
                                 family="binomial_n",
@@ -733,6 +752,22 @@ class TestGroupMemory:
                 tracemalloc.stop()
 
         assert peak(400) <= 1.5 * peak(10)
+
+    def test_a_cij_scan_kernel_call_holds_one_pair_block(self):
+        # One call at n = 120 folds 77 blocks of at most 119 pairs, in 0.96 MiB traced.
+        # Holding every pair at once took 26.7 MiB; the dense margins alone take 13.9 MiB.
+        cfg = ScanConfig(seed=0, n_range=(120, 120), instance_count=1, inequality_set=("cij",))
+        [group] = explorer._groups(cfg)
+        dense = CHECKERS["cij"].kernel(group, None)
+        want = inequalities._verdict(dense.values, dense.tolerance)
+        tracemalloc.start()
+        try:
+            got = CHECKERS["cij"].kernel(group, None).verdict()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20
+        assert (got.pos.tolist(), got.worst.tobytes()) == (want.pos.tolist(), want.worst.tobytes())
 
 
 class TestVerifyDecomposesOnce:

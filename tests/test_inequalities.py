@@ -7,8 +7,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import random_instance
-from entropath import explorer
+from conftest import BLOCK_BUDGETS, random_instance
+from entropath import explorer, inequalities, pmf
 from entropath.calculus import entropy_curvature, path_derivatives
 from entropath.errors import BoundaryError, LemmaHypothesisError
 from entropath.explorer import Group, evaluate_checker
@@ -32,7 +32,7 @@ from entropath.inequalities import (
     stacked_log_concavity,
     stacked_two_fold_log_concavity,
 )
-from entropath.inequalities import _tolerance, _two_fold, _verdict
+from entropath.inequalities import _cij_verdict, _tolerance, _two_fold, _verdict
 from entropath.pmf import ParamVector, Pmf, _masses, compute_pmf
 from scalar_oracle import leave_two_out
 
@@ -584,6 +584,117 @@ class TestStackedCij:
             stacked_cij(np.array([[0.3, 1.5]]))
         with pytest.raises(ValueError):
             stacked_cij(np.zeros((2, 0)))
+
+
+def _assert_fold_is_the_dense_verdict(p: np.ndarray) -> None:
+    """_cij_verdict(p) against _verdict on stacked_cij(p)'s dense margins, bit for bit."""
+    dense = stacked_cij(p)
+    want = _verdict(dense.values, _tolerance(dense.scale))
+    got = _cij_verdict(p)
+    assert got.pos.tolist() == want.pos.tolist(), p.shape
+    assert _bits(got.worst) == _bits(want.worst), p.shape
+    assert got.holds.tolist() == want.holds.tolist(), p.shape
+    assert got.cut.tolist() == want.cut.tolist(), p.shape
+
+
+def _pair_block(n: int, i: int, j: int) -> int:
+    """The position of pair (i, j)'s block among the builder's blocks at n."""
+    sizes = [len(buf) - n - 1 for buf in pmf._leave_two_out_blocks(np.full((1, n), 0.5))]
+    return int(np.searchsorted(np.cumsum(sizes), j * (j - 1) // 2 + i, side="right"))
+
+
+class TestCijFold:
+    """The scan's cij verdict folds each pair block as it is built: _verdict on dense margins."""
+
+    @pytest.mark.parametrize("budget", BLOCK_BUDGETS.values(), ids=BLOCK_BUDGETS.keys())
+    def test_seeded_rows(self, budget, monkeypatch):
+        monkeypatch.setattr(pmf, "_BLOCK_BYTES", budget)
+        rng = np.random.default_rng(90)
+        for n in range(2, 41):
+            for m in (1, 3, 15):
+                p = rng.uniform(1e-3, 1.0 - 1e-3, (m, n))
+                p[rng.random((m, n)) < 0.1] = 0.0
+                p[rng.random((m, n)) < 0.1] = 1.0
+                _assert_fold_is_the_dense_verdict(p)
+
+    @pytest.mark.parametrize("budget", BLOCK_BUDGETS.values(), ids=BLOCK_BUDGETS.keys())
+    def test_binomial_n_where_every_pair_ties(self, budget, monkeypatch):
+        monkeypatch.setattr(pmf, "_BLOCK_BYTES", budget)
+        for n in (2, 3, 9, 30, 40):
+            _assert_fold_is_the_dense_verdict(np.linspace(0.02, 0.98, 5)[:, None].repeat(n, 1))
+
+    @pytest.mark.parametrize("budget", BLOCK_BUDGETS.values(), ids=BLOCK_BUDGETS.keys())
+    def test_ties_go_to_the_first_pair_in_lexicographic_order(self, budget, monkeypatch):
+        # Every row's least cij margin is 0.0, and pair (0, 1) holds one, first in
+        # both orders. Negated margins put the least at a row's largest margin,
+        # which ties across pairs whose kept components differ only in order. A
+        # seeded search over p with repeated values finds two rows whose first tie
+        # in lexicographic order is not their first in colex order: in one block at
+        # the package's budget, and in a later block than it with one j per block.
+        two_fold_terms = inequalities._two_fold_terms
+
+        def negated_terms(*f):
+            margin, scale = two_fold_terms(*f)
+            return -margin, scale
+
+        monkeypatch.setattr(inequalities, "_two_fold_terms", negated_terms)
+        monkeypatch.setattr(pmf, "_BLOCK_BYTES", budget)
+        disagree = []
+        for seed in range(30):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(5, 12))
+            p = rng.choice(rng.uniform(0.05, 0.95, 3), (1, n))
+            _assert_fold_is_the_dense_verdict(p)
+            values = stacked_cij(p).values.reshape(-1, n)
+            pairs = list(itertools.combinations(range(n), 2))
+            ties = [pairs[r] for r in np.flatnonzero((values == values.min()).any(axis=1))]
+            colex_first = min(ties, key=lambda ij: (ij[1], ij[0]))
+            if colex_first != ties[0]:
+                later = _pair_block(n, *colex_first) < _pair_block(n, *ties[0])
+                disagree.append((seed, later))
+        assert disagree == [(17, budget == 0), (22, budget == 0)]
+
+    @pytest.mark.parametrize("budget", BLOCK_BUDGETS.values(), ids=BLOCK_BUDGETS.keys())
+    def test_nan_margins_follow_the_first_min_rule_across_blocks(self, budget, monkeypatch):
+        # A NaN wherever round(1e4 f_k) is a multiple of 3: at k = n - 1 of every pair,
+        # and at the leading entry (pair (0, 1), k = 0) of about a third of the rows.
+        two_fold_terms = inequalities._two_fold_terms
+
+        def nan_terms(*f):
+            margin, scale = two_fold_terms(*f)
+            return np.where(np.round(1e4 * f[2]) % 3 == 0, np.nan, margin), scale
+
+        monkeypatch.setattr(inequalities, "_two_fold_terms", nan_terms)
+        monkeypatch.setattr(pmf, "_BLOCK_BYTES", budget)
+        rng = np.random.default_rng(91)
+        leads = set()
+        for n in (2, 3, 8, 30):
+            p = rng.uniform(0.05, 0.95, (30, n))
+            _assert_fold_is_the_dense_verdict(p)
+            leads |= set(np.isnan(stacked_cij(p).values[:, 0]).tolist())
+        assert leads == {False, True}
+
+    def test_the_largest_scale_of_any_block_sets_the_tolerance(self, monkeypatch):
+        # Pair (6, 7) drops both halves and keeps the most concentrated pmf, so the
+        # largest scale lies in the last block; every margin is then set between
+        # the first block's tolerance and the whole row's.
+        monkeypatch.setattr(pmf, "_BLOCK_BYTES", 0)
+        p = np.array([[0.01] * 6 + [0.5, 0.5]])
+        tops = [float(scale.max()) for _, _, scale in inequalities._cij_blocks(p)]
+        assert max(tops) > tops[0] > ABS_FLOOR / REL_TOL
+        two_fold_terms = inequalities._two_fold_terms
+
+        def constant_terms(*f):
+            margin, scale = two_fold_terms(*f)
+            return np.full(margin.shape, -REL_TOL * (tops[0] + max(tops)) / 2.0), scale
+
+        monkeypatch.setattr(inequalities, "_two_fold_terms", constant_terms)
+        _assert_fold_is_the_dense_verdict(p)
+        assert _cij_verdict(p).holds.tolist() == [True]
+
+    def test_no_pairs_no_verdict(self):
+        assert _cij_verdict(np.array([[0.3], [0.7]])) is None
+        assert inequalities.CijMargins(np.array([[0.3]])).verdict() is None
 
 
 class TestQuadraticDecomposition:

@@ -12,11 +12,13 @@ from entropath import calculus, pmf
 from entropath.pmf import (
     ParamVector,
     Pmf,
+    _block_pairs,
     _convolve_bernoullis,
-    _leave_two_out,
-    _pair_rows,
+    _leave_two_out_blocks,
+    _pair_lex,
     compute_pmf,
 )
+from conftest import BLOCK_BUDGETS
 from scalar_oracle import brute_force_pmf, kept_convolutions, leave_one_out, leave_two_out
 
 prob_lists = st.lists(
@@ -157,13 +159,18 @@ def _bits(a) -> bytes:
 
 
 def _pairs(p) -> np.ndarray:
-    """The leave-two-out pmfs of each row of p (m, n), read out of the builder's buffer.
+    """The leave-two-out pmfs of each row of p (m, n), read out of the builder's blocks.
 
     As (m, n(n-1)/2, n-1): one row per pair i < j in lexicographic order, each
     cut to its support.
     """
-    n = p.shape[1]
-    return _leave_two_out(p)[_pair_rows(n), : max(n - 1, 0)].transpose(2, 0, 1)
+    m, n = p.shape
+    colex = np.zeros((0, max(n - 1, 0), m))
+    for buf in _leave_two_out_blocks(p):
+        colex = np.concatenate((colex, buf[n:-1, : n - 1]))
+    pairs = np.empty_like(colex)
+    pairs[_pair_lex(n)] = colex
+    return pairs.transpose(2, 0, 1)
 
 
 class TestLeaveTwoOutBuilder:
@@ -177,48 +184,73 @@ class TestLeaveTwoOutBuilder:
                 assert _bits(stacked[row]) == _bits(compute_pmf(ParamVector(p[row])).values)
 
     @pytest.mark.parametrize("degenerate", (False, True), ids=("interior", "zeros_and_ones"))
-    def test_rows_equal_oracles_and_one_row_calls(self, degenerate):
-        rng = np.random.default_rng(60 + degenerate)
-        for n in range(1, 61):
-            # Every stack size up to n = 24. Above that the stacks stay small:
-            # a 49-row stack at n = 60 alone takes most of a second to build.
-            m = (1, 4, 15, 49)[n % 4] if n <= 24 else (1, 4)[n % 2]
-            # Off the 2^-53 grid of rng.random, where 1 - (1 - p) == p would hide a slip.
-            p = rng.uniform(1e-3, 1.0 - 1e-3, (m, n))
-            if degenerate:  # about a third of the entries exactly 0 or 1
-                hit = rng.random((m, n)) < 0.3
-                p[hit] = rng.integers(0, 2, int(hit.sum()))
-            pairs = _pairs(p)
-            assert pairs.shape == (m, n * (n - 1) // 2, max(n - 1, 0))
-            for row in range(m):
-                alone = _pairs(p[row : row + 1])[0]
-                assert _bits(pairs[row]) == _bits(alone), (n, m, row)
-            for row in {0, m - 1}:
-                pv = ParamVector(p[row])
-                assert _bits(pairs[row]) == _bits(kept_convolutions(p[row], 2)), (n, row)
-                if n <= 8:
-                    for r, (i, j) in enumerate(itertools.combinations(range(n), 2)):
-                        assert _bits(pairs[row, r]) == _bits(leave_two_out(pv, j, i).values)
+    def test_rows_equal_oracles_and_one_row_calls(self, degenerate, monkeypatch):
+        for budget in BLOCK_BUDGETS.values():
+            monkeypatch.setattr(pmf, "_BLOCK_BYTES", budget)
+            rng = np.random.default_rng(60 + degenerate)
+            for n in range(1, 61):
+                # Every stack size up to n = 24. Above that the stacks stay small:
+                # a 49-row stack at n = 60 alone takes most of a second to build.
+                m = (1, 4, 15, 49)[n % 4] if n <= 24 else (1, 4)[n % 2]
+                # Off the 2^-53 grid of rng.random, where 1 - (1 - p) == p would hide a slip.
+                p = rng.uniform(1e-3, 1.0 - 1e-3, (m, n))
+                if degenerate:  # about a third of the entries exactly 0 or 1
+                    hit = rng.random((m, n)) < 0.3
+                    p[hit] = rng.integers(0, 2, int(hit.sum()))
+                pairs = _pairs(p)
+                assert pairs.shape == (m, n * (n - 1) // 2, max(n - 1, 0))
+                for row in range(m):
+                    alone = _pairs(p[row : row + 1])[0]
+                    assert _bits(pairs[row]) == _bits(alone), (budget, n, m, row)
+                for row in {0, m - 1}:
+                    pv = ParamVector(p[row])
+                    assert _bits(pairs[row]) == _bits(kept_convolutions(p[row], 2)), (n, row)
+                    if n <= 8:
+                        for r, (i, j) in enumerate(itertools.combinations(range(n), 2)):
+                            assert _bits(pairs[row, r]) == _bits(leave_two_out(pv, j, i).values)
 
     @pytest.mark.parametrize("degenerate", (False, True), ids=("interior", "zeros_and_ones"))
-    def test_rows_are_zero_past_their_support(self, degenerate):
-        # stacked_cij reads its windows as shifted slices of the flattened pair
-        # block, so every column past a row's support must hold exactly +0.0.
-        rng = np.random.default_rng(62 + degenerate)
-        for n in range(1, 31):
-            m = (1, 4, 15)[n % 3]
-            p = rng.uniform(1e-3, 1.0 - 1e-3, (m, n))
-            if degenerate:
-                hit = rng.random((m, n)) < 0.3
-                p[hit] = rng.integers(0, 2, int(hit.sum()))
-            buf = _leave_two_out(p)
-            assert buf.shape == (n + n * (n - 1) // 2 + 1, n + 2, m)
-            pads = (buf[:n, n:], buf[n:-1, max(n - 1, 0) :], buf[-1])
-            for pad in pads:
-                assert _bits(pad) == _bits(np.zeros(pad.shape)), n
-            # The leave-one-out rows are the kept convolutions too.
-            for row in {0, m - 1}:
-                assert _bits(buf[:n, :n, row]) == _bits(kept_convolutions(p[row], 1)), (n, row)
+    def test_rows_are_zero_past_their_support(self, degenerate, monkeypatch):
+        # stacked_cij reads its windows as shifted slices of each block's flattened
+        # pair rows, so every column past a row's support must hold exactly +0.0.
+        for budget in BLOCK_BUDGETS.values():
+            monkeypatch.setattr(pmf, "_BLOCK_BYTES", budget)
+            rng = np.random.default_rng(62 + degenerate)
+            for n in range(1, 31):
+                m = (1, 4, 15)[n % 3]
+                p = rng.uniform(1e-3, 1.0 - 1e-3, (m, n))
+                if degenerate:
+                    hit = rng.random((m, n)) < 0.3
+                    p[hit] = rng.integers(0, 2, int(hit.sum()))
+                bufs = [buf.copy() for buf in _leave_two_out_blocks(p)]
+                assert sum(len(buf) - n - 1 for buf in bufs) == n * (n - 1) // 2
+                for buf in bufs:
+                    assert buf.shape[1:] == (n + 2, m)
+                    for pad in (buf[:n, n:], buf[n:-1, n - 1 :], buf[-1]):
+                        assert _bits(pad) == _bits(np.zeros(pad.shape)), (budget, n)
+                # After the last block the leave-one-out rows are the kept convolutions too.
+                for row in {0, m - 1} if bufs else ():
+                    loo = bufs[-1][:n, :n, row]
+                    assert _bits(loo) == _bits(kept_convolutions(p[row], 1)), (n, row)
+
+    def test_blocks_hold_whole_js_within_the_budget(self, monkeypatch):
+        for budget in BLOCK_BUDGETS.values():
+            monkeypatch.setattr(pmf, "_BLOCK_BYTES", budget)
+            for n in range(2, 41):
+                sizes = [len(buf) - n - 1 for buf in _leave_two_out_blocks(np.full((1, n), 0.5))]
+                # Blocks take j = 1, 2, ... in turn, each whole, so the running pair
+                # counts are the triangular numbers j(j - 1)/2 of the blocks' ends.
+                ends = (1 + np.sqrt(1 + 8 * np.cumsum(sizes))) / 2
+                assert ends.tolist() == np.round(ends).tolist(), (budget, n, sizes)
+                assert ends[-1] == n and max(sizes) <= _block_pairs(n)
+                whole = 8 * (n + 2) * (n + 1 + n * (n - 1) // 2)  # a buffer of every pair
+                assert (len(sizes) == 1) == (whole <= budget or n == 2), (budget, n)
+                if not budget:
+                    assert _block_pairs(n) == n - 1
+
+    def test_one_block_up_to_n_24(self):
+        one_block = [n for n in range(2, 60) if _block_pairs(n) == n * (n - 1) // 2]
+        assert one_block == list(range(2, 25))
 
 
 class TestOneBernoulliStep:
@@ -237,7 +269,7 @@ class TestOneBernoulliStep:
                 "f": fgh[0],
                 "g": fgh[1],
                 "h": fgh[2],
-                "leave_two_out": _leave_two_out(p),
+                "leave_two_out": _pairs(p),
                 "hessian": calculus.stacked_entropy_hessian(p, f)[0],
             }
 

@@ -189,6 +189,14 @@ def commands(config_dir: Path) -> list[list[str]]:
     cmds += [_scan(0, f"{n},{n}", 1, "cij", fmt) for n in (20, 50) for fmt in ("json", "csv")]
     cmds.append(["scan", "--seed", "0", "--n-range", "12,12", "--instances", "70",
                  "--checks", "cij", "--format", "csv"])
+    # cij past n = 24, where its leave-two-out rows come in several pair blocks: random
+    # n = 60..90, binomial_n at n = 40 (every pair ties), and verify on repeated values.
+    cmds += [["scan", "--seed", "4", "--n-range", "60,90", "--instances", "3",
+              "--checks", "cij", "--format", fmt] for fmt in ("json", "csv")]
+    cmds += [["scan", "--seed", "0", "--family", "binomial_n", "--n-range", "40,40",
+              "--instances", "5", "--checks", "cij", "--format", fmt] for fmt in ("json", "csv")]
+    cmds += [["verify", "--p", ",".join(["0.2", "0.7", "0.7"] * 10), "--format", fmt]
+             for fmt in ("json", "csv")]
     path = config_dir / "huge_q.json"
     path.write_text('{"seed": 1, "inequality_set": ["renyi_concavity"], "q_grid": [1'
                     + "0" * 400 + "]}")
