@@ -9,11 +9,9 @@ Renyi/Tsallis generalization including its critical q values.
 from .calculus import (
     AffinePath,
     HessianReport,
-    PathDerivatives,
     entropy_curvature,
     entropy_hessian,
     path_at,
-    path_derivatives,
     pmf_second_time_derivative,
     pmf_time_derivative,
     shannon_entropy,
@@ -50,7 +48,6 @@ from .qentropy import (
     power_sum_derivatives,
     q_curvature,
     q_entropy,
-    q_entropy_second_derivative,
     tsallis_uk,
     tsallis_uk_tilde,
 )

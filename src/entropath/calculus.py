@@ -9,7 +9,6 @@ throughout; entropies are in nats.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -22,11 +21,9 @@ from .pmf import ParamVector, _masses
 __all__ = [
     "AffinePath",
     "HessianReport",
-    "PathDerivatives",
     "entropy_curvature",
     "entropy_hessian",
     "path_at",
-    "path_derivatives",
     "pmf_second_time_derivative",
     "pmf_time_derivative",
     "shannon_entropy",
@@ -112,14 +109,6 @@ def path_at(path: AffinePath, t: float) -> ParamVector:
     return ParamVector(q)
 
 
-@dataclass(frozen=True, eq=False)
-class PathDerivatives:
-    """Mixture sequences g (length n) and h (length n-1) attached to a (p, p') pair."""
-
-    g: np.ndarray
-    h: np.ndarray
-
-
 def stacked_fgh(p: np.ndarray, slopes: np.ndarray):
     """f (..., n+1), g (..., n) and h (..., n-1) of every row of p and slopes (..., n).
 
@@ -153,12 +142,6 @@ def _fgh(params: ParamVector, slopes):
     if slopes.ndim == 1:
         slopes = _check_slopes(params, slopes)[None]
     return stacked_fgh(np.broadcast_to(params.p, slopes.shape), slopes)
-
-
-def path_derivatives(params: ParamVector, slopes) -> PathDerivatives:
-    """g_k = sum_i p_i' f^(i)_k and h_k = sum_{i != j} p_i' p_j' f^(i,j)_k."""
-    _, g, h = _fgh(params, slopes)
-    return PathDerivatives(g=g[0], h=h[0])
 
 
 def _shift_diff1(g: np.ndarray, n: int) -> np.ndarray:
@@ -246,9 +229,6 @@ class HessianReport:
             "max_eigenvalue": self.max_eigenvalue,
             "psd_margin": self.psd_margin,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
 
 
 def stacked_entropy_hessian(p: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

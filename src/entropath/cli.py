@@ -1,9 +1,10 @@
 """Command-line front end: verify instances, run scans, estimate critical q.
 
 Exit codes: 0 when every checked margin holds, 1 when a margin fails, 2 on
-parse or validation errors. An internal consistency failure
-(``ConsistencyError``, e.g. ``scan --seed 0 --family binomial_n --n-range 200,200
---checks log_concavity,two_fold_log_concavity``) is not caught: it leaves
+parse or validation errors, a non-finite ``lemma-check`` input among them.
+An internal consistency failure (``ConsistencyError``, e.g. ``scan --seed 0
+--family binomial_n --n-range 200,200 --checks
+log_concavity,two_fold_log_concavity``) is not caught: it leaves
 ``main`` as an exception, so the ``entropath`` process ends in a traceback
 with exit 1, the same code as a failed margin. ``verify`` runs the Shannon suite.
 ``scan`` merges inline flags with a ``--config`` file (JSON, or TOML on Python

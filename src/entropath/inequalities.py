@@ -13,7 +13,6 @@ from __future__ import annotations
 import collections
 import enum
 import functools
-import json
 import math
 from dataclasses import asdict, dataclass, fields
 from typing import Callable, NamedTuple
@@ -144,9 +143,6 @@ class MarginReport:
             "worst": None if math.isinf(self.worst) else self.worst,
             "holds": self.holds,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
 
 
 def _read_only(a, dtype) -> np.ndarray:
@@ -424,9 +420,6 @@ class UkDecomposition:
     def to_dict(self) -> dict:
         return {"terms": [t.to_dict() for t in self.terms]}
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
 
 def stacked_uk(f: np.ndarray, g: np.ndarray, h: np.ndarray) -> UkDecomposition:
     """Per-index curvature bound u_k with its transform data, for every row of f, g, h.
@@ -515,11 +508,11 @@ def check_functional_lemma(
 ) -> MarginReport:
     """Margin of the three-point concavity lemma for an admissible tuple.
 
-    Hypotheses are validated before anything is evaluated: U(1) = 0 and
-    U'(1) = 1 exactly, U''' <= 0 and log-convexity of U'' sampled on a grid
-    over (0, 1], then 0 < A < 1, 0 < C < 1, B^2 <= AC and beta^2 <=
-    alpha*gamma with alpha, gamma >= 0. Violations raise LemmaHypothesisError
-    naming the failed condition.
+    Hypotheses are validated before anything is evaluated: A, B, C, alpha,
+    beta and gamma finite, U(1) = 0 and U'(1) = 1 exactly, U''' <= 0 and
+    log-convexity of U'' sampled on a grid over (0, 1], then 0 < A < 1,
+    0 < C < 1, B^2 <= AC and beta^2 <= alpha*gamma with alpha, gamma >= 0.
+    Violations raise LemmaHypothesisError naming the failed condition.
 
     The report carries two margins: index 0 is the lemma slack itself and
     index 1 is the grid minimum of the second derivative of
@@ -528,6 +521,8 @@ def check_functional_lemma(
     """
     if grid_points < 1:
         raise ValueError("grid_points must be at least 1")
+    if not all(map(math.isfinite, (A, B, C, alpha, beta, gamma))):
+        raise LemmaHypothesisError("finite_inputs", "A, B, C, alpha, beta and gamma must be finite")
     if float(U.value(np.array(1.0))) != 0.0:
         raise LemmaHypothesisError("U_at_one", "U(1) must be exactly 0")
     if float(U.d1(1.0)) != 1.0:

@@ -9,7 +9,6 @@ stepped as contiguous memory.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterator
@@ -65,7 +64,7 @@ class ParamVector:
 
 @dataclass(frozen=True, eq=False)
 class Pmf:
-    """Finite mass function on {0, ..., m}; indexing outside the support reads zero."""
+    """Finite mass function on {0, ..., m}: validated, read-only masses, never renormalized."""
 
     values: np.ndarray
 
@@ -73,6 +72,8 @@ class Pmf:
         arr = np.asarray(self.values, dtype=np.float64).copy()
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("mass function must be a nonempty one-dimensional sequence")
+        if not np.isfinite(arr).all():
+            raise ValueError("mass function has non-finite entries")
         if np.any(arr < 0.0):
             raise ValueError("mass function has negative entries")
         total = float(arr.sum())
@@ -80,32 +81,6 @@ class Pmf:
             raise ValueError(f"mass function sums to {total!r}, expected 1 within {_SUM_TOL}")
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
-
-    @property
-    def support_size(self) -> int:
-        return int(self.values.size)
-
-    @property
-    def total(self) -> float:
-        """Raw sum of the stored masses, reported as a diagnostic (never renormalized)."""
-        return float(self.values.sum())
-
-    def mass(self, k: int) -> float:
-        """Total accessor: zero for any index outside {0, ..., m}."""
-        if 0 <= k < self.values.size:
-            return float(self.values[k])
-        return 0.0
-
-    def to_list(self) -> list[float]:
-        return [float(v) for v in self.values]
-
-    def to_json(self) -> str:
-        """JSON array of the masses; float repr round-trips exactly."""
-        return json.dumps(self.to_list())
-
-    @classmethod
-    def from_json(cls, text: str) -> "Pmf":
-        return cls(np.asarray(json.loads(text), dtype=np.float64))
 
 
 def _step(live: np.ndarray, p, q) -> None:

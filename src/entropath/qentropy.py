@@ -14,7 +14,6 @@ independent route to the same curvature.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -32,8 +31,7 @@ from .calculus import (
 )
 from .errors import BoundaryError, ConsistencyError
 from .inequalities import MarginReport
-from .numdiff import central_second
-from .pmf import ParamVector, _masses, compute_pmf
+from .pmf import ParamVector, _masses
 
 __all__ = [
     "CRITICAL_Q_PROBES",
@@ -50,7 +48,6 @@ __all__ = [
     "q_basis",
     "q_curvature",
     "q_entropy",
-    "q_entropy_second_derivative",
     "tsallis_uk",
     "tsallis_uk_tilde",
 ]
@@ -218,27 +215,6 @@ def q_curvature(params: ParamVector, slopes, spec: EntropySpec) -> float:
     return float(basis_q_curvature(q_basis(f, g, h), spec)[0])
 
 
-def q_entropy_second_derivative(
-    path: AffinePath, t: float, spec: EntropySpec, step: float | None = None
-) -> float:
-    """Analytic curvature of the chosen entropy along the path at t.
-
-    With a step given, the value is cross-checked against a centered finite
-    difference of the entropy before being returned; the check needs room
-    for t +- step inside the path domain.
-    """
-    params = path_at(path, t)
-    value = q_curvature(params, path.slopes, spec)
-    if step is not None:
-        lo, hi = path.t_domain
-        if not (lo <= t - step and t + step <= hi):
-            raise BoundaryError("no room for centered differences at this t")
-        fd = central_second(lambda s: q_entropy(compute_pmf(path_at(path, s)), spec), t, step)
-        if abs(value - fd) > 1e-4 * max(abs(value), abs(fd), 1.0):
-            raise ConsistencyError(f"analytic curvature {value!r} vs finite difference {fd!r}")
-    return value
-
-
 def chain_rule_check(path: AffinePath, t: float, q: float) -> MarginReport:
     """Verify the Renyi/Tsallis curvature chain rule at one path point.
 
@@ -350,9 +326,6 @@ class CriticalQResult:
             "sign_trace": [[q, s] for q, s in self.sign_trace],
             "caveat": self.caveat,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
 
 
 def binomial2_tsallis_curvature(q: float) -> float:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from entropath import pmf
-from entropath.calculus import shannon_entropy
+from entropath.calculus import _fgh, shannon_entropy
 from entropath.pmf import ParamVector, compute_pmf
 
 # Budgets of the leave-two-out builder under test: the package's, and none, so
@@ -22,6 +22,12 @@ def random_instance(rng, n_min=1, n_max=12, eps=1e-3, signed=True):
         s[0] = 1.0
         top = 1.0
     return p, s / top
+
+
+def mixture_row(params, slopes):
+    """g and h of one slope vector: row 0 of the stacked recurrence."""
+    _, g, h = _fgh(params, slopes)
+    return g[0], h[0]
 
 
 def entropy_at(p):

@@ -11,10 +11,11 @@ the entropy Hessian. So are the leave-out mass functions built one removal
 at a time and the 2^n enumeration of the pmf, which pin the library's
 leave-two-out builder, the mixture sequences and the Hessian; the SplitMix64 generator with one object per
 instance, which pins the scan's array draw; the scan as a loop over
-instances, which pins the grouped scan; the finite-difference probe of
-the two-coin Tsallis curvature, which pins the critical-q probe's root; and
-the exact probes that build their point at every q, which pin the cached
-probe points.
+instances, which pins the grouped scan; the centred finite differences,
+which pin the analytic path derivatives and curvatures; the finite-difference
+probe of the two-coin Tsallis curvature, which pins the critical-q probe's
+root; and the exact probes that build their point at every q, which pin the
+cached probe points.
 """
 
 from __future__ import annotations
@@ -393,6 +394,19 @@ def tsallis_curvature(f: np.ndarray, g: np.ndarray, h: np.ndarray, q: float):
     return float(-q * (u.sum() + boundary)), abs(q) * float(max(terms))
 
 
+# Centred finite differences in one variable, for scalar or array-valued fn.
+
+
+def central_first(fn, x: float, step: float):
+    """(f(x+h) - f(x-h)) / 2h."""
+    return (fn(x + step) - fn(x - step)) / (2.0 * step)
+
+
+def central_second(fn, x: float, step: float):
+    """(f(x+h) - 2 f(x) + f(x-h)) / h^2."""
+    return (fn(x + step) - 2.0 * fn(x) + fn(x - step)) / (step * step)
+
+
 # The two-coin Tsallis critical-q probe as it was first written: a centred
 # second difference of the entropy along p = (t, t). The library's probe is
 # the exact kernel; this one pins its root from outside.
@@ -400,7 +414,6 @@ def tsallis_curvature(f: np.ndarray, g: np.ndarray, h: np.ndarray, q: float):
 
 def binomial2_tsallis_fd_probe(q: float, step: float = 1e-4) -> float:
     """Second difference in t of the Tsallis entropy at p = (t, t), centred at t = 1/2."""
-    from entropath.numdiff import central_second
     from entropath.qentropy import EntropySpec, q_entropy
 
     spec = EntropySpec.tsallis(q)

@@ -26,7 +26,7 @@ from entropath.inequalities import (
     check_functional_lemma,
     check_monotone_worst_case,
 )
-from entropath.numdiff import central_first, central_second
+from scalar_oracle import central_first, central_second
 from entropath.pmf import ParamVector, compute_pmf
 from scalar_oracle import binomial2_tsallis_fd_probe, brute_force_pmf, reevaluate_certificate
 from entropath.qentropy import (

@@ -5,21 +5,19 @@ import math
 import numpy as np
 import pytest
 
-from conftest import entropy_at, fd_hessian, random_instance
+from conftest import entropy_at, fd_hessian, mixture_row, random_instance
 from entropath.calculus import (
     AffinePath,
     entropy_curvature,
     entropy_hessian,
     path_at,
-    path_derivatives,
     pmf_second_time_derivative,
     pmf_time_derivative,
     shannon_entropy,
 )
 from entropath.errors import BoundaryError
-from entropath.numdiff import central_first, central_second
 from entropath.pmf import ParamVector, compute_pmf
-from scalar_oracle import jacobi_eigenvalues
+from scalar_oracle import central_first, central_second, jacobi_eigenvalues
 
 
 class TestPaths:
@@ -54,55 +52,55 @@ class TestPaths:
 class TestMixtureSequences:
     def test_g_hand_value(self):
         pv = ParamVector(np.array([0.3, 0.5]))
-        np.testing.assert_allclose(path_derivatives(pv, [1.0, 1.0]).g, [1.2, 0.8], atol=1e-15)
+        np.testing.assert_allclose(mixture_row(pv, [1.0, 1.0])[0], [1.2, 0.8], atol=1e-15)
 
     def test_g_equal_halves(self):
         pv = ParamVector(np.array([0.5, 0.5]))
-        np.testing.assert_allclose(path_derivatives(pv, [1.0, 1.0]).g, [1.0, 1.0], atol=0)
+        np.testing.assert_allclose(mixture_row(pv, [1.0, 1.0])[0], [1.0, 1.0], atol=0)
 
     def test_g_zero_slopes(self):
         pv = ParamVector(np.array([0.3, 0.5, 0.7]))
-        np.testing.assert_allclose(path_derivatives(pv, [0.0, 0.0, 0.0]).g, np.zeros(3), atol=0)
+        np.testing.assert_allclose(mixture_row(pv, [0.0, 0.0, 0.0])[0], np.zeros(3), atol=0)
 
     def test_h_hand_values(self):
         pv = ParamVector(np.array([0.3, 0.5]))
-        np.testing.assert_allclose(path_derivatives(pv, [1.0, 1.0]).h, [2.0], atol=0)
+        np.testing.assert_allclose(mixture_row(pv, [1.0, 1.0])[1], [2.0], atol=0)
         pv5 = ParamVector(np.array([0.5, 0.5]))
-        np.testing.assert_allclose(path_derivatives(pv5, [1.0, -1.0]).h, [-2.0], atol=0)
+        np.testing.assert_allclose(mixture_row(pv5, [1.0, -1.0])[1], [-2.0], atol=0)
 
     def test_h_single_active_slope(self, rng):
         pv = ParamVector(rng.random(5))
         np.testing.assert_allclose(
-            path_derivatives(pv, [1.0, 0.0, 0.0, 0.0, 0.0]).h, np.zeros(4), atol=0
+            mixture_row(pv, [1.0, 0.0, 0.0, 0.0, 0.0])[1], np.zeros(4), atol=0
         )
 
     def test_h_empty_for_single_component(self):
-        assert path_derivatives(ParamVector(np.array([0.4])), [1.0]).h.size == 0
+        assert mixture_row(ParamVector(np.array([0.4])), [1.0])[1].size == 0
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            path_derivatives(ParamVector(np.array([0.3, 0.5])), [1.0])
+            mixture_row(ParamVector(np.array([0.3, 0.5])), [1.0])
 
     def test_lengths(self, rng):
         for _ in range(10):
             p, s = random_instance(rng, n_min=2, n_max=10)
-            d = path_derivatives(ParamVector(p), s)
-            assert d.g.size == p.size
-            assert d.h.size == p.size - 1
+            g, h = mixture_row(ParamVector(p), s)
+            assert g.size == p.size
+            assert h.size == p.size - 1
 
     def test_sum_identities(self, rng):
         for _ in range(50):
             p, s = random_instance(rng, n_min=2, n_max=10)
-            d = path_derivatives(ParamVector(p), s)
-            np.testing.assert_allclose(d.g.sum(), s.sum(), atol=1e-12)
-            np.testing.assert_allclose(d.h.sum(), s.sum() ** 2 - (s**2).sum(), atol=1e-12)
+            g, h = mixture_row(ParamVector(p), s)
+            np.testing.assert_allclose(g.sum(), s.sum(), atol=1e-12)
+            np.testing.assert_allclose(h.sum(), s.sum() ** 2 - (s**2).sum(), atol=1e-12)
 
     def test_nonnegative_for_monotone_slopes(self, rng):
         for _ in range(25):
             p, s = random_instance(rng, n_min=2, n_max=8, signed=False)
-            d = path_derivatives(ParamVector(p), s)
-            assert np.all(d.g >= 0.0)
-            assert np.all(d.h >= 0.0)
+            g, h = mixture_row(ParamVector(p), s)
+            assert np.all(g >= 0.0)
+            assert np.all(h >= 0.0)
 
     def test_bilinearity(self, rng):
         for _ in range(25):
@@ -110,15 +108,15 @@ class TestMixtureSequences:
             pv = ParamVector(p)
             lam = float(rng.uniform(0.1, 3.0))
             np.testing.assert_allclose(
-                path_derivatives(pv, lam * s).g, lam * path_derivatives(pv, s).g, rtol=1e-12
+                mixture_row(pv, lam * s)[0], lam * mixture_row(pv, s)[0], rtol=1e-12
             )
             np.testing.assert_allclose(
-                path_derivatives(pv, lam * s).h, lam**2 * path_derivatives(pv, s).h, rtol=1e-12
+                mixture_row(pv, lam * s)[1], lam**2 * mixture_row(pv, s)[1], rtol=1e-12
             )
             s2 = rng.uniform(-1, 1, p.size)
             np.testing.assert_allclose(
-                path_derivatives(pv, s + s2).g,
-                path_derivatives(pv, s).g + path_derivatives(pv, s2).g,
+                mixture_row(pv, s + s2)[0],
+                mixture_row(pv, s)[0] + mixture_row(pv, s2)[0],
                 rtol=0,
                 atol=1e-12,
             )

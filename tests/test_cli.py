@@ -323,6 +323,18 @@ class TestLemmaCheck:
         assert code == 2
         assert "B_square" in err
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--B", "nan"), ("--alpha", "nan"), ("--beta", "nan"), ("--gamma", "nan"),
+        ("--alpha", "inf"), ("--gamma", "inf"),
+    ])
+    def test_non_finite_input_exits_two(self, capsys, flag, value):
+        inputs = {"--A": "0.5", "--B": "0", "--C": "0.5", "--alpha": "1", "--beta": "0",
+                  "--gamma": "1", flag: value}
+        argv = [part for item in inputs.items() for part in item]
+        code, out, err = run_cli(capsys, "lemma-check", *argv, "--format", "json")
+        assert (code, out) == (2, "")
+        assert err == "error: finite_inputs: A, B, C, alpha, beta and gamma must be finite\n"
+
 
 class TestInvalidInputsNameTheInput:
     @pytest.mark.parametrize("argv, message", [

@@ -324,7 +324,7 @@ class TestCheckerTable:
             evaluate_checker("not_a_checker", ParamVector(np.array([0.3])), np.zeros(1))
 
     @pytest.mark.parametrize("cid", [c for c in CHECKER_IDS if c != "cij"] + [
-        "entropy_hessian", "path_derivatives", "check_monotone_worst_case", "compute_cij",
+        "entropy_hessian", "stacked_fgh", "check_monotone_worst_case", "compute_cij",
         "estimate_critical_q",
     ])
     def test_pmf_only_checker_never_builds_leave_structures(self, cid, monkeypatch):
@@ -340,8 +340,8 @@ class TestCheckerTable:
                 assert report.values.tobytes() == want.tobytes()
         elif cid == "entropy_hessian":
             assert calculus.entropy_hessian(params).max_eigenvalue < 0.0
-        elif cid == "path_derivatives":
-            assert calculus.path_derivatives(params, slopes).h.shape == (2,)
+        elif cid == "stacked_fgh":
+            assert calculus.stacked_fgh(params.p, slopes)[2].shape == (2,)
         elif cid == "check_monotone_worst_case":
             assert inequalities.check_monotone_worst_case(params, np.abs(slopes)).holds
         elif cid == "compute_cij":

@@ -7,9 +7,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import BLOCK_BUDGETS, random_instance
+from conftest import BLOCK_BUDGETS, mixture_row, random_instance
 from entropath import explorer, inequalities, pmf
-from entropath.calculus import entropy_curvature, path_derivatives
+from entropath.calculus import entropy_curvature
 from entropath.errors import BoundaryError, LemmaHypothesisError
 from entropath.explorer import Group, evaluate_checker
 from entropath.inequalities import (
@@ -17,6 +17,7 @@ from entropath.inequalities import (
     REL_TOL,
     MarginReport,
     Margins,
+    SmoothFunction,
     UkBranch,
     X_LOG_X,
     c1_product_identity_residual,
@@ -345,8 +346,7 @@ class TestCorollary:
             p, s = random_instance(rng, n_min=2, n_max=10)
             pv = ParamVector(p)
             f = compute_pmf(pv).values
-            d = path_derivatives(pv, s)
-            g, h = d.g, d.h
+            g, h = mixture_row(pv, s)
             for k in range(h.size):
                 gain = (
                     2.0 * g[k] * g[k + 1] * f[k + 1]
@@ -414,8 +414,8 @@ class TestUkDecomposition:
             total = float(dec.u.sum())
             assert curv <= -total + 1e-9
             f = compute_pmf(pv).values
-            d = path_derivatives(pv, s)
-            exact = -total - d.g[-1] ** 2 / f[-2] - d.g[0] ** 2 / f[1]
+            g, _ = mixture_row(pv, s)
+            exact = -total - g[-1] ** 2 / f[-2] - g[0] ** 2 / f[1]
             assert curv == pytest.approx(exact, rel=1e-9, abs=1e-9)
 
     def test_boundary_mass_rejected(self):
@@ -426,8 +426,17 @@ class TestUkDecomposition:
         import json
 
         dec = uk(ParamVector(np.array([0.5, 0.5])), [1.0, 1.0])
-        data = json.loads(dec.to_json())
+        data = json.loads(json.dumps(dec.to_dict()))
         assert data["terms"][0]["branch"] == "transform"
+
+
+# x^2 has U(1) = 1 != 0, so it fails the lemma's first hypothesis on U.
+_SQUARE = SmoothFunction(
+    value=lambda x: np.asarray(x) ** 2,
+    d1=lambda x: 2.0 * np.asarray(x),
+    d2=lambda x: 2.0 * np.ones_like(np.asarray(x, dtype=float)),
+    d3=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
+)
 
 
 class TestFunctionalLemma:
@@ -449,18 +458,24 @@ class TestFunctionalLemma:
         with pytest.raises(LemmaHypothesisError):
             check_functional_lemma(X_LOG_X, 0.5, 0.0, 0.5, 1.0, 5.0, 1.0)
 
-    def test_bad_u_rejected(self):
-        from entropath.inequalities import SmoothFunction
-
-        # x^2 has U(1) = 1 != 0
-        square = SmoothFunction(
-            value=lambda x: np.asarray(x) ** 2,
-            d1=lambda x: 2.0 * np.asarray(x),
-            d2=lambda x: 2.0 * np.ones_like(np.asarray(x, dtype=float)),
-            d3=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-        )
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("index", range(6), ids=["A", "B", "C", "alpha", "beta", "gamma"])
+    def test_non_finite_inputs_rejected(self, index, bad):
+        # NaN compares False, so without the gate B*B > A*C could not catch it.
+        args = [0.5, 0.0, 0.5, 1.0, 0.0, 1.0]
+        args[index] = bad
         with pytest.raises(LemmaHypothesisError) as err:
-            check_functional_lemma(square, 0.5, 0.0, 0.5, 1.0, 0.0, 1.0)
+            check_functional_lemma(X_LOG_X, *args)
+        assert err.value.condition == "finite_inputs"
+
+    def test_non_finite_inputs_rejected_before_u_is_read(self):
+        with pytest.raises(LemmaHypothesisError) as err:
+            check_functional_lemma(_SQUARE, 0.5, math.nan, 0.5, 1.0, 0.0, 1.0)
+        assert err.value.condition == "finite_inputs"
+
+    def test_bad_u_rejected(self):
+        with pytest.raises(LemmaHypothesisError) as err:
+            check_functional_lemma(_SQUARE, 0.5, 0.0, 0.5, 1.0, 0.0, 1.0)
         assert err.value.condition == "U_at_one"
 
     def test_random_admissible_tuples(self, rng):

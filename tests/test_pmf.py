@@ -1,7 +1,6 @@
 """Mass-function construction against the enumeration oracle."""
 
 import itertools
-import json
 
 import numpy as np
 import pytest
@@ -103,7 +102,7 @@ class TestComputePmf:
 
     def test_total_is_reported_not_fixed(self, rng):
         f = compute_pmf(ParamVector(rng.random(10)))
-        assert abs(f.total - 1.0) <= 1e-12
+        assert abs(f.values.sum() - 1.0) <= 1e-12
 
 
 class TestLeaveOut:
@@ -303,26 +302,18 @@ class TestBruteForce:
 
 
 class TestPmfType:
-    def test_out_of_range_reads_zero(self):
-        f = Pmf(np.array([0.25, 0.5, 0.25]))
-        assert f.mass(-1) == 0.0
-        assert f.mass(3) == 0.0
-        assert f.mass(1) == 0.5
-        assert f.support_size == 3
-
     def test_rejects_negative_mass(self):
         with pytest.raises(ValueError):
             Pmf(np.array([0.5, 0.6, -0.1]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_mass(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            Pmf(np.array([bad, 1.0]))
+
     def test_rejects_bad_sum(self):
         with pytest.raises(ValueError):
             Pmf(np.array([0.5, 0.4]))
-
-    def test_json_round_trip_is_exact(self, rng):
-        f = compute_pmf(ParamVector(rng.random(9)))
-        back = Pmf.from_json(f.to_json())
-        assert back.to_list() == f.to_list()
-        assert json.loads(f.to_json()) == f.to_list()
 
     def test_values_are_immutable(self):
         f = Pmf(np.array([0.5, 0.5]))

@@ -12,7 +12,6 @@ from entropath import qentropy
 from entropath.calculus import AffinePath, _fgh, path_at, shannon_entropy
 from entropath.errors import BoundaryError
 from entropath.explorer import ScanConfig, sample_instance
-from entropath.numdiff import central_second
 from entropath.pmf import ParamVector, compute_pmf
 from entropath.qentropy import (
     EntropySpec,
@@ -22,7 +21,6 @@ from entropath.qentropy import (
     power_sum_derivatives,
     q_curvature,
     q_entropy,
-    q_entropy_second_derivative,
     tsallis_uk,
     tsallis_uk_tilde,
 )
@@ -136,24 +134,38 @@ class TestCurvature:
             q = float(rng.choice([0.5, 2.0, 3.0]))
             for spec in (EntropySpec.renyi(q), EntropySpec.tsallis(q)):
                 analytic = q_curvature(ParamVector(p), s, spec)
-                fd = central_second(
+                fd = oracle.central_second(
                     lambda t: q_entropy(compute_pmf(path_at(path, t)), spec), 0.0, 1e-4
                 )
                 assert analytic == pytest.approx(fd, rel=1e-5, abs=1e-7)
 
-    def test_path_op_with_internal_cross_check(self):
+    @staticmethod
+    def _at_path_point(path, t, spec):
+        """q_curvature at path_at(path, t), cross-checked against a centred second difference."""
+        value = q_curvature(path_at(path, t), path.slopes, spec)
+        fd = oracle.central_second(lambda s: q_entropy(compute_pmf(path_at(path, s)), spec), t, 1e-4)
+        assert abs(value - fd) <= 1e-4 * max(abs(value), abs(fd), 1.0)
+        return value
+
+    def test_tsallis_at_path_point(self):
         path = AffinePath(ParamVector(np.array([0.0, 0.0])), np.array([1.0, 1.0]))
-        value = q_entropy_second_derivative(path, 0.5, EntropySpec.tsallis(3.0), step=1e-4)
+        value = self._at_path_point(path, 0.5, EntropySpec.tsallis(3.0))
         assert value == pytest.approx(-0.375, rel=1e-6)
+
+    def test_renyi_at_path_point(self):
+        # T = sum f^2 of Bin(2, t) has T = 3/8, T' = 0 and T'' = 2 at t = 1/2, so H'' = -T''/T.
+        path = AffinePath(ParamVector(np.array([0.0, 0.0])), np.array([1.0, 1.0]))
+        value = self._at_path_point(path, 0.5, EntropySpec.renyi(2.0))
+        assert value == pytest.approx(-16.0 / 3.0, rel=1e-6)
 
     def test_boundary_t_rejected(self):
         path = AffinePath(ParamVector(np.array([0.0, 0.0])), np.array([1.0, 1.0]))
         with pytest.raises(BoundaryError):
-            q_entropy_second_derivative(path, 0.0, EntropySpec.tsallis(3.0), step=1e-4)
+            q_curvature(path_at(path, 0.0), path.slopes, EntropySpec.tsallis(3.0))
 
     def test_shannon_spec_along_path(self):
         path = AffinePath(ParamVector(np.array([0.5])), np.array([1.0]))
-        value = q_entropy_second_derivative(path, 0.0, EntropySpec.shannon(), step=1e-4)
+        value = self._at_path_point(path, 0.0, EntropySpec.shannon())
         assert value == pytest.approx(-4.0, rel=1e-6)
 
     def test_shannon_spec_delegates(self, rng):

@@ -197,6 +197,25 @@ def commands(config_dir: Path) -> list[list[str]]:
               "--instances", "5", "--checks", "cij", "--format", fmt] for fmt in ("json", "csv")]
     cmds += [["verify", "--p", ",".join(["0.2", "0.7", "0.7"] * 10), "--format", fmt]
              for fmt in ("json", "csv")]
+    # lemma-check at and just past its hypothesis boundaries: B^2 = AC and
+    # beta^2 = alpha*gamma exactly (either sign), zero weights, A and C at the
+    # ends of (0, 1), a one-point grid, and the inputs one step outside, which exit 2.
+    lemma = [
+        ("0.25", "0.25", "0.25", "4", "2", "1", "1001"),
+        ("0.25", "-0.25", "0.25", "4", "-2", "1", "1001"),
+        ("0.5", "0.5", "0.5", "1", "1", "1", "1"),
+        ("0.5", "0", "0.5", "0", "0", "0", "1001"),
+        ("1e-9", "0", "0.999999", "1", "0", "1", "1"),
+        ("0.25", "0.2500001", "0.25", "4", "2", "1", "1001"),
+        ("0.25", "0.25", "0.25", "4", "2.0000001", "1", "1001"),
+        ("0", "0", "0.5", "1", "0", "1", "1001"),
+        ("0.5", "0", "1", "1", "0", "1", "1001"),
+        ("0.5", "0", "0.5", "-1", "0", "1", "1001"),
+    ]
+    for fmt in ("json", "csv"):
+        for a, b, c, alpha, beta, gamma, grid in lemma:
+            cmds.append(["lemma-check", "--A", a, "--B", b, "--C", c, "--alpha", alpha,
+                         "--beta", beta, "--gamma", gamma, "--grid", grid, "--format", fmt])
     path = config_dir / "huge_q.json"
     path.write_text('{"seed": 1, "inequality_set": ["renyi_concavity"], "q_grid": [1'
                     + "0" * 400 + "]}")
